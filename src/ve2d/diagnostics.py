@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .families import DerivedFamily, MultiIndex, nonlinearity_f
+from .families import DerivedFamily, MultiIndex, _splittings, nonlinearity_f
 from .grid import Grid
+from .state import constraint_norms
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,11 @@ def energies(fam: DerivedFamily) -> dict[str, float]:
         V, H = fam.fields(idx)
         by_order.setdefault(idx.order, 0.0)
         by_order[idx.order] += _pair_l2_sq(g, V, H)
-        gV = sp.gradient(g, V)
-        gH = np.stack([sp.gradient(g, H[j]) for j in range(2)])
-        grad_by_order.setdefault(idx.order, 0.0)
-        grad_by_order[idx.order] += sp.l2_norm_sq(g, gV) + sp.l2_norm_sq(g, gH)
+        if idx.order < fam.k_max:  # calE_k sums orders <= k - 1 only
+            D = sp.derivative_stack(g, V, H)
+            grad_by_order.setdefault(idx.order, 0.0)
+            grad_by_order[idx.order] += (sp.l2_norm_sq(g, D[0])
+                                         + sp.l2_norm_sq(g, D[1:]))
     out = {}
     for k in range(fam.k_max + 1):
         out[f"E{k}"] = sum(by_order.get(m, 0.0) for m in range(k + 1))
@@ -77,14 +79,12 @@ def energies(fam: DerivedFamily) -> dict[str, float]:
     return out
 
 
-def _good_unknown_grads(fam: DerivedFamily, w: GeometryWeights, idx):
-    """Per spatial direction i: (d_i V + d_i H . omega, d_i H . omega_perp)."""
-    g = fam.state.grid
-    V, H = fam.fields(idx)
-    gV = sp.gradient(g, V)
-    gH = np.stack([sp.gradient(g, H[j]) for j in range(2)])  # (j, i, n, n)
-    good_r = np.empty((2, g.n, g.n))
-    good_t = np.empty((2, g.n, g.n))
+def _good_unknown_grads(w: GeometryWeights, D: np.ndarray):
+    """Per spatial direction i: (d_i V + d_i H . omega, d_i H . omega_perp)
+    from the derivative stack D of (V, H)."""
+    gV, gH = D[0], D[1:]                      # gH[j, i] = d_i H_j
+    good_r = np.empty_like(gV)
+    good_t = np.empty_like(gV)
     for i in range(2):
         dH_i = gH[:, i]                       # vector d_i H
         good_r[i] = gV[i] + dH_i[0] * w.omega[0] + dH_i[1] * w.omega[1]
@@ -103,9 +103,8 @@ def weighted_norms(fam: DerivedFamily, t: float | None = None
     for idx in fam.indices:
         if idx.order > fam.k_max - 1:
             continue
-        V, H = fam.fields(idx)
-        gV = sp.gradient(g, V)
-        gH = np.stack([sp.gradient(g, H[j]) for j in range(2)])
+        D = sp.derivative_stack(g, *fam.fields(idx))
+        gV, gH = D[0], D[1:]
         xterm = (sp.l2_norm_sq(g, w.sigma_bracket * gV)
                  + sp.l2_norm_sq(g, w.sigma_bracket * gH))
         dr_V = w.omega[0] * gV[0] + w.omega[1] * gV[1]
@@ -115,7 +114,7 @@ def weighted_norms(fam: DerivedFamily, t: float | None = None
         good_tan = dr_H[0] * w.omega_perp[0] + dr_H[1] * w.omega_perp[1]
         yterm = (sp.l2_norm_sq(g, w.r * good_rad)
                  + sp.l2_norm_sq(g, w.r * good_tan))
-        good_r, good_t = _good_unknown_grads(fam, w, idx)
+        good_r, good_t = _good_unknown_grads(w, D)
         kern = w.eq / w.sigma_bracket ** 2
         gterm = float(np.sum((good_r ** 2 + good_t ** 2) * kern)
                       * g.spacing ** 2)
@@ -150,7 +149,8 @@ def good_unknown_norms(fam: DerivedFamily, t: float | None = None,
     for idx in fam.indices:
         if idx.order > max_order:
             continue
-        good_r, good_t = _good_unknown_grads(fam, w, idx)
+        good_r, good_t = _good_unknown_grads(
+            w, sp.derivative_stack(g, *fam.fields(idx)))
         s_r = float(np.max(np.abs(good_r[:, w.mask])))
         s_t = float(np.max(np.abs(good_t[:, w.mask])))
         per_index[idx] = (s_r, s_t)
@@ -182,10 +182,9 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
         Vp = V
     if Hp is None:
         Hp = H
-    gV = sp.gradient(grid, V)
-    gVp = sp.gradient(grid, Vp)
-    gH = np.stack([sp.gradient(grid, H[j]) for j in range(2)])
-    gHp = np.stack([sp.gradient(grid, Hp[j]) for j in range(2)])
+    D = sp.derivative_stack(grid, V, H)
+    Dp = sp.derivative_stack(grid, Vp, Hp)
+    gV, gH, gVp, gHp = D[0], D[1:], Dp[0], Dp[1:]
     ggV = np.stack([sp.gradient(grid, gV[j]) for j in range(2)])   # [j, k]
     ggH = np.stack([np.stack([sp.gradient(grid, gH[m, j]) for j in range(2)])
                     for m in range(2)])                            # [m, j, k]
@@ -211,8 +210,8 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
     out["null_split"] = res
 
     # f2_split: sum_l d_l^perp H_m d_l V decomposed along (omega, omega_perp)
-    gpH = np.stack([sp.perp_gradient(grid, H[j]) for j in range(2)])  # [j, l]
-    gpV = sp.perp_gradient(grid, V)
+    gpH = sp.perp(gH)                          # [j, l]
+    gpV = sp.perp(gV)
     f2 = np.stack([gpH[m, 0] * gV[0] + gpH[m, 1] * gV[1] for m in range(2)])
     coef_r = np.zeros_like(V)
     coef_t = np.zeros_like(V)
@@ -296,9 +295,8 @@ def weighted_sobolev_ratios(grid: Grid, f: np.ndarray,
     return out
 
 
-def _order_sums(fam: DerivedFamily, w: GeometryWeights):
+def _order_sums(fam: DerivedFamily):
     """Pointwise sums of |V|, |H|, |grad...| grouped by (alpha order, a order)."""
-    g = fam.state.grid
     sums_V, sums_H = {}, {}
     for idx in fam.indices:
         V, H = fam.fields(idx)
@@ -322,7 +320,7 @@ def nonlinearity_decay_ratios(fam: DerivedFamily,
     if t is None:
         t = fam.state.t
     w = geometry_weights(g, t)
-    sums_V, sums_H = _order_sums(fam, w)
+    sums_V, sums_H = _order_sums(fam)
 
     def graded(sums_a, sums_b, extra_a: int, extra_b: int, amax, bmax):
         total = np.zeros((g.n, g.n))
@@ -353,14 +351,10 @@ def nonlinearity_decay_ratios(fam: DerivedFamily,
     lhs = np.max(np.abs(np.stack(list(fij.values()))), axis=0)
     rhs = (graded(sums_V, sums_V, 1, 1, alpha, sum(a))
            + graded(sums_H, sums_H, 1, 1, alpha, sum(a))) / w.r
-    from .families import _splittings
     for left, right, _ in _splittings(idx):
-        Vl, Hl = fam.fields(left)
-        Vr, Hr = fam.fields(right)
-        gVl = sp.gradient(g, Vl)
-        gHl = np.stack([sp.gradient(g, Hl[j]) for j in range(2)])
-        gVr = sp.gradient(g, Vr)
-        gHr = np.stack([sp.gradient(g, Hr[j]) for j in range(2)])
+        Dl = sp.derivative_stack(g, *fam.fields(left))
+        Dr = sp.derivative_stack(g, *fam.fields(right))
+        gVl, gHl, gVr, gHr = Dl[0], Dl[1:], Dr[0], Dr[1:]
         drV = w.omega[0] * gVl[0] + w.omega[1] * gVl[1]
         drH = np.stack([w.omega[0] * gHl[j, 0] + w.omega[1] * gHl[j, 1]
                         for j in range(2)])
@@ -425,7 +419,6 @@ class DiagnosticsRecord:
 
 def sample_record(fam: DerivedFamily) -> DiagnosticsRecord:
     """Evaluate the full diagnostics suite on one family."""
-    from .state import constraint_norms
     st = fam.state
     vals = {}
     vals.update(energies(fam))
@@ -442,7 +435,6 @@ def sample_record(fam: DerivedFamily) -> DiagnosticsRecord:
     vals["id417_res"] = ids["f2_split"]
     vals["id218_res"] = ids["grad_split"]
     # not part of the CSV schema, but useful for decay studies
-    gV = sp.gradient(st.grid, st.V)
-    gH = np.stack([sp.gradient(st.grid, st.H[j]) for j in range(2)])
-    vals["grad_sup"] = max(sp.linf_norm(gV), sp.linf_norm(gH))
+    D = sp.derivative_stack(st.grid, st.V, st.H)
+    vals["grad_sup"] = max(sp.linf_norm(D[0]), sp.linf_norm(D[1:]))
     return DiagnosticsRecord(t=st.t, mu=st.mu, values=vals)

@@ -1,10 +1,12 @@
 """Right-hand sides and time integration, uniform in viscosity mu in [0, 1].
 
-The default stepper is classical RK4 with the viscous semigroup applied as
-an exact spectral integrating factor on V (potential form) or v (primitive
-form).  With the coupling and nonlinearity switched off, a step therefore
-reproduces pure heat decay e^{-mu |k|^2 dt} to machine precision, for every
-mu, and mu = 0 degenerates to plain RK4 on the hyperbolic system.
+One IF-RK4 body (classical RK4 with the viscous semigroup applied as an
+exact spectral integrating factor) serves both forms, damping V in the
+potential form and v in the primitive form.  With the coupling and
+nonlinearity switched off, a step therefore reproduces pure heat decay
+e^{-mu |k|^2 dt} to machine precision, for every mu, and mu = 0 degenerates
+to plain RK4 on the hyperbolic system.  The potential form's quadratic
+sources are the bilinear forms of ve2d.families.
 """
 
 from dataclasses import dataclass
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
+from .families import bilin_f1_perp, bilin_f2
 from .grid import Grid
 from .state import PotentialState, PrimitiveState
 
@@ -47,37 +50,6 @@ class StepperConfig:
             raise ValueError(f"unsupported scheme {self.scheme!r}")
 
 
-def _mul(grid: Grid, a: np.ndarray, b: np.ndarray, dealias: bool) -> np.ndarray:
-    prod = a * b
-    return sp.dealias(grid, prod) if dealias else prod
-
-
-def quadratic_source(grid: Grid, V: np.ndarray, H: np.ndarray,
-                     dealias: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Nonlinear sources (f1, f2) of the potential-form system.
-
-    f1 = sum_ij riesz_pp(i, j, -d_i^perp V d_j^perp V + d_i^perp H . d_j^perp H)
-    f2_j = d_l^perp H_j d_l V
-    """
-    gpV = sp.perp_gradient(grid, V)
-    gV = sp.gradient(grid, V)
-    gpH = np.stack([sp.perp_gradient(grid, H[j]) for j in range(2)])  # (j, l)
-
-    f1 = np.zeros((grid.n, grid.n))
-    for i in range(2):
-        for j in range(2):
-            fij = -_mul(grid, gpV[i], gpV[j], dealias)
-            for m in range(2):
-                fij += _mul(grid, gpH[m, i], gpH[m, j], dealias)
-            f1 += sp.riesz_pp(grid, i + 1, j + 1, fij)
-
-    f2 = np.stack([
-        sum(_mul(grid, gpH[j, l], gV[l], dealias) for l in range(2))
-        for j in range(2)
-    ])
-    return f1, f2
-
-
 def rhs_potential(state: PotentialState,
                   cfg: StepperConfig = StepperConfig(),
                   include_viscosity: bool = True
@@ -97,9 +69,9 @@ def rhs_potential(state: PotentialState,
         dV += sp.divergence(g, state.H)
         dH += sp.gradient(g, state.V)
     if cfg.nonlinear:
-        f1, f2 = quadratic_source(g, state.V, state.H, cfg.dealias)
-        dV += f1
-        dH += f2
+        D = sp.derivative_stack(g, state.V, state.H)
+        dV += bilin_f1_perp(g, D, D, cfg.dealias)
+        dH += bilin_f2(g, D, D, cfg.dealias)
     return dV, dH
 
 
@@ -126,22 +98,20 @@ def rhs_primitive(state: PrimitiveState,
             dG[i] += gv[i]
 
     if cfg.nonlinear:
-        gG = np.empty((2, 2, 2) + v.shape[1:])  # gG[i, j, l] = d_l G_{ij}
+        # gG[i, j, l] = d_l G_{ij}
+        gG = np.array([[sp.gradient(g, G[i, j]) for j in range(2)]
+                       for i in range(2)])
+
+        def mul(a, b):
+            return sp.product(g, a, b, cfg.dealias)
+
         for i in range(2):
+            dv[i] -= sum(mul(v[l], gv[i, l]) for l in range(2))
             for j in range(2):
-                for l in range(2):
-                    gG[i, j, l] = sp.derivative(g, G[i, j], axis=l + 1)
-        for i in range(2):
-            adv = sum(_mul(g, v[l], gv[i, l], cfg.dealias) for l in range(2))
-            dv[i] -= adv
-            for j in range(2):
-                GGt = sum(_mul(g, G[i, k], G[j, k], cfg.dealias)
-                          for k in range(2))
+                GGt = sum(mul(G[i, k], G[j, k]) for k in range(2))
                 dv[i] += sp.derivative(g, GGt, axis=j + 1)
-                dG[i, j] += sum(_mul(g, gv[i, k], G[k, j], cfg.dealias)
-                                for k in range(2))
-                dG[i, j] -= sum(_mul(g, v[l], gG[i, j, l], cfg.dealias)
-                                for l in range(2))
+                dG[i, j] += sum(mul(gv[i, k], G[k, j]) for k in range(2))
+                dG[i, j] -= sum(mul(v[l], gG[i, j, l]) for l in range(2))
         dv = sp.leray_project(g, dv)
     return dv, dG
 
@@ -152,70 +122,59 @@ def choose_dt(state: PotentialState, cfg: StepperConfig) -> float:
     return cfg.cfl_factor * state.grid.spacing / (1.0 + sp.linf_norm(v))
 
 
-def _heat_factor(grid: Grid, mu: float, dt: float) -> np.ndarray:
-    return np.exp(-mu * grid.k_sq * dt)
+def _damp(f: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Apply a spectral factor to each (n, n) field of f."""
+    if f.ndim == 2:
+        return sp.ifft(factor * sp.fft(f))
+    return np.stack([_damp(x, factor) for x in f])
 
 
-def _apply_factor(grid: Grid, f: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    return sp.ifft(factor * sp.fft(f))
+def _if_rk4(grid: Grid, mu: float, t: float, dt: float, u, w, N):
+    """One integrating-factor RK4 step of u' = mu lap u + Nu, w' = Nw.
+
+    N(u, w) returns (Nu, Nw); the heat semigroup on u is applied exactly.
+    Raises BlowUpError if the result is not finite.
+    """
+    E = np.exp(-mu * grid.k_sq * (dt / 2.0))
+    E2 = E * E
+    k1u, k1w = N(u, w)
+    k2u, k2w = N(_damp(u + 0.5 * dt * k1u, E), w + 0.5 * dt * k1w)
+    k3u, k3w = N(_damp(u, E) + 0.5 * dt * k2u, w + 0.5 * dt * k2w)
+    k4u, k4w = N(_damp(u, E2) + dt * _damp(k3u, E), w + dt * k3w)
+
+    un = (_damp(u, E2)
+          + dt / 6.0 * (_damp(k1u, E2) + 2.0 * _damp(k2u + k3u, E) + k4u))
+    wn = w + dt / 6.0 * (k1w + 2.0 * (k2w + k3w) + k4w)
+
+    if not (np.all(np.isfinite(un)) and np.all(np.isfinite(wn))):
+        raise BlowUpError(t + dt)
+    return un, wn
 
 
 def step(state: PotentialState, dt: float,
          cfg: StepperConfig = StepperConfig()) -> PotentialState:
     """One integrating-factor RK4 step of the potential system."""
     g = state.grid
-    E = _heat_factor(g, state.mu, dt / 2.0)
-    E2 = E * E
 
     def N(V, H):
         s = PotentialState(grid=g, V=V, H=H, t=state.t, mu=state.mu)
         return rhs_potential(s, cfg, include_viscosity=False)
 
-    def eV(V, factor):
-        return _apply_factor(g, V, factor)
-
-    V, H = state.V, state.H
-    k1V, k1H = N(V, H)
-    k2V, k2H = N(eV(V + 0.5 * dt * k1V, E), H + 0.5 * dt * k1H)
-    k3V, k3H = N(eV(V, E) + 0.5 * dt * k2V, H + 0.5 * dt * k2H)
-    k4V, k4H = N(eV(V, E2) + dt * eV(k3V, E), H + dt * k3H)
-
-    Vn = (eV(V, E2)
-          + dt / 6.0 * (eV(k1V, E2) + 2.0 * eV(k2V + k3V, E) + k4V))
-    Hn = H + dt / 6.0 * (k1H + 2.0 * (k2H + k3H) + k4H)
-
-    if not (np.all(np.isfinite(Vn)) and np.all(np.isfinite(Hn))):
-        raise BlowUpError(state.t + dt)
-    return PotentialState(grid=g, V=Vn, H=Hn, t=state.t + dt, mu=state.mu)
+    V, H = _if_rk4(g, state.mu, state.t, dt, state.V, state.H, N)
+    return PotentialState(grid=g, V=V, H=H, t=state.t + dt, mu=state.mu)
 
 
 def step_primitive(state: PrimitiveState, dt: float,
                    cfg: StepperConfig = StepperConfig()) -> PrimitiveState:
     """One integrating-factor RK4 step of the primitive system."""
     g = state.grid
-    E = _heat_factor(g, state.mu, dt / 2.0)
-    E2 = E * E
 
     def N(v, G):
         s = PrimitiveState(grid=g, v=v, G=G, t=state.t, mu=state.mu)
         return rhs_primitive(s, cfg, include_viscosity=False)
 
-    def ev(v, factor):
-        return np.stack([_apply_factor(g, v[i], factor) for i in range(2)])
-
-    v, G = state.v, state.G
-    k1v, k1G = N(v, G)
-    k2v, k2G = N(ev(v + 0.5 * dt * k1v, E), G + 0.5 * dt * k1G)
-    k3v, k3G = N(ev(v, E) + 0.5 * dt * k2v, G + 0.5 * dt * k2G)
-    k4v, k4G = N(ev(v, E2) + dt * ev(k3v, E), G + dt * k3G)
-
-    vn = (ev(v, E2)
-          + dt / 6.0 * (ev(k1v, E2) + 2.0 * ev(k2v + k3v, E) + k4v))
-    Gn = G + dt / 6.0 * (k1G + 2.0 * (k2G + k3G) + k4G)
-
-    if not (np.all(np.isfinite(vn)) and np.all(np.isfinite(Gn))):
-        raise BlowUpError(state.t + dt)
-    return PrimitiveState(grid=g, v=vn, G=Gn, t=state.t + dt, mu=state.mu)
+    v, G = _if_rk4(g, state.mu, state.t, dt, state.v, state.G, N)
+    return PrimitiveState(grid=g, v=v, G=G, t=state.t + dt, mu=state.mu)
 
 
 def evolve(state: PotentialState, t_final: float,

@@ -19,8 +19,8 @@ import numpy as np
 from . import diagnostics as dg
 from . import spectral as sp
 from . import svg
-from .dynamics import BlowUpError, StepperConfig, choose_dt, step
-from .families import derived_family
+from .dynamics import BlowUpError, StepperConfig, evolve
+from .families import commutator_residuals, derived_family
 from .grid import Grid
 from .state import (InitialDataParams, PotentialState, make_initial_data,
                     write_snapshot)
@@ -44,13 +44,25 @@ class RunConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.t_final > self.box_len / 4.0 + 1e-12:
-            raise ConfigError("t_final must not exceed box_len/4")
+        if self.n < 8 or self.n % 2 != 0:
+            raise ConfigError(f"n must be even and >= 8, got {self.n}")
+        if not 0 <= self.k_max <= 3:
+            raise ConfigError(f"k_max must lie in [0, 3], got {self.k_max}")
+        radius = self.initial.support_radius
+        if radius is not None and radius >= self.box_len / 4.0:
+            raise ConfigError("support_radius must be below box_len/4")
+        if not 0.0 <= self.t_final <= self.box_len / 4.0 + 1e-12:
+            raise ConfigError("t_final must lie in [0, box_len/4]")
+        if self.dt is not None and self.dt <= 0:
+            raise ConfigError("dt must be positive")
         for mu in self.mu_list:
             if not 0.0 <= mu <= 1.0:
                 raise ConfigError(f"viscosity {mu} outside [0, 1]")
         if self.sample_interval <= 0:
             raise ConfigError("sample_interval must be positive")
+        samples = self.t_final / self.sample_interval
+        if abs(samples - round(samples)) > 1e-9:
+            raise ConfigError("t_final must be a multiple of sample_interval")
 
     @classmethod
     def from_ini(cls, path) -> "RunConfig":
@@ -61,11 +73,16 @@ class RunConfig:
             raise ConfigError(f"cannot parse config: {exc}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
+        sections = parser.sections() + ["DEFAULT"] * bool(parser.defaults())
+        for name in sections:
+            if name not in INI_KEYS:
+                raise ConfigError(f"unknown section [{name}]")
+            for key in parser[name]:
+                if key not in INI_KEYS[name]:
+                    raise ConfigError(f"unknown key {key!r} in [{name}]")
         try:
-            g = parser["grid"] if "grid" in parser else {}
-            i = parser["initial"] if "initial" in parser else {}
-            r = parser["run"] if "run" in parser else {}
-            s = parser["stepper"] if "stepper" in parser else {}
+            g, i, r, s = (parser[name] if name in parser else {}
+                          for name in ("grid", "initial", "run", "stepper"))
             initial = InitialDataParams(
                 amplitude=float(i.get("amplitude", 0.01)),
                 profile=i.get("profile", "gaussian-bump"),
@@ -80,6 +97,8 @@ class RunConfig:
                 dealias=_parse_bool(s.get("dealias", "true")),
             )
             mu_raw = r.get("mu", "0").replace(",", " ").split()
+            if not mu_raw:
+                raise ConfigError("mu needs at least one value")
             return cls(
                 n=int(g.get("n", 256)),
                 box_len=float(g.get("box_len", 64.0)),
@@ -98,6 +117,14 @@ class RunConfig:
             raise ConfigError(f"bad config value: {exc}") from exc
 
 
+INI_KEYS = {
+    "grid": {"n", "box_len"},
+    "initial": {"amplitude", "profile", "support_radius", "seed"},
+    "run": {"mu", "t_final", "sample_interval", "k_max", "output_dir"},
+    "stepper": {"cfl_factor", "scheme", "dealias", "dt"},
+}
+
+
 def _parse_bool(text: str) -> bool:
     lowered = str(text).strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -108,10 +135,11 @@ def _parse_bool(text: str) -> bool:
 
 
 def worker_count() -> int:
-    env = os.environ.get("VE2D_THREADS")
-    if env:
+    env = os.environ.get("VE2D_THREADS") or "1"
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        raise ConfigError(f"VE2D_THREADS is not an integer: {env!r}") from None
 
 
 @dataclass
@@ -148,10 +176,8 @@ def run_simulation(cfg: RunConfig, mu: float | None = None,
     n_samples = int(round(cfg.t_final / cfg.sample_interval))
     try:
         for k in range(n_samples + 1):
-            t_target = k * cfg.sample_interval
-            while state.t < t_target - 1e-12:
-                h = cfg.dt if cfg.dt is not None else choose_dt(state, cfg.stepper)
-                state = step(state, min(h, t_target - state.t), cfg.stepper)
+            state = evolve(state, k * cfg.sample_interval, cfg.stepper,
+                           cfg.dt)
             fam = derived_family(state, cfg.k_max)
             rec = dg.sample_record(fam)
             records.append(rec)
@@ -327,10 +353,11 @@ def audit(cfg: RunConfig, n_random: int = 20, seed: int = 0) -> dict:
         for name, val in res.items():
             worst[name] = max(worst.get(name, 0.0), val)
 
-    short = replace(cfg, t_final=min(cfg.t_final, 4.0), output_dir=None)
+    # the short run ends on the sample time nearest min(t_final, 4)
+    k = round(min(cfg.t_final, 4.0) / cfg.sample_interval)
+    short = replace(cfg, t_final=k * cfg.sample_interval, output_dir=None)
     run = run_simulation(short, mu=cfg.mu_list[0], write=False)
     fam = derived_family(run.final_state, cfg.k_max)
-    from .families import commutator_residuals
     commutators = {}
     for idx in fam.indices:
         r1, r2, r3 = commutator_residuals(fam, idx)

@@ -26,9 +26,6 @@ from . import spectral as sp
 from .grid import Grid
 from .state import PotentialState
 
-OP_TAGS = ("dt", "d1", "d2", "rot", "scale")
-
-
 class MultiIndex(NamedTuple):
     """Degree of each operator: alpha scalings, a = (dt, d1, d2, rot)."""
 
@@ -56,53 +53,49 @@ def admissible_indices(k_max: int) -> list[MultiIndex]:
 
 # ---------------------------------------------------------------------------
 # bilinear nonlinearities
+#
+# The single home of the quadratic forms: the evolution equations
+# (dynamics.rhs_potential), their jets (base_jet) and the commuted equations
+# (nonlinearity_f) all use them.  Each reads the derivative stacks Da of
+# (Va, Ha) and Db of (Vb, Hb) (spectral.derivative_stack).  quad_fij stays a
+# formula apart from bilin_f1_perp: the commutator residuals check one
+# against the other.
 
-def _mul(grid: Grid, a, b, dealias: bool):
-    prod = a * b
-    return sp.dealias(grid, prod) if dealias else prod
-
-
-def bilin_f1_perp(grid: Grid, Va, Ha, Vb, Hb, dealias=True) -> np.ndarray:
+def bilin_f1_perp(grid: Grid, Da, Db, dealias=True) -> np.ndarray:
     """sum_ij riesz_pp(i,j, -d_i^perp Va d_j^perp Vb + d_i^perp Ha . d_j^perp Hb)."""
-    gVa, gVb = sp.perp_gradient(grid, Va), sp.perp_gradient(grid, Vb)
-    gHa = np.stack([sp.perp_gradient(grid, Ha[m]) for m in range(2)])
-    gHb = np.stack([sp.perp_gradient(grid, Hb[m]) for m in range(2)])
+    Pa, Pb = sp.perp(Da), sp.perp(Db)
     out = np.zeros((grid.n, grid.n))
     for i in range(2):
         for j in range(2):
-            fij = -_mul(grid, gVa[i], gVb[j], dealias)
+            fij = -sp.product(grid, Pa[0, i], Pb[0, j], dealias)
             for m in range(2):
-                fij += _mul(grid, gHa[m, i], gHb[m, j], dealias)
+                fij += sp.product(grid, Pa[1 + m, i], Pb[1 + m, j], dealias)
             out += sp.riesz_pp(grid, i + 1, j + 1, fij)
     return out
 
 
-def quad_fij(grid: Grid, Va, Ha, Vb, Hb, i: int, j: int,
-             dealias=True) -> np.ndarray:
+def quad_fij(grid: Grid, Da, Db, i: int, j: int, dealias=True) -> np.ndarray:
     """Plain-derivative quadratic form d_i Va d_j Vb - d_i Ha . d_j Hb."""
-    out = _mul(grid, sp.derivative(grid, Va, i), sp.derivative(grid, Vb, j),
-               dealias)
+    out = sp.product(grid, Da[0, i - 1], Db[0, j - 1], dealias)
     for m in range(2):
-        out -= _mul(grid, sp.derivative(grid, Ha[m], i),
-                    sp.derivative(grid, Hb[m], j), dealias)
+        out -= sp.product(grid, Da[1 + m, i - 1], Db[1 + m, j - 1], dealias)
     return out
 
 
-def bilin_f2(grid: Grid, Ha, Vb, dealias=True) -> np.ndarray:
+def bilin_f2(grid: Grid, Da, Db, dealias=True) -> np.ndarray:
     """Component j: sum_l d_l^perp Ha_j d_l Vb; returns shape (2, n, n)."""
-    gVb = sp.gradient(grid, Vb)
+    gpH = sp.perp(Da[1:])
     out = np.empty((2, grid.n, grid.n))
     for j in range(2):
-        gpH = sp.perp_gradient(grid, Ha[j])
-        out[j] = sum(_mul(grid, gpH[l], gVb[l], dealias) for l in range(2))
+        out[j] = sum(sp.product(grid, gpH[j, l], Db[0, l], dealias)
+                     for l in range(2))
     return out
 
 
-def bilin_f3(grid: Grid, Ha, Hb, dealias=True) -> np.ndarray:
+def bilin_f3(grid: Grid, Da, Db, dealias=True) -> np.ndarray:
     """sum_l d_l^perp Ha_2 d_l Hb_1."""
-    gpH2 = sp.perp_gradient(grid, Ha[1])
-    gH1 = sp.gradient(grid, Hb[0])
-    return sum(_mul(grid, gpH2[l], gH1[l], dealias) for l in range(2))
+    gpH2 = sp.perp(Da[2])
+    return sum(sp.product(grid, gpH2[l], Db[1, l], dealias) for l in range(2))
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +130,17 @@ def base_jet(state: PotentialState, levels: int, dealias: bool = True) -> Jet:
     V = np.empty((levels + 1, g.n, g.n))
     H = np.empty((levels + 1, 2, g.n, g.n))
     V[0], H[0] = state.V, state.H
+    D = []  # derivative stack of each level, built once
     for m in range(levels):
+        D.append(sp.derivative_stack(g, V[m], H[m]))
         dV = sp.divergence(g, H[m])
         if state.mu > 0:
             dV += state.mu * sp.laplacian(g, V[m])
-        dH = sp.gradient(g, V[m])
+        dH = D[m][0].copy()
         for l in range(m + 1):
             c = comb(m, l)
-            dV += c * bilin_f1_perp(g, V[l], H[l], V[m - l], H[m - l], dealias)
-            dH += c * bilin_f2(g, H[l], V[m - l], dealias)
+            dV += c * bilin_f1_perp(g, D[l], D[m - l], dealias)
+            dH += c * bilin_f2(g, D[l], D[m - l], dealias)
         V[m + 1], H[m + 1] = dV, dH
     return Jet(grid=g, V=V, H=H, t=state.t, mu=state.mu)
 
@@ -291,14 +286,13 @@ def nonlinearity_f(fam: DerivedFamily, idx: MultiIndex):
     f2 = np.zeros((2, n, n))
     f3 = np.zeros((n, n))
     for left, right, coef in _splittings(idx):
-        Va, Ha = fam.fields(left)
-        Vb, Hb = fam.fields(right)
+        Da = sp.derivative_stack(g, *fam.fields(left))
+        Db = sp.derivative_stack(g, *fam.fields(right))
         for i in range(1, 3):
             for j in range(1, 3):
-                fij[i, j] += coef * quad_fij(g, Va, Ha, Vb, Hb, i, j,
-                                             fam.dealias)
-        f2 += coef * bilin_f2(g, Ha, Vb, fam.dealias)
-        f3 += coef * bilin_f3(g, Ha, Hb, fam.dealias)
+                fij[i, j] += coef * quad_fij(g, Da, Db, i, j, fam.dealias)
+        f2 += coef * bilin_f2(g, Da, Db, fam.dealias)
+        f3 += coef * bilin_f3(g, Da, Db, fam.dealias)
     f1 = np.zeros((n, n))
     for (i, j), field_ij in fij.items():
         f1 += sp.riesz_pp(g, i, j, field_ij)

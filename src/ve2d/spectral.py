@@ -31,10 +31,21 @@ def gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
     return np.stack([ifft(1j * grid.k1 * fh), ifft(1j * grid.k2 * fh)])
 
 
+def perp(g: np.ndarray) -> np.ndarray:
+    """(-g2, g1) of gradients stacked along axis -3; exact, so a perp-
+    gradient needs no transforms of its own."""
+    return np.stack([-g[..., 1, :, :], g[..., 0, :, :]], axis=-3)
+
+
 def perp_gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
     """grad_perp f = (-d2 f, d1 f)."""
-    fh = fft(f)
-    return np.stack([ifft(-1j * grid.k2 * fh), ifft(1j * grid.k1 * fh)])
+    return perp(gradient(grid, f))
+
+
+def derivative_stack(grid: Grid, V: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Gradients of (V, H1, H2) as one (3, 2, n, n) stack: D[0] = grad V,
+    D[1 + j] = grad H[j]."""
+    return np.stack([gradient(grid, f) for f in (V, H[0], H[1])])
 
 
 def divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
@@ -70,6 +81,13 @@ def dealias_spectral(grid: Grid, fh: np.ndarray) -> np.ndarray:
 def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
     """2/3-rule projection of a physical field."""
     return ifft(dealias_spectral(grid, fft(f)))
+
+
+def product(grid: Grid, a: np.ndarray, b: np.ndarray,
+            dealiased: bool) -> np.ndarray:
+    """Pointwise product a * b, 2/3-rule projected when dealiased."""
+    prod = a * b
+    return dealias(grid, prod) if dealiased else prod
 
 
 def rotation(grid: Grid, f: np.ndarray) -> np.ndarray:

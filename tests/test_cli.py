@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,36 @@ class TestSimulate:
         path.write_text("[run]\nt_final = forever\n", encoding="utf-8")
         assert cli.main(["simulate", "--config",
                          str(path)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, old, new, env", [
+        ("simulate", "n = 64", "n = 33", {}),
+        ("simulate", "k_max = 1", "k_max = 5", {}),
+        ("sweep-mu", "mu = 0", "mu = 0 0.1", {"VE2D_THREADS": "abc"}),
+        ("simulate", "sample_interval", "sample_intervl", {}),
+        ("simulate", "k_max = 1", "k_max = 1\n[stepper]\ncfl = 0.1", {}),
+        ("simulate", "[initial]", "[initail]", {}),
+        ("simulate", "t_final = 2.0\nsample_interval = 0.5",
+         "t_final = 0.3\nsample_interval = 0.2", {}),
+        ("simulate", "mu = 0", "mu =", {}),
+        ("simulate", "support_radius = 6.0", "support_radius = 8.0", {}),
+        ("simulate", "t_final = 2.0", "t_final = -1.0", {}),
+        ("simulate", "k_max = 1", "k_max = 1\n[stepper]\ndt = 0", {}),
+    ], ids=["odd_n", "k_max_5", "threads_not_int", "unknown_key",
+            "unknown_stepper_key", "unknown_section", "t_final_off_samples",
+            "empty_mu", "support_too_wide", "negative_t_final", "zero_dt"])
+    def test_bad_config_exits_3_with_one_line(self, tmp_path, capsys,
+                                              monkeypatch, command, old, new,
+                                              env):
+        path = Path(write_config(tmp_path))
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
 
     def test_blow_up_exits_2(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)

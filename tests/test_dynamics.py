@@ -3,8 +3,8 @@ import pytest
 
 import ve2d.spectral as sp
 from ve2d.dynamics import (BlowUpError, StepperConfig, choose_dt, evolve,
-                           quadratic_source, rhs_potential, step,
-                           step_primitive)
+                           rhs_potential, step, step_primitive)
+from ve2d.families import base_jet
 from ve2d.grid import Grid
 from ve2d.state import (InitialDataParams, PotentialState, constraint_norms,
                         make_initial_data, primitive_of, velocity_of)
@@ -79,6 +79,44 @@ class TestLinearOracles:
         assert sp.linf_norm(out.V - factor * st.V) < 1e-8
 
 
+def reference_quadratic_source(grid, V, H, dealias=True):
+    """Nonlinear sources (f1, f2) of the potential form, written out term by
+    term with their own derivatives; the reference for rhs_potential.
+
+    f1 = sum_ij riesz_pp(i, j, -d_i^perp V d_j^perp V + d_i^perp H . d_j^perp H)
+    f2_j = d_l^perp H_j d_l V
+    """
+    def mul(a, b):
+        return sp.dealias(grid, a * b) if dealias else a * b
+
+    gpV = sp.perp_gradient(grid, V)
+    gV = sp.gradient(grid, V)
+    gpH = np.stack([sp.perp_gradient(grid, H[j]) for j in range(2)])  # (j, l)
+    f1 = np.zeros((grid.n, grid.n))
+    for i in range(2):
+        for j in range(2):
+            fij = -mul(gpV[i], gpV[j])
+            for m in range(2):
+                fij += mul(gpH[m, i], gpH[m, j])
+            f1 += sp.riesz_pp(grid, i + 1, j + 1, fij)
+    f2 = np.stack([sum(mul(gpH[j, l], gV[l]) for l in range(2))
+                   for j in range(2)])
+    return f1, f2
+
+
+def quadratic_source(grid, V, H, dealias=True):
+    """The nonlinear part of rhs_potential: coupling and viscosity off."""
+    st = PotentialState(grid, V, H)
+    return rhs_potential(st, StepperConfig(coupling=False, dealias=dealias),
+                         include_viscosity=False)
+
+
+def random_pair(grid, seed):
+    V = sp.random_band_limited(grid, seed=seed)
+    H = np.stack([sp.random_band_limited(grid, seed=seed + s) for s in (1, 2)])
+    return V, H
+
+
 class TestQuadraticSource:
     def test_zero_for_zero_fields(self, grid32):
         V = np.zeros((grid32.n, grid32.n))
@@ -88,12 +126,28 @@ class TestQuadraticSource:
         assert sp.linf_norm(f2) == 0.0
 
     def test_quadratic_scaling(self, grid32):
-        V = sp.random_band_limited(grid32, seed=1)
-        H = np.stack([sp.random_band_limited(grid32, seed=s) for s in (2, 3)])
+        V, H = random_pair(grid32, 1)
         f1, f2 = quadratic_source(grid32, V, H, dealias=True)
         g1, g2 = quadratic_source(grid32, 2 * V, 2 * H, dealias=True)
         assert sp.linf_norm(g1 - 4 * f1) < 1e-11
         assert sp.linf_norm(g2 - 4 * f2) < 1e-11
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("seed", [1, 11, 21])
+    def test_matches_reference_formula(self, grid64, seed, dealias):
+        V, H = random_pair(grid64, seed)
+        f1, f2 = quadratic_source(grid64, V, H, dealias)
+        r1, r2 = reference_quadratic_source(grid64, V, H, dealias)
+        assert sp.linf_norm(f1 - r1) <= 1e-13 * sp.linf_norm(r1)
+        assert sp.linf_norm(f2 - r2) <= 1e-13 * sp.linf_norm(r2)
+
+    def test_jet_level_one_is_the_rhs(self, grid64):
+        V, H = random_pair(grid64, 5)
+        st = PotentialState(grid64, 0.01 * V, 0.01 * H, mu=0.05)
+        jet = base_jet(st, 1)
+        dV, dH = rhs_potential(st)
+        assert sp.linf_norm(jet.V[1] - dV) <= 1e-13 * sp.linf_norm(dV)
+        assert sp.linf_norm(jet.H[1] - dH) <= 1e-13 * sp.linf_norm(dH)
 
     def test_rhs_reduces_to_linear_part(self, grid32):
         st, _ = single_mode_state(grid32, 1, 0, mu=0.2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ve2d.spectral as sp
-from ve2d.dynamics import StepperConfig, evolve
+from ve2d.dynamics import StepperConfig, evolve, rhs_potential
 from ve2d.families import (MultiIndex, admissible_indices, apply_field,
                            base_jet, commutator_residuals, derived_family,
                            nonlinearity_f, time_derivative)
@@ -171,10 +171,11 @@ class TestCommutedEquations:
             assert max(r1, r2, r3) < 1e-5, idx
 
     def test_root_sources_match_evolution_sources(self, evolved_state):
-        from ve2d.dynamics import quadratic_source
+        # rhs_potential's nonlinear part (f1 from the perp-derivative form)
+        # against nonlinearity_f (f1 from the plain-derivative fij)
         fam = derived_family(evolved_state, 2)
         f1, f2, f3, fij = nonlinearity_f(fam, ROOT)
-        g1, g2 = quadratic_source(evolved_state.grid, evolved_state.V,
-                                  evolved_state.H, dealias=True)
+        g1, g2 = rhs_potential(evolved_state, StepperConfig(coupling=False),
+                               include_viscosity=False)
         assert sp.linf_norm(f1 - g1) < 1e-11
         assert sp.linf_norm(f2 - g2) < 1e-11
