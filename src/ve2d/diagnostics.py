@@ -183,7 +183,7 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
     if Hp is None:
         Hp = H
     D = sp.derivative_stack(grid, V, H)
-    Dp = sp.derivative_stack(grid, Vp, Hp)
+    Dp = D if Vp is V and Hp is H else sp.derivative_stack(grid, Vp, Hp)
     gV, gH, gVp, gHp = D[0], D[1:], Dp[0], Dp[1:]
     ggV = np.stack([sp.gradient(grid, gV[j]) for j in range(2)])   # [j, k]
     ggH = np.stack([np.stack([sp.gradient(grid, gH[m, j]) for j in range(2)])

@@ -2,19 +2,29 @@
 
 One IF-RK4 body (classical RK4 with the viscous semigroup applied as an
 exact spectral integrating factor) serves both forms, damping V in the
-potential form and v in the primitive form.  With the coupling and
-nonlinearity switched off, a step therefore reproduces pure heat decay
-e^{-mu |k|^2 dt} to machine precision, for every mu, and mu = 0 degenerates
-to plain RK4 on the hyperbolic system.  The potential form's quadratic
-sources are the bilinear forms of ve2d.families.
+potential form and v in the primitive form.  The damped unknown is held as
+rfft2 coefficients inside the step, so the integrating factor
+e^{-mu |k|^2 dt} is an elementwise multiply.  With the coupling and
+nonlinearity switched off, a step therefore reproduces pure heat decay to
+machine precision, for every mu, and mu = 0 degenerates to plain RK4 on the
+hyperbolic system.
+
+The potential step keeps (V, H) spectral and transforms once in and once
+out.  Each RHS stage costs 11 real-field transforms: the 6 gradients of
+(V, H1, H2) back to physical space (the perp-gradients are relabelled
+gradients), and the 5 quadratic products f11, f12, f22, f2_1, f2_2 forward.
+The 2/3 mask is one multiply of the product spectra, and the four Riesz
+symbols of f1 are fused into three, one per product.  The forms match
+families.bilin_f1_perp and families.bilin_f2 to round-off.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import spectral as sp
-from .families import bilin_f1_perp, bilin_f2
 from .grid import Grid
 from .state import PotentialState, PrimitiveState
 
@@ -50,6 +60,81 @@ class StepperConfig:
             raise ValueError(f"unsupported scheme {self.scheme!r}")
 
 
+# signs of the fields (V, H1, H2) in f_ij = -d_i^perp V d_j^perp V
+#                                          + d_i^perp H . d_j^perp H
+_F1_SIGNS = np.array([-1.0, 1.0, 1.0])
+
+
+class _Symbols(NamedTuple):
+    """Multipliers of the potential RHS in rfft2 layout."""
+
+    ik: np.ndarray         # (2, n, n//2+1): i k_1, i k_2
+    k_sq: np.ndarray       # |k|^2
+    mask: np.ndarray       # 2/3-rule keep mask
+    riesz: np.ndarray      # (3, n, n//2+1) fused symbols of f11, f12, f22
+
+
+@lru_cache(maxsize=4)
+def _symbols(grid: Grid) -> _Symbols:
+    """Build the multipliers once per grid; they are read-only, since every
+    caller shares them.
+
+    riesz_pp(i, j) has symbol k_i^perp k_j / |k|^2.  For one state f_ij is
+    symmetric, so f1 = sum_ij riesz_pp(i, j, f_ij) needs only f11, f12 and
+    f22, with the (1,2) and (2,1) symbols summed.
+    """
+    def half(a):
+        out = np.ascontiguousarray(a[..., :grid.n // 2 + 1])
+        out.flags.writeable = False
+        return out
+
+    k = (grid.k1, grid.k2)
+    kp = (grid.k1_perp, grid.k2_perp)
+
+    def s(i, j):
+        return kp[i] * k[j] * grid.inv_k_sq
+
+    return _Symbols(ik=half(1j * np.stack(k)), k_sq=half(grid.k_sq),
+                    mask=half(grid.keep_mask.astype(float)),
+                    riesz=half(np.stack([s(0, 0), s(0, 1) + s(1, 0),
+                                         s(1, 1)])))
+
+
+def _products(grid: Grid, s: _Symbols, Vh: np.ndarray, Hh: np.ndarray
+              ) -> np.ndarray:
+    """The physical products f11, f12, f22, f2_1, f2_2 of one state, from
+    one batched inverse transform of the 6 gradients of (V, H1, H2)."""
+    D = sp.irfft(grid, s.ik * np.concatenate((Vh[None], Hh))[:, None])
+    P = sp.perp(D)                                  # P[f, i] = d_i^perp f
+    prods = np.empty((5,) + D.shape[-2:])
+    for r, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
+        np.einsum("f,fxy,fxy->xy", _F1_SIGNS, P[:, i], P[:, j], out=prods[r])
+    # f2_j = d_l^perp H_j d_l V
+    np.einsum("jlxy,lxy->jxy", P[1:], D[0], out=prods[3:])
+    return prods
+
+
+def _rhs_hat(grid: Grid, Vh: np.ndarray, Hh: np.ndarray, cfg: StepperConfig
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """(dV, dH) of the potential form without mu lap V, from and to rfft2
+    coefficients.  The quadratic part costs one batched inverse transform of
+    6 gradients and one batched forward transform of 5 products."""
+    s = _symbols(grid)
+    dVh = np.zeros_like(Vh)
+    dHh = np.zeros_like(Hh)
+    if cfg.coupling:
+        dVh += s.ik[0] * Hh[0]
+        dVh += s.ik[1] * Hh[1]
+        dHh += s.ik * Vh
+    if cfg.nonlinear:
+        ph = sp.rfft(_products(grid, s, Vh, Hh))
+        if cfg.dealias:
+            ph *= s.mask
+        dVh += np.einsum("rxy,rxy->xy", s.riesz, ph[:3])
+        dHh += ph[3:]
+    return dVh, dHh
+
+
 def rhs_potential(state: PotentialState,
                   cfg: StepperConfig = StepperConfig(),
                   include_viscosity: bool = True
@@ -61,18 +146,12 @@ def rhs_potential(state: PotentialState,
     through the integrating factor).
     """
     g = state.grid
-    dV = np.zeros_like(state.V)
-    dH = np.zeros_like(state.H)
+    uh = sp.rfft(np.concatenate((state.V[None], state.H)))
+    dVh, dHh = _rhs_hat(g, uh[0], uh[1:], cfg)
     if include_viscosity and state.mu > 0:
-        dV += state.mu * sp.laplacian(g, state.V)
-    if cfg.coupling:
-        dV += sp.divergence(g, state.H)
-        dH += sp.gradient(g, state.V)
-    if cfg.nonlinear:
-        D = sp.derivative_stack(g, state.V, state.H)
-        dV += bilin_f1_perp(g, D, D, cfg.dealias)
-        dH += bilin_f2(g, D, D, cfg.dealias)
-    return dV, dH
+        dVh -= state.mu * _symbols(g).k_sq * uh[0]
+    d = sp.irfft(g, np.concatenate((dVh[None], dHh)))
+    return d[0], d[1:]
 
 
 def rhs_primitive(state: PrimitiveState,
@@ -122,58 +201,63 @@ def choose_dt(state: PotentialState, cfg: StepperConfig) -> float:
     return cfg.cfl_factor * state.grid.spacing / (1.0 + sp.linf_norm(v))
 
 
-def _damp(f: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """Apply a spectral factor to each (n, n) field of f."""
-    if f.ndim == 2:
-        return sp.ifft(factor * sp.fft(f))
-    return np.stack([_damp(x, factor) for x in f])
-
-
-def _if_rk4(grid: Grid, mu: float, t: float, dt: float, u, w, N):
+def _if_rk4(grid: Grid, mu: float, dt: float, u, w, N):
     """One integrating-factor RK4 step of u' = mu lap u + Nu, w' = Nw.
 
-    N(u, w) returns (Nu, Nw); the heat semigroup on u is applied exactly.
-    Raises BlowUpError if the result is not finite.
+    u holds rfft2 coefficients, so the heat semigroup on u is an exact
+    elementwise multiply; w is whatever N accepts.  N(u, w) returns
+    (Nu, Nw), Nu again as coefficients.
     """
-    E = np.exp(-mu * grid.k_sq * (dt / 2.0))
+    E = np.exp(-mu * _symbols(grid).k_sq * (dt / 2.0))
     E2 = E * E
     k1u, k1w = N(u, w)
-    k2u, k2w = N(_damp(u + 0.5 * dt * k1u, E), w + 0.5 * dt * k1w)
-    k3u, k3w = N(_damp(u, E) + 0.5 * dt * k2u, w + 0.5 * dt * k2w)
-    k4u, k4w = N(_damp(u, E2) + dt * _damp(k3u, E), w + dt * k3w)
+    k2u, k2w = N(E * (u + 0.5 * dt * k1u), w + 0.5 * dt * k1w)
+    k3u, k3w = N(E * u + 0.5 * dt * k2u, w + 0.5 * dt * k2w)
+    k4u, k4w = N(E2 * u + dt * E * k3u, w + dt * k3w)
 
-    un = (_damp(u, E2)
-          + dt / 6.0 * (_damp(k1u, E2) + 2.0 * _damp(k2u + k3u, E) + k4u))
+    un = E2 * u + dt / 6.0 * (E2 * k1u + 2.0 * E * (k2u + k3u) + k4u)
     wn = w + dt / 6.0 * (k1w + 2.0 * (k2w + k3w) + k4w)
-
-    if not (np.all(np.isfinite(un)) and np.all(np.isfinite(wn))):
-        raise BlowUpError(t + dt)
     return un, wn
+
+
+def _check_finite(t: float, *fields: np.ndarray) -> None:
+    if not all(np.all(np.isfinite(f)) for f in fields):
+        raise BlowUpError(t)
 
 
 def step(state: PotentialState, dt: float,
          cfg: StepperConfig = StepperConfig()) -> PotentialState:
-    """One integrating-factor RK4 step of the potential system."""
+    """One integrating-factor RK4 step of the potential system.
+
+    Raises BlowUpError if the result is not finite.
+    """
     g = state.grid
-
-    def N(V, H):
-        s = PotentialState(grid=g, V=V, H=H, t=state.t, mu=state.mu)
-        return rhs_potential(s, cfg, include_viscosity=False)
-
-    V, H = _if_rk4(g, state.mu, state.t, dt, state.V, state.H, N)
-    return PotentialState(grid=g, V=V, H=H, t=state.t + dt, mu=state.mu)
+    uh = sp.rfft(np.concatenate((state.V[None], state.H)))
+    Vh, Hh = _if_rk4(g, state.mu, dt, uh[0], uh[1:],
+                     lambda Vh, Hh: _rhs_hat(g, Vh, Hh, cfg))
+    u = sp.irfft(g, np.concatenate((Vh[None], Hh)))
+    _check_finite(state.t + dt, u)
+    return PotentialState(grid=g, V=u[0], H=u[1:], t=state.t + dt,
+                          mu=state.mu)
 
 
 def step_primitive(state: PrimitiveState, dt: float,
                    cfg: StepperConfig = StepperConfig()) -> PrimitiveState:
-    """One integrating-factor RK4 step of the primitive system."""
+    """One integrating-factor RK4 step of the primitive system.
+
+    Raises BlowUpError if the result is not finite.
+    """
     g = state.grid
 
-    def N(v, G):
-        s = PrimitiveState(grid=g, v=v, G=G, t=state.t, mu=state.mu)
-        return rhs_primitive(s, cfg, include_viscosity=False)
+    def N(vh, G):
+        s = PrimitiveState(grid=g, v=sp.irfft(g, vh), G=G, t=state.t,
+                           mu=state.mu)
+        dv, dG = rhs_primitive(s, cfg, include_viscosity=False)
+        return sp.rfft(dv), dG
 
-    v, G = _if_rk4(g, state.mu, state.t, dt, state.v, state.G, N)
+    vh, G = _if_rk4(g, state.mu, dt, sp.rfft(state.v), state.G, N)
+    v = sp.irfft(g, vh)
+    _check_finite(state.t + dt, v, G)
     return PrimitiveState(grid=g, v=v, G=G, t=state.t + dt, mu=state.mu)
 
 

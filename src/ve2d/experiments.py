@@ -178,8 +178,9 @@ def run_simulation(cfg: RunConfig, mu: float | None = None,
         for k in range(n_samples + 1):
             state = evolve(state, k * cfg.sample_interval, cfg.stepper,
                            cfg.dt)
-            fam = derived_family(state, cfg.k_max)
-            rec = dg.sample_record(fam)
+            # the family is dropped before the next evolve, so the two
+            # never hold memory at the same time
+            rec = dg.sample_record(derived_family(state, cfg.k_max))
             records.append(rec)
             times.append(state.t)
             e1 = rec.values.get("E1", 0.0)

@@ -54,12 +54,13 @@ def admissible_indices(k_max: int) -> list[MultiIndex]:
 # ---------------------------------------------------------------------------
 # bilinear nonlinearities
 #
-# The single home of the quadratic forms: the evolution equations
-# (dynamics.rhs_potential), their jets (base_jet) and the commuted equations
-# (nonlinearity_f) all use them.  Each reads the derivative stacks Da of
-# (Va, Ha) and Db of (Vb, Hb) (spectral.derivative_stack).  quad_fij stays a
-# formula apart from bilin_f1_perp: the commutator residuals check one
-# against the other.
+# The single home of the quadratic forms of the jets (base_jet) and the
+# commuted equations (nonlinearity_f).  Each reads the derivative stacks Da
+# of (Va, Ha) and Db of (Vb, Hb) (spectral.derivative_stack).  quad_fij
+# stays a formula apart from bilin_f1_perp: the commutator residuals check
+# one against the other.  The stepper (dynamics) evaluates f1 and f2 of one
+# state in spectral space, with f_ij symmetric and the Riesz symbols fused;
+# tests pin it to these forms to round-off.
 
 def bilin_f1_perp(grid: Grid, Da, Db, dealias=True) -> np.ndarray:
     """sum_ij riesz_pp(i,j, -d_i^perp Va d_j^perp Vb + d_i^perp Ha . d_j^perp Hb)."""
@@ -285,9 +286,12 @@ def nonlinearity_f(fam: DerivedFamily, idx: MultiIndex):
     fij = {(i, j): np.zeros((n, n)) for i in range(1, 3) for j in range(1, 3)}
     f2 = np.zeros((2, n, n))
     f3 = np.zeros((n, n))
-    for left, right, coef in _splittings(idx):
-        Da = sp.derivative_stack(g, *fam.fields(left))
-        Db = sp.derivative_stack(g, *fam.fields(right))
+    splits = list(_splittings(idx))
+    # one derivative stack per distinct member, held only for this call
+    members = {m for left, right, _ in splits for m in (left, right)}
+    D = {m: sp.derivative_stack(g, *fam.fields(m)) for m in members}
+    for left, right, coef in splits:
+        Da, Db = D[left], D[right]
         for i in range(1, 3):
             for j in range(1, 3):
                 fij[i, j] += coef * quad_fij(g, Da, Db, i, j, fam.dealias)

@@ -19,6 +19,17 @@ def ifft(fh: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(fh).real
 
 
+def rfft(f: np.ndarray) -> np.ndarray:
+    """Half-spectrum (rfft2) coefficients of real fields over the last two
+    axes; a stack of fields is one batched transform."""
+    return np.fft.rfft2(f)
+
+
+def irfft(grid: Grid, fh: np.ndarray) -> np.ndarray:
+    """Real fields from half-spectrum coefficients; inverse of rfft."""
+    return np.fft.irfft2(fh, s=(grid.n, grid.n))
+
+
 def derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     """Spectral partial derivative along axis 1 or 2."""
     k = grid.k1 if axis == 1 else grid.k2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,124 @@ class TestQuadraticSource:
         lin = 0.2 * sp.laplacian(grid32, st.V) + sp.divergence(grid32, st.H)
         assert sp.linf_norm(dV - lin) < 1e-13
         assert sp.linf_norm(dH - sp.gradient(grid32, st.V)) < 1e-13
+
+
+def _damp(f, factor):
+    """Apply a spectral factor to each (n, n) field of f."""
+    if f.ndim == 2:
+        return sp.ifft(factor * sp.fft(f))
+    return np.stack([_damp(x, factor) for x in f])
+
+
+def reference_step(state, dt, cfg):
+    """The seed IF-RK4 step: physical-space state, each use of the heat
+    factor round-tripped through fft/ifft, and the RHS written out with
+    physical-space operators and reference_quadratic_source.  The
+    reference for step."""
+    g = state.grid
+
+    def N(V, H):
+        dV = np.zeros_like(V)
+        dH = np.zeros_like(H)
+        if cfg.coupling:
+            dV += sp.divergence(g, H)
+            dH += sp.gradient(g, V)
+        if cfg.nonlinear:
+            f1, f2 = reference_quadratic_source(g, V, H, cfg.dealias)
+            dV += f1
+            dH += f2
+        return dV, dH
+
+    E = np.exp(-state.mu * g.k_sq * (dt / 2.0))
+    E2 = E * E
+    u, w = state.V, state.H
+    k1u, k1w = N(u, w)
+    k2u, k2w = N(_damp(u + 0.5 * dt * k1u, E), w + 0.5 * dt * k1w)
+    k3u, k3w = N(_damp(u, E) + 0.5 * dt * k2u, w + 0.5 * dt * k2w)
+    k4u, k4w = N(_damp(u, E2) + dt * _damp(k3u, E), w + dt * k3w)
+    un = (_damp(u, E2)
+          + dt / 6.0 * (_damp(k1u, E2) + 2.0 * _damp(k2u + k3u, E) + k4u))
+    wn = w + dt / 6.0 * (k1w + 2.0 * (k2w + k3w) + k4w)
+    return PotentialState(g, un, wn, t=state.t + dt, mu=state.mu)
+
+
+SWITCHES = {"default": CFG,
+            "no_dealias": StepperConfig(dealias=False),
+            "no_coupling": StepperConfig(coupling=False),
+            "linear": StepperConfig(nonlinear=False)}
+
+
+class TestReferenceStep:
+    @pytest.mark.parametrize("mu", [0.0, 1e-2])
+    @pytest.mark.parametrize("switch", list(SWITCHES))
+    def test_step_matches_seed_formula(self, grid64, mu, switch):
+        cfg = SWITCHES[switch]
+        V, H = random_pair(grid64, 3)
+        st = PotentialState(grid64, 0.05 * V, 0.05 * H, mu=mu)
+        out, ref, dflt = st, st, st
+        for _ in range(5):
+            dt = choose_dt(ref, CFG)
+            out = step(out, dt, cfg)
+            ref = reference_step(ref, dt, cfg)
+            dflt = step(dflt, dt, CFG)
+        for a, b, d in ((out.V, ref.V, dflt.V), (out.H, ref.H, dflt.H)):
+            scale = sp.linf_norm(b)
+            assert sp.linf_norm(a - b) <= 1e-13 * scale
+            # each switch changes the step: none is a no-op
+            if cfg != CFG:
+                assert sp.linf_norm(d - b) > 1e-10 * scale
+
+
+FFT_ENTRY_POINTS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2",
+                    "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
+
+
+def test_step_transform_budget(grid32, monkeypatch):
+    # 3 fields in and 3 out, and 6 gradients back plus 5 products forward
+    # in each of the 4 stages; a per-field or round-trip fallback exceeds it
+    st = make_initial_data(grid32, InitialDataParams(amplitude=0.01,
+                                                     mu=1e-2))
+    fields = []
+    depth = [0]
+    for name in FFT_ENTRY_POINTS:
+        def counted(a, *args, _fn=getattr(np.fft, name), **kwargs):
+            # a batch of k fields counts k; nested calls are not recounted
+            if depth[0] == 0:
+                fields.append(int(np.prod(np.shape(a)[:-2])))
+            depth[0] += 1
+            try:
+                return _fn(a, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(np.fft, name, counted)
+    step(st, 0.01, CFG)
+    assert sum(fields) <= 50
+
+
+def energy(state):
+    """E = 1/2 (|grad V|^2 + |grad H1|^2 + |grad H2|^2), = 1/2 (|v|^2 + |G|^2)
+    in primitive form."""
+    D = sp.derivative_stack(state.grid, state.V, state.H)
+    return 0.5 * sp.l2_norm_sq(state.grid, D)
+
+
+class TestEnergyBalance:
+    PARAMS = InitialDataParams(amplitude=0.05, profile="spectral", seed=0)
+
+    def test_inviscid_drift_converges_at_fourth_order(self, grid64):
+        st = make_initial_data(grid64, self.PARAMS)
+        e0 = energy(st)
+        drift = []
+        for cfl in (0.3, 0.15):
+            out = evolve(st, 4.0, StepperConfig(cfl_factor=cfl))
+            drift.append(abs(energy(out) - e0) / e0)
+        assert drift[0] / drift[1] >= 16.0
+
+    def test_viscous_energy_non_increasing(self, grid64):
+        st = make_initial_data(grid64, replace(self.PARAMS, mu=1e-2))
+        es = [energy(st)]
+        evolve(st, 4.0, CFG, callback=lambda s: es.append(energy(s)))
+        assert np.all(np.diff(es) <= 0.0)
 
 
 class TestStep:
