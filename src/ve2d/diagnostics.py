@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .families import DerivedFamily, MultiIndex, _splittings, nonlinearity_f
+from .families import (DerivedFamily, MultiIndex, _member_stacks, _splittings,
+                       nonlinearity_f)
 from .grid import Grid
 from .state import constraint_norms
 
@@ -185,9 +186,8 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
     D = sp.derivative_stack(grid, V, H)
     Dp = D if Vp is V and Hp is H else sp.derivative_stack(grid, Vp, Hp)
     gV, gH, gVp, gHp = D[0], D[1:], Dp[0], Dp[1:]
-    ggV = np.stack([sp.gradient(grid, gV[j]) for j in range(2)])   # [j, k]
-    ggH = np.stack([np.stack([sp.gradient(grid, gH[m, j]) for j in range(2)])
-                    for m in range(2)])                            # [m, j, k]
+    ggV = sp.gradient(grid, gV)                # [j, k] = d_k d_j V
+    ggH = sp.gradient(grid, gH)                # [m, j, k] = d_k d_j H_m
     out = {}
 
     # null_split over all (i, j, k)
@@ -351,9 +351,10 @@ def nonlinearity_decay_ratios(fam: DerivedFamily,
     lhs = np.max(np.abs(np.stack(list(fij.values()))), axis=0)
     rhs = (graded(sums_V, sums_V, 1, 1, alpha, sum(a))
            + graded(sums_H, sums_H, 1, 1, alpha, sum(a))) / w.r
-    for left, right, _ in _splittings(idx):
-        Dl = sp.derivative_stack(g, *fam.fields(left))
-        Dr = sp.derivative_stack(g, *fam.fields(right))
+    splits = list(_splittings(idx))
+    D = _member_stacks(fam, splits)
+    for left, right, _ in splits:
+        Dl, Dr = D[left], D[right]
         gVl, gHl, gVr, gHr = Dl[0], Dl[1:], Dr[0], Dr[1:]
         drV = w.omega[0] * gVl[0] + w.omega[1] * gVl[1]
         drH = np.stack([w.omega[0] * gHl[j, 0] + w.omega[1] * gHl[j, 1]

@@ -14,13 +14,17 @@ out.  Each RHS stage costs 11 real-field transforms: the 6 gradients of
 (V, H1, H2) back to physical space (the perp-gradients are relabelled
 gradients), and the 5 quadratic products f11, f12, f22, f2_1, f2_2 forward.
 The 2/3 mask is one multiply of the product spectra, and the four Riesz
-symbols of f1 are fused into three, one per product.  The forms match
-families.bilin_f1_perp and families.bilin_f2 to round-off.
+symbols of f1 are fused into three, one per product (Grid.f1_riesz).
+
+_products is the one home of the perp-form quadratic sources f1 and f2: it
+sums them over a Leibniz sum of derivative stacks, so the stepper (one
+pair) and the time-derivative jets of families.base_jet (one pair per
+binomial term) share it, and _quadratic_hat masks and transforms the sums
+once.  The primitive RHS follows the same pattern: its products are summed
+per output and transformed in one batch.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,53 +69,42 @@ class StepperConfig:
 _F1_SIGNS = np.array([-1.0, 1.0, 1.0])
 
 
-class _Symbols(NamedTuple):
-    """Multipliers of the potential RHS in rfft2 layout."""
-
-    ik: np.ndarray         # (2, n, n//2+1): i k_1, i k_2
-    k_sq: np.ndarray       # |k|^2
-    mask: np.ndarray       # 2/3-rule keep mask
-    riesz: np.ndarray      # (3, n, n//2+1) fused symbols of f11, f12, f22
+def _f2(Pa: np.ndarray, Db: np.ndarray) -> np.ndarray:
+    """f2_j = sum_l d_l^perp Ha_j d_l Vb from the perp-derivative stack
+    Pa = spectral.perp(Da) of (Va, Ha) and the derivative stack Db of
+    (Vb, Hb); shape (2, n, n)."""
+    return np.einsum("jlxy,lxy->jxy", Pa[1:], Db[0])
 
 
-@lru_cache(maxsize=4)
-def _symbols(grid: Grid) -> _Symbols:
-    """Build the multipliers once per grid; they are read-only, since every
-    caller shares them.
+def _products(pairs) -> np.ndarray:
+    """The physical products f11, f12, f22, f2_1, f2_2 summed over a
+    Leibniz sum pairs = [(coef, Da, Db), ...] of derivative stacks
+    (spectral.derivative_stack).
 
-    riesz_pp(i, j) has symbol k_i^perp k_j / |k|^2.  For one state f_ij is
-    symmetric, so f1 = sum_ij riesz_pp(i, j, f_ij) needs only f11, f12 and
-    f22, with the (1,2) and (2,1) symbols summed.
+    f_ij = -d_i^perp Va d_j^perp Vb + d_i^perp Ha . d_j^perp Hb.  The
+    coefficients are symmetric under a <-> b, so the summed f_ij is
+    symmetric and f21 is not formed.
     """
-    def half(a):
-        out = np.ascontiguousarray(a[..., :grid.n // 2 + 1])
-        out.flags.writeable = False
-        return out
-
-    k = (grid.k1, grid.k2)
-    kp = (grid.k1_perp, grid.k2_perp)
-
-    def s(i, j):
-        return kp[i] * k[j] * grid.inv_k_sq
-
-    return _Symbols(ik=half(1j * np.stack(k)), k_sq=half(grid.k_sq),
-                    mask=half(grid.keep_mask.astype(float)),
-                    riesz=half(np.stack([s(0, 0), s(0, 1) + s(1, 0),
-                                         s(1, 1)])))
-
-
-def _products(grid: Grid, s: _Symbols, Vh: np.ndarray, Hh: np.ndarray
-              ) -> np.ndarray:
-    """The physical products f11, f12, f22, f2_1, f2_2 of one state, from
-    one batched inverse transform of the 6 gradients of (V, H1, H2)."""
-    D = sp.irfft(grid, s.ik * np.concatenate((Vh[None], Hh))[:, None])
-    P = sp.perp(D)                                  # P[f, i] = d_i^perp f
-    prods = np.empty((5,) + D.shape[-2:])
-    for r, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
-        np.einsum("f,fxy,fxy->xy", _F1_SIGNS, P[:, i], P[:, j], out=prods[r])
-    # f2_j = d_l^perp H_j d_l V
-    np.einsum("jlxy,lxy->jxy", P[1:], D[0], out=prods[3:])
+    prods = np.zeros((5,) + pairs[0][1].shape[-2:])
+    for coef, Da, Db in pairs:
+        Pa = sp.perp(Da)                            # P[f, i] = d_i^perp f
+        Pb = Pa if Db is Da else sp.perp(Db)
+        for r, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
+            prods[r] += np.einsum("f,fxy,fxy->xy", coef * _F1_SIGNS,
+                                  Pa[:, i], Pb[:, j])
+        prods[3:] += coef * _f2(Pa, Db)
     return prods
+
+
+def _quadratic_hat(grid: Grid, pairs, dealias: bool
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(f1, f2) of a Leibniz sum as rfft2 coefficients: one batched forward
+    transform of the 5 summed products, the 2/3 mask (linear, so applied
+    once to the sums) and the fused Riesz symbols of f1."""
+    ph = sp.fft(_products(pairs))
+    if dealias:
+        ph *= grid.keep_mask
+    return np.einsum("rxy,rxy->xy", grid.f1_riesz, ph[:3]), ph[3:]
 
 
 def _rhs_hat(grid: Grid, Vh: np.ndarray, Hh: np.ndarray, cfg: StepperConfig
@@ -119,19 +112,17 @@ def _rhs_hat(grid: Grid, Vh: np.ndarray, Hh: np.ndarray, cfg: StepperConfig
     """(dV, dH) of the potential form without mu lap V, from and to rfft2
     coefficients.  The quadratic part costs one batched inverse transform of
     6 gradients and one batched forward transform of 5 products."""
-    s = _symbols(grid)
     dVh = np.zeros_like(Vh)
     dHh = np.zeros_like(Hh)
     if cfg.coupling:
-        dVh += s.ik[0] * Hh[0]
-        dVh += s.ik[1] * Hh[1]
-        dHh += s.ik * Vh
+        dVh += grid.ik[0] * Hh[0]
+        dVh += grid.ik[1] * Hh[1]
+        dHh += grid.ik * Vh
     if cfg.nonlinear:
-        ph = sp.rfft(_products(grid, s, Vh, Hh))
-        if cfg.dealias:
-            ph *= s.mask
-        dVh += np.einsum("rxy,rxy->xy", s.riesz, ph[:3])
-        dHh += ph[3:]
+        D = sp.gradient_from_hat(grid, np.concatenate((Vh[None], Hh)))
+        f1h, f2h = _quadratic_hat(grid, [(1, D, D)], cfg.dealias)
+        dVh += f1h
+        dHh += f2h
     return dVh, dHh
 
 
@@ -146,11 +137,11 @@ def rhs_potential(state: PotentialState,
     through the integrating factor).
     """
     g = state.grid
-    uh = sp.rfft(np.concatenate((state.V[None], state.H)))
+    uh = sp.fft(np.concatenate((state.V[None], state.H)))
     dVh, dHh = _rhs_hat(g, uh[0], uh[1:], cfg)
     if include_viscosity and state.mu > 0:
-        dVh -= state.mu * _symbols(g).k_sq * uh[0]
-    d = sp.irfft(g, np.concatenate((dVh[None], dHh)))
+        dVh -= state.mu * g.k_sq * uh[0]
+    d = sp.ifft(np.concatenate((dVh[None], dHh)))
     return d[0], d[1:]
 
 
@@ -162,37 +153,40 @@ def rhs_primitive(state: PrimitiveState,
 
     dv = P[mu lap v + div G - v.grad v + div(G G^T)],
     dG = grad v + (grad v) G - v.grad G,  with (grad v)_{ij} = d_j v_i.
+
+    The products are summed per output (v.grad v, G G^T, and
+    (grad v) G - v.grad G), transformed forward in one batch and masked
+    once; dv and the quadratic part of dG come back in one inverse batch.
     """
     g = state.grid
     v, G = state.v, state.G
-    dv = np.zeros_like(v)
+    vh, Gh = sp.fft(v), sp.fft(G)
+    dvh = np.zeros_like(vh)
+    dGh = np.zeros_like(Gh)
     dG = np.zeros_like(G)
     if include_viscosity and state.mu > 0:
-        dv += state.mu * np.stack([sp.laplacian(g, v[i]) for i in range(2)])
-
-    gv = np.stack([sp.gradient(g, v[i]) for i in range(2)])  # gv[i, j] = d_j v_i
+        dvh -= state.mu * g.k_sq * vh
+    gv = sp.gradient_from_hat(g, vh)                # gv[i, j] = d_j v_i
     if cfg.coupling:
-        for i in range(2):
-            dv[i] += sum(sp.derivative(g, G[i, j], axis=j + 1) for j in range(2))
-            dG[i] += gv[i]
+        dvh += np.einsum("jxy,ijxy->ixy", g.ik, Gh)  # div G
+        dG += gv
 
     if cfg.nonlinear:
-        # gG[i, j, l] = d_l G_{ij}
-        gG = np.array([[sp.gradient(g, G[i, j]) for j in range(2)]
-                       for i in range(2)])
-
-        def mul(a, b):
-            return sp.product(g, a, b, cfg.dealias)
-
-        for i in range(2):
-            dv[i] -= sum(mul(v[l], gv[i, l]) for l in range(2))
-            for j in range(2):
-                GGt = sum(mul(G[i, k], G[j, k]) for k in range(2))
-                dv[i] += sp.derivative(g, GGt, axis=j + 1)
-                dG[i, j] += sum(mul(gv[i, k], G[k, j]) for k in range(2))
-                dG[i, j] -= sum(mul(v[l], gG[i, j, l]) for l in range(2))
-        dv = sp.leray_project(g, dv)
-    return dv, dG
+        gG = sp.gradient_from_hat(g, Gh)            # gG[i, j, l] = d_l G_ij
+        prods = np.concatenate((
+            np.einsum("lxy,ilxy->ixy", v, gv),      # v.grad v
+            np.einsum("ikxy,jkxy->ijxy", G, G).reshape(4, g.n, g.n),
+            (np.einsum("ikxy,kjxy->ijxy", gv, G)
+             - np.einsum("lxy,ijlxy->ijxy", v, gG)).reshape(4, g.n, g.n)))
+        ph = sp.fft(prods)
+        if cfg.dealias:
+            ph *= g.keep_mask
+        # div(G G^T) - v.grad v, projected
+        dvh += np.einsum("jxy,ijxy->ixy", g.ik, ph[2:6].reshape(Gh.shape))
+        dvh = sp.leray_hat(g, dvh - ph[:2])
+        dGh = ph[6:].reshape(Gh.shape)
+    d = sp.ifft(np.concatenate((dvh, dGh.reshape(4, *Gh.shape[-2:]))))
+    return d[:2], dG + d[2:].reshape(G.shape)
 
 
 def choose_dt(state: PotentialState, cfg: StepperConfig) -> float:
@@ -208,7 +202,7 @@ def _if_rk4(grid: Grid, mu: float, dt: float, u, w, N):
     elementwise multiply; w is whatever N accepts.  N(u, w) returns
     (Nu, Nw), Nu again as coefficients.
     """
-    E = np.exp(-mu * _symbols(grid).k_sq * (dt / 2.0))
+    E = np.exp(-mu * grid.k_sq * (dt / 2.0))
     E2 = E * E
     k1u, k1w = N(u, w)
     k2u, k2w = N(E * (u + 0.5 * dt * k1u), w + 0.5 * dt * k1w)
@@ -232,10 +226,10 @@ def step(state: PotentialState, dt: float,
     Raises BlowUpError if the result is not finite.
     """
     g = state.grid
-    uh = sp.rfft(np.concatenate((state.V[None], state.H)))
+    uh = sp.fft(np.concatenate((state.V[None], state.H)))
     Vh, Hh = _if_rk4(g, state.mu, dt, uh[0], uh[1:],
                      lambda Vh, Hh: _rhs_hat(g, Vh, Hh, cfg))
-    u = sp.irfft(g, np.concatenate((Vh[None], Hh)))
+    u = sp.ifft(np.concatenate((Vh[None], Hh)))
     _check_finite(state.t + dt, u)
     return PotentialState(grid=g, V=u[0], H=u[1:], t=state.t + dt,
                           mu=state.mu)
@@ -250,13 +244,13 @@ def step_primitive(state: PrimitiveState, dt: float,
     g = state.grid
 
     def N(vh, G):
-        s = PrimitiveState(grid=g, v=sp.irfft(g, vh), G=G, t=state.t,
+        s = PrimitiveState(grid=g, v=sp.ifft(vh), G=G, t=state.t,
                            mu=state.mu)
         dv, dG = rhs_primitive(s, cfg, include_viscosity=False)
-        return sp.rfft(dv), dG
+        return sp.fft(dv), dG
 
-    vh, G = _if_rk4(g, state.mu, dt, sp.rfft(state.v), state.G, N)
-    v = sp.irfft(g, vh)
+    vh, G = _if_rk4(g, state.mu, dt, sp.fft(state.v), state.G, N)
+    v = sp.ifft(vh)
     _check_finite(state.t + dt, v, G)
     return PrimitiveState(grid=g, v=v, G=G, t=state.t + dt, mu=state.mu)
 

@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral as sp
+from .dynamics import _F1_SIGNS, _f2, _quadratic_hat
 from .grid import Grid
 from .state import PotentialState
 
@@ -52,54 +53,6 @@ def admissible_indices(k_max: int) -> list[MultiIndex]:
 
 
 # ---------------------------------------------------------------------------
-# bilinear nonlinearities
-#
-# The single home of the quadratic forms of the jets (base_jet) and the
-# commuted equations (nonlinearity_f).  Each reads the derivative stacks Da
-# of (Va, Ha) and Db of (Vb, Hb) (spectral.derivative_stack).  quad_fij
-# stays a formula apart from bilin_f1_perp: the commutator residuals check
-# one against the other.  The stepper (dynamics) evaluates f1 and f2 of one
-# state in spectral space, with f_ij symmetric and the Riesz symbols fused;
-# tests pin it to these forms to round-off.
-
-def bilin_f1_perp(grid: Grid, Da, Db, dealias=True) -> np.ndarray:
-    """sum_ij riesz_pp(i,j, -d_i^perp Va d_j^perp Vb + d_i^perp Ha . d_j^perp Hb)."""
-    Pa, Pb = sp.perp(Da), sp.perp(Db)
-    out = np.zeros((grid.n, grid.n))
-    for i in range(2):
-        for j in range(2):
-            fij = -sp.product(grid, Pa[0, i], Pb[0, j], dealias)
-            for m in range(2):
-                fij += sp.product(grid, Pa[1 + m, i], Pb[1 + m, j], dealias)
-            out += sp.riesz_pp(grid, i + 1, j + 1, fij)
-    return out
-
-
-def quad_fij(grid: Grid, Da, Db, i: int, j: int, dealias=True) -> np.ndarray:
-    """Plain-derivative quadratic form d_i Va d_j Vb - d_i Ha . d_j Hb."""
-    out = sp.product(grid, Da[0, i - 1], Db[0, j - 1], dealias)
-    for m in range(2):
-        out -= sp.product(grid, Da[1 + m, i - 1], Db[1 + m, j - 1], dealias)
-    return out
-
-
-def bilin_f2(grid: Grid, Da, Db, dealias=True) -> np.ndarray:
-    """Component j: sum_l d_l^perp Ha_j d_l Vb; returns shape (2, n, n)."""
-    gpH = sp.perp(Da[1:])
-    out = np.empty((2, grid.n, grid.n))
-    for j in range(2):
-        out[j] = sum(sp.product(grid, gpH[j, l], Db[0, l], dealias)
-                     for l in range(2))
-    return out
-
-
-def bilin_f3(grid: Grid, Da, Db, dealias=True) -> np.ndarray:
-    """sum_l d_l^perp Ha_2 d_l Hb_1."""
-    gpH2 = sp.perp(Da[2])
-    return sum(sp.product(grid, gpH2[l], Db[1, l], dealias) for l in range(2))
-
-
-# ---------------------------------------------------------------------------
 # jets of time-derivative levels
 
 @dataclass(frozen=True)
@@ -126,23 +79,29 @@ class Jet:
 
 def base_jet(state: PotentialState, levels: int, dealias: bool = True) -> Jet:
     """Jet of the base state: levels built by Leibniz recursion through the
-    evolution equations, so every level is exact at the continuous limit."""
+    evolution equations, so every level is exact at the continuous limit.
+
+    Level m + 1 sums the quadratic sources over the pairs (C(m, l), D_l,
+    D_{m-l}) of the derivative stacks D_l of the levels below.  Each level
+    costs one batched forward transform of (V, H), one batched inverse of
+    its 6 gradients, one batched forward of the 5 summed products and one
+    batched inverse of (dV, dH).
+    """
     g = state.grid
     V = np.empty((levels + 1, g.n, g.n))
     H = np.empty((levels + 1, 2, g.n, g.n))
     V[0], H[0] = state.V, state.H
     D = []  # derivative stack of each level, built once
     for m in range(levels):
-        D.append(sp.derivative_stack(g, V[m], H[m]))
-        dV = sp.divergence(g, H[m])
+        uh = sp.fft(np.concatenate((V[m][None], H[m])))
+        D.append(sp.gradient_from_hat(g, uh))
+        f1h, f2h = _quadratic_hat(
+            g, [(comb(m, l), D[l], D[m - l]) for l in range(m + 1)], dealias)
+        dVh = g.ik[0] * uh[1] + g.ik[1] * uh[2] + f1h
         if state.mu > 0:
-            dV += state.mu * sp.laplacian(g, V[m])
-        dH = D[m][0].copy()
-        for l in range(m + 1):
-            c = comb(m, l)
-            dV += c * bilin_f1_perp(g, D[l], D[m - l], dealias)
-            dH += c * bilin_f2(g, D[l], D[m - l], dealias)
-        V[m + 1], H[m + 1] = dV, dH
+            dVh -= state.mu * g.k_sq * uh[0]
+        d = sp.ifft(np.concatenate((dVh[None], g.ik * uh[0] + f2h)))
+        V[m + 1], H[m + 1] = d[0], d[1:]
     return Jet(grid=g, V=V, H=H, t=state.t, mu=state.mu)
 
 
@@ -153,11 +112,6 @@ def time_derivative(state: PotentialState, order: int,
         raise ValueError("order must be >= 1")
     jet = base_jet(state, order, dealias)
     return jet.V[order], jet.H[order]
-
-
-def _rot_levelwise(grid: Grid, f: np.ndarray) -> np.ndarray:
-    return np.stack([sp.rotation(grid, lvl) for lvl in f.reshape(-1, grid.n, grid.n)]
-                    ).reshape(f.shape)
 
 
 def apply_field(op: str, jet: Jet) -> Jet:
@@ -173,30 +127,23 @@ def apply_field(op: str, jet: Jet) -> Jet:
         return Jet(g, jet.V[1:], jet.H[1:], jet.t, jet.mu)
     if op in ("d1", "d2"):
         axis = 1 if op == "d1" else 2
-        V = np.stack([sp.derivative(g, lvl, axis) for lvl in jet.V])
-        H = np.stack([np.stack([sp.derivative(g, h, axis) for h in lvl])
-                      for lvl in jet.H])
-        return Jet(g, V, H, jet.t, jet.mu)
+        return Jet(g, sp.derivative(g, jet.V, axis),
+                   sp.derivative(g, jet.H, axis), jet.t, jet.mu)
     if op == "rot":
-        V = _rot_levelwise(g, jet.V)
-        H = _rot_levelwise(g, jet.H)
+        V = sp.rotation(g, jet.V)
+        H = sp.rotation(g, jet.H)
         # modified rotation: rot~ H = rot H - H^perp, H^perp = (-H2, H1)
-        H = H.copy()
         H[:, 0] += jet.H[:, 1]
         H[:, 1] -= jet.H[:, 0]
         return Jet(g, V, H, jet.t, jet.mu)
     if op == "scale":
         if jet.levels < 1:
             raise ValueError("jet has no levels left for scale")
-        M = jet.levels
-        V = np.empty((M, g.n, g.n))
-        H = np.empty((M, 2, g.n, g.n))
-        for m in range(M):
-            V[m] = (jet.t * jet.V[m + 1] + (m - 1) * jet.V[m]
-                    + sp.radial_scaled_derivative(g, jet.V[m]))
-            for j in range(2):
-                H[m, j] = (jet.t * jet.H[m + 1, j] + (m - 1) * jet.H[m, j]
-                           + sp.radial_scaled_derivative(g, jet.H[m, j]))
+        m = np.arange(jet.levels)[:, None, None]
+        V = (jet.t * jet.V[1:] + (m - 1) * jet.V[:-1]
+             + sp.radial_scaled_derivative(g, jet.V[:-1]))
+        H = (jet.t * jet.H[1:] + (m[:, None] - 1) * jet.H[:-1]
+             + sp.radial_scaled_derivative(g, jet.H[:-1]))
         return Jet(g, V, H, jet.t, jet.mu)
     raise ValueError(f"unknown field op {op!r}")
 
@@ -274,33 +221,61 @@ def _splittings(idx: MultiIndex):
                                MultiIndex(alpha - beta, c), coef)
 
 
+# ---------------------------------------------------------------------------
+# bilinear nonlinearities of the commuted equations
+#
+# The perp-form sources f1 and f2 have one home, dynamics._products, shared
+# by the stepper and base_jet: it sums them over a Leibniz sum of derivative
+# stacks (spectral.derivative_stack), and dynamics._quadratic_hat masks and
+# transforms the sums once.  nonlinearity_f shares its f2 formula
+# (dynamics._f2) and writes the plain-derivative f_ij and f3 itself: the
+# commutator residuals check f1 from the plain-derivative f_ij against the
+# perp form that built the jets.
+
+def _member_stacks(fam: DerivedFamily, splits) -> dict:
+    """One derivative stack per distinct member of the splittings."""
+    members = {m for left, right, _ in splits for m in (left, right)}
+    return {m: sp.derivative_stack(fam.state.grid, *fam.fields(m))
+            for m in members}
+
+
+def _splitting_products(fam: DerivedFamily, idx: MultiIndex) -> np.ndarray:
+    """f11, f12, f21, f22, f2_1, f2_2, f3 in physical space, summed over
+    the splittings of idx; the member stacks are freed on return."""
+    g = fam.state.grid
+    splits = list(_splittings(idx))
+    D = _member_stacks(fam, splits)
+    prods = np.zeros((7, g.n, g.n))
+    for left, right, coef in splits:
+        Da, Db = D[left], D[right]
+        Pa = sp.perp(Da)
+        prods[:4] += np.einsum("f,fixy,fjxy->ijxy", -coef * _F1_SIGNS,
+                               Da, Db).reshape(4, g.n, g.n)
+        prods[4:6] += coef * _f2(Pa, Db)
+        prods[6] += coef * np.einsum("lxy,lxy->xy", Pa[2], Db[1])
+    return prods
+
+
 def nonlinearity_f(fam: DerivedFamily, idx: MultiIndex):
     """(f1, f2, f3, fij) for the commuted system at the given index.
 
-    fij is a dict {(i, j): field} of the plain-derivative quadratic forms;
-    f1 = sum_ij riesz_pp(i, j, fij).  All sums are binomial-weighted over
-    splittings of the index.
+    fij is a dict {(i, j): field} of the plain-derivative quadratic forms
+    d_i Va d_j Vb - d_i Ha . d_j Hb; f1 = sum_ij riesz_pp(i, j, fij),
+    f2 = dynamics._f2 and f3 = sum_l d_l^perp Ha_2 d_l Hb_1.  All are
+    binomial-weighted sums over splittings of the index: one batched
+    forward transform of the 7 sums, one mask, then the inverse transforms
+    of f1 and of the 7 masked sums.
     """
     g = fam.state.grid
-    n = g.n
-    fij = {(i, j): np.zeros((n, n)) for i in range(1, 3) for j in range(1, 3)}
-    f2 = np.zeros((2, n, n))
-    f3 = np.zeros((n, n))
-    splits = list(_splittings(idx))
-    # one derivative stack per distinct member, held only for this call
-    members = {m for left, right, _ in splits for m in (left, right)}
-    D = {m: sp.derivative_stack(g, *fam.fields(m)) for m in members}
-    for left, right, coef in splits:
-        Da, Db = D[left], D[right]
-        for i in range(1, 3):
-            for j in range(1, 3):
-                fij[i, j] += coef * quad_fij(g, Da, Db, i, j, fam.dealias)
-        f2 += coef * bilin_f2(g, Da, Db, fam.dealias)
-        f3 += coef * bilin_f3(g, Da, Db, fam.dealias)
-    f1 = np.zeros((n, n))
-    for (i, j), field_ij in fij.items():
-        f1 += sp.riesz_pp(g, i, j, field_ij)
-    return f1, f2, f3, fij
+    ph = sp.fft(_splitting_products(fam, idx))
+    if fam.dealias:
+        ph *= g.keep_mask
+    f1 = sp.ifft(np.einsum("rxy,rxy->xy", g.riesz.reshape(ph[:4].shape),
+                           ph[:4]))
+    out = sp.ifft(ph)
+    fij = {(i, j): out[2 * i + j - 3]
+           for i in range(1, 3) for j in range(1, 3)}
+    return f1, out[4:6], out[6], fij
 
 
 def commutator_residuals(fam: DerivedFamily, idx: MultiIndex

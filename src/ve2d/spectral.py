@@ -1,9 +1,12 @@
 """FFT-based spectral calculus on a periodic box.
 
 All operators act on real fields sampled on a :class:`~ve2d.grid.Grid` and
-return real fields.  Nonlocal operators (inverse Laplacian and the
-perp-Riesz multiplier) adopt the zero-mean convention: the k=0 coefficient
-of the output is set to zero.
+return real fields.  The one transform pair is fft/ifft: a batched rfft2 and
+irfft2 over the last two axes, whose coefficients share the half-spectrum
+layout of the Grid multipliers.  An operator on a stack of fields makes one
+forward and one inverse call for the whole stack.  Nonlocal operators
+(inverse Laplacian and the perp-Riesz multiplier) adopt the zero-mean
+convention: the k=0 coefficient of the output is set to zero.
 """
 
 import numpy as np
@@ -12,34 +15,32 @@ from .grid import Grid
 
 
 def fft(f: np.ndarray) -> np.ndarray:
-    return np.fft.fft2(f)
-
-
-def ifft(fh: np.ndarray) -> np.ndarray:
-    return np.fft.ifft2(fh).real
-
-
-def rfft(f: np.ndarray) -> np.ndarray:
-    """Half-spectrum (rfft2) coefficients of real fields over the last two
-    axes; a stack of fields is one batched transform."""
+    """rfft2 coefficients of real fields over the last two axes, in the
+    layout of the Grid multipliers; a stack of fields is one batched
+    transform."""
     return np.fft.rfft2(f)
 
 
-def irfft(grid: Grid, fh: np.ndarray) -> np.ndarray:
-    """Real fields from half-spectrum coefficients; inverse of rfft."""
-    return np.fft.irfft2(fh, s=(grid.n, grid.n))
+def ifft(fh: np.ndarray) -> np.ndarray:
+    """Real fields from rfft2 coefficients; inverse of fft (n is even)."""
+    return np.fft.irfft2(fh)
 
 
 def derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     """Spectral partial derivative along axis 1 or 2."""
-    k = grid.k1 if axis == 1 else grid.k2
-    return ifft(1j * k * fft(f))
+    return ifft(grid.ik[axis - 1] * fft(f))
+
+
+def gradient_from_hat(grid: Grid, fh: np.ndarray) -> np.ndarray:
+    """Physical gradients of the fields with coefficients fh, stacked along
+    axis -3 as in gradient; one inverse transform."""
+    return ifft(grid.ik * fh[..., None, :, :])
 
 
 def gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """(d1 f, d2 f) stacked along the leading axis."""
-    fh = fft(f)
-    return np.stack([ifft(1j * grid.k1 * fh), ifft(1j * grid.k2 * fh)])
+    """(d1 f, d2 f) of a field, or of each field of a stack, stacked along
+    axis -3: the result has shape f.shape[:-2] + (2, n, n)."""
+    return gradient_from_hat(grid, fft(f))
 
 
 def perp(g: np.ndarray) -> np.ndarray:
@@ -56,16 +57,18 @@ def perp_gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
 def derivative_stack(grid: Grid, V: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Gradients of (V, H1, H2) as one (3, 2, n, n) stack: D[0] = grad V,
     D[1 + j] = grad H[j]."""
-    return np.stack([gradient(grid, f) for f in (V, H[0], H[1])])
+    return gradient(grid, np.concatenate((V[None], H)))
 
 
 def divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
-    return ifft(1j * grid.k1 * fft(vec[0]) + 1j * grid.k2 * fft(vec[1]))
+    vh = fft(vec)
+    return ifft(grid.ik[0] * vh[0] + grid.ik[1] * vh[1])
 
 
 def perp_divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
     """div_perp v = -d2 v1 + d1 v2 (the scalar curl)."""
-    return ifft(-1j * grid.k2 * fft(vec[0]) + 1j * grid.k1 * fft(vec[1]))
+    vh = fft(vec)
+    return ifft(-grid.ik[1] * vh[0] + grid.ik[0] * vh[1])
 
 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -79,47 +82,38 @@ def inverse_laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
 
 def riesz_pp(grid: Grid, i: int, j: int, f: np.ndarray) -> np.ndarray:
     """Zero-order multiplier d_i^perp d_j lap^{-1}, symbol k_i^perp k_j / |k|^2."""
-    ki = grid.k1_perp if i == 1 else grid.k2_perp
-    kj = grid.k1 if j == 1 else grid.k2
-    return ifft(ki * kj * grid.inv_k_sq * fft(f))
-
-
-def dealias_spectral(grid: Grid, fh: np.ndarray) -> np.ndarray:
-    """Zero the modes with max(|m1|,|m2|) > n/3 of a spectral field."""
-    return fh * grid.keep_mask
+    return ifft(grid.riesz[i - 1, j - 1] * fft(f))
 
 
 def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """2/3-rule projection of a physical field."""
-    return ifft(dealias_spectral(grid, fft(f)))
-
-
-def product(grid: Grid, a: np.ndarray, b: np.ndarray,
-            dealiased: bool) -> np.ndarray:
-    """Pointwise product a * b, 2/3-rule projected when dealiased."""
-    prod = a * b
-    return dealias(grid, prod) if dealiased else prod
+    """2/3-rule projection of a physical field: zero the modes with
+    max(|m1|,|m2|) > n/3."""
+    return ifft(fft(f) * grid.keep_mask)
 
 
 def rotation(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Angular derivative x1 d2 f - x2 d1 f (centered coordinates)."""
+    """Angular derivative x1 d2 f - x2 d1 f (centered coordinates), of a
+    field or of each field of a stack."""
     g = gradient(grid, f)
-    return grid.x1 * g[1] - grid.x2 * g[0]
+    return grid.x1 * g[..., 1, :, :] - grid.x2 * g[..., 0, :, :]
 
 
 def radial_scaled_derivative(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """r d_r f = x . grad f."""
+    """r d_r f = x . grad f, of a field or of each field of a stack."""
     g = gradient(grid, f)
-    return grid.x1 * g[0] + grid.x2 * g[1]
+    return grid.x1 * g[..., 0, :, :] + grid.x2 * g[..., 1, :, :]
+
+
+def leray_hat(grid: Grid, vh: np.ndarray) -> np.ndarray:
+    """Projection of the coefficients (2, n, n//2+1) of a vector field onto
+    divergence-free fields; k=0 component zeroed."""
+    div = grid.ik[0] * vh[0] + grid.ik[1] * vh[1]
+    return (vh + grid.ik * div * grid.inv_k_sq) * (grid.k_sq > 0)
 
 
 def leray_project(grid: Grid, vec: np.ndarray) -> np.ndarray:
     """Projection onto divergence-free fields; k=0 component zeroed."""
-    vh1, vh2 = fft(vec[0]), fft(vec[1])
-    div = grid.k1 * vh1 + grid.k2 * vh2
-    vh1 = (vh1 - grid.k1 * div * grid.inv_k_sq) * (grid.k_sq > 0)
-    vh2 = (vh2 - grid.k2 * div * grid.inv_k_sq) * (grid.k_sq > 0)
-    return np.stack([ifft(vh1), ifft(vh2)])
+    return ifft(leray_hat(grid, fft(vec)))
 
 
 def l2_norm(grid: Grid, f: np.ndarray) -> float:
@@ -135,20 +129,14 @@ def linf_norm(f: np.ndarray) -> float:
     return float(np.max(np.abs(f)))
 
 
-def spectral_l2_norm(grid: Grid, f: np.ndarray) -> float:
-    """L2 norm from Fourier coefficients (Parseval)."""
-    fh = fft(f)
-    return float(np.sqrt(np.sum(np.abs(fh) ** 2)) / grid.n * grid.spacing)
-
-
 def random_band_limited(grid: Grid, seed: int, max_mode: int = 8,
                         amplitude: float = 1.0) -> np.ndarray:
     """Real random field supported on modes |m1|,|m2| <= max_mode, zero mean."""
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((grid.n, grid.n))
-    m = np.rint(np.fft.fftfreq(grid.n) * grid.n)
-    m1, m2 = np.meshgrid(m, m, indexing="ij")
-    mask = (np.abs(m1) <= max_mode) & (np.abs(m2) <= max_mode)
+    m1 = np.rint(np.fft.fftfreq(grid.n) * grid.n)
+    m2 = np.rint(np.fft.rfftfreq(grid.n) * grid.n)
+    mask = (np.abs(m1)[:, None] <= max_mode) & (np.abs(m2) <= max_mode)
     fh = fft(f) * mask
     fh[0, 0] = 0.0
     out = ifft(fh)

@@ -87,10 +87,7 @@ def velocity_of(grid: Grid, V: np.ndarray) -> np.ndarray:
 
 def deformation_of(grid: Grid, H: np.ndarray) -> np.ndarray:
     """G with G[i, j] = d_i^perp H_j; each column divergence-free."""
-    G = np.empty((2, 2, grid.n, grid.n))
-    for j in range(2):
-        G[:, j] = sp.perp_gradient(grid, H[j])
-    return G
+    return np.swapaxes(sp.perp_gradient(grid, H), 0, 1).copy()
 
 
 def constraint_residual(grid: Grid, H: np.ndarray) -> np.ndarray:
@@ -139,19 +136,6 @@ def make_initial_data(grid: Grid, params: InitialDataParams) -> PotentialState:
         V = V * (params.amplitude / peak)
     H = np.zeros((2, grid.n, grid.n))
     return PotentialState(grid=grid, V=V, H=H, t=0.0, mu=params.mu)
-
-
-def initial_seminorms(state: PotentialState) -> dict[str, float]:
-    """L2 seminorms of (V, H) through second derivatives."""
-    g = state.grid
-    fields = [state.V, state.H[0], state.H[1]]
-    out = {"L2": np.sqrt(sum(sp.l2_norm_sq(g, f) for f in fields))}
-    grads = [sp.gradient(g, f) for f in fields]
-    out["grad_L2"] = np.sqrt(sum(sp.l2_norm_sq(g, gr) for gr in grads))
-    out["grad2_L2"] = np.sqrt(sum(
-        sp.l2_norm_sq(g, sp.derivative(g, gr[i], axis=j + 1))
-        for gr in grads for i in range(2) for j in range(2)))
-    return {k: float(v) for k, v in out.items()}
 
 
 def primitive_of(state: PotentialState) -> PrimitiveState:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,27 @@ def evolved_state_viscous(resolved_grid, resolved_params):
     from dataclasses import replace
     st = make_initial_data(resolved_grid, replace(resolved_params, mu=0.05))
     return evolve(st, 2.0, StepperConfig())
+
+
+FFT_ENTRY_POINTS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2",
+                    "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Fields transformed per numpy.fft entry point while the test runs: a
+    batch of k fields counts k, and nested calls are not recounted."""
+    fields = Counter()
+    depth = [0]
+    for name in FFT_ENTRY_POINTS:
+        def counted(a, *args, _fn=getattr(np.fft, name), _name=name,
+                    **kwargs):
+            if depth[0] == 0:
+                fields[_name] += int(np.prod(np.shape(a)[:-2]))
+            depth[0] += 1
+            try:
+                return _fn(a, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(np.fft, name, counted)
+    return fields

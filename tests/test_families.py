@@ -1,14 +1,116 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 import ve2d.spectral as sp
 from ve2d.dynamics import StepperConfig, evolve, rhs_potential
-from ve2d.families import (MultiIndex, admissible_indices, apply_field,
-                           base_jet, commutator_residuals, derived_family,
-                           nonlinearity_f, time_derivative)
-from ve2d.state import InitialDataParams, make_initial_data
+from ve2d.families import (Jet, MultiIndex, _splittings, admissible_indices,
+                           apply_field, base_jet, commutator_residuals,
+                           derived_family, nonlinearity_f, time_derivative)
+from ve2d.state import InitialDataParams, PotentialState, make_initial_data
 
 ROOT = MultiIndex(0, (0, 0, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the seed quadratic forms: each product dealiased on its own, each Riesz
+# multiplier applied to its own f_ij; the references for base_jet and
+# nonlinearity_f, which sum the products first and dealias once
+
+def _mul(grid, a, b, dealias):
+    return sp.dealias(grid, a * b) if dealias else a * b
+
+
+def reference_bilin_f1_perp(grid, Da, Db, dealias):
+    """sum_ij riesz_pp(i,j, -d_i^perp Va d_j^perp Vb + d_i^perp Ha . d_j^perp Hb)."""
+    Pa, Pb = sp.perp(Da), sp.perp(Db)
+    out = np.zeros((grid.n, grid.n))
+    for i in range(2):
+        for j in range(2):
+            fij = -_mul(grid, Pa[0, i], Pb[0, j], dealias)
+            for m in range(2):
+                fij += _mul(grid, Pa[1 + m, i], Pb[1 + m, j], dealias)
+            out += sp.riesz_pp(grid, i + 1, j + 1, fij)
+    return out
+
+
+def reference_quad_fij(grid, Da, Db, i, j, dealias):
+    """Plain-derivative quadratic form d_i Va d_j Vb - d_i Ha . d_j Hb."""
+    out = _mul(grid, Da[0, i - 1], Db[0, j - 1], dealias)
+    for m in range(2):
+        out -= _mul(grid, Da[1 + m, i - 1], Db[1 + m, j - 1], dealias)
+    return out
+
+
+def reference_bilin_f2(grid, Da, Db, dealias):
+    """Component j: sum_l d_l^perp Ha_j d_l Vb; returns shape (2, n, n)."""
+    gpH = sp.perp(Da[1:])
+    return np.stack([sum(_mul(grid, gpH[j, l], Db[0, l], dealias)
+                         for l in range(2)) for j in range(2)])
+
+
+def reference_bilin_f3(grid, Da, Db, dealias):
+    """sum_l d_l^perp Ha_2 d_l Hb_1."""
+    gpH2 = sp.perp(Da[2])
+    return sum(_mul(grid, gpH2[l], Db[1, l], dealias) for l in range(2))
+
+
+def reference_base_jet(state, levels, dealias=True):
+    """The seed base_jet: the Leibniz recursion with the seed forms."""
+    g = state.grid
+    V = np.empty((levels + 1, g.n, g.n))
+    H = np.empty((levels + 1, 2, g.n, g.n))
+    V[0], H[0] = state.V, state.H
+    D = []
+    for m in range(levels):
+        D.append(sp.derivative_stack(g, V[m], H[m]))
+        dV = sp.divergence(g, H[m])
+        if state.mu > 0:
+            dV += state.mu * sp.laplacian(g, V[m])
+        dH = D[m][0].copy()
+        for l in range(m + 1):
+            c = comb(m, l)
+            dV += c * reference_bilin_f1_perp(g, D[l], D[m - l], dealias)
+            dH += c * reference_bilin_f2(g, D[l], D[m - l], dealias)
+        V[m + 1], H[m + 1] = dV, dH
+    return Jet(grid=g, V=V, H=H, t=state.t, mu=state.mu)
+
+
+def reference_nonlinearity_f(fam, idx):
+    """The seed nonlinearity_f: the splitting sums with the seed forms."""
+    g = fam.state.grid
+    n = g.n
+    fij = {(i, j): np.zeros((n, n)) for i in range(1, 3) for j in range(1, 3)}
+    f2 = np.zeros((2, n, n))
+    f3 = np.zeros((n, n))
+    for left, right, coef in _splittings(idx):
+        Da = sp.derivative_stack(g, *fam.fields(left))
+        Db = sp.derivative_stack(g, *fam.fields(right))
+        for i in range(1, 3):
+            for j in range(1, 3):
+                fij[i, j] += coef * reference_quad_fij(g, Da, Db, i, j,
+                                                       fam.dealias)
+        f2 += coef * reference_bilin_f2(g, Da, Db, fam.dealias)
+        f3 += coef * reference_bilin_f3(g, Da, Db, fam.dealias)
+    f1 = np.zeros((n, n))
+    for (i, j), field_ij in fij.items():
+        f1 += sp.riesz_pp(g, i, j, field_ij)
+    return f1, f2, f3, fij
+
+
+def random_state(grid, seed, mu=0.0):
+    """Small non-radial band-limited data: every member of a derived
+    family is a field of its own size, so relative comparisons mean
+    something (on a radial bump the rot members are round-off noise)."""
+    V = sp.random_band_limited(grid, seed=seed, amplitude=0.05)
+    H = np.stack([sp.random_band_limited(grid, seed=seed + s, amplitude=0.05)
+                  for s in (1, 2)])
+    return PotentialState(grid, V, H, mu=mu)
+
+
+def rel_err(a, b):
+    return sp.linf_norm(a - b) / sp.linf_norm(b)
 
 
 class TestIndices:
@@ -57,6 +159,63 @@ class TestBaseJet:
     def test_time_derivative_requires_positive_order(self, evolved_state):
         with pytest.raises(ValueError):
             time_derivative(evolved_state, 0)
+
+
+class TestSeedForms:
+    # Levels 1-2 must match to 1e-13.  Levels 3-4 sum more terms of larger
+    # derivatives, and the seed code itself is no better conditioned there:
+    # a random one-ulp change of (V, H) moves the seed base_jet on this data
+    # (n = 64, seeds 1, 5, 9, mu in {0, 0.05}, with and without dealias) by
+    # up to 2.7e-14 relative at level 3 and 8.5e-14 at level 4.  The bounds
+    # below are those one-ulp sensitivities, rounded up.
+    LEVEL_BOUND = {1: 1e-13, 2: 1e-13, 3: 3e-14, 4: 9e-14}
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("mu", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_base_jet_matches_seed_formula(self, grid64, seed, mu, dealias):
+        st = random_state(grid64, seed, mu)
+        jet = base_jet(st, 4, dealias)
+        ref = reference_base_jet(st, 4, dealias)
+        for m, bound in self.LEVEL_BOUND.items():
+            assert rel_err(jet.V[m], ref.V[m]) <= bound, m
+            assert rel_err(jet.H[m], ref.H[m]) <= bound, m
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_nonlinearity_f_matches_seed_formula(self, grid64, dealias):
+        fam = derived_family(random_state(grid64, 3), 2, dealias)
+        for idx in fam.indices:
+            got = nonlinearity_f(fam, idx)
+            ref = reference_nonlinearity_f(fam, idx)
+            for a, b in zip(got[:3], ref[:3]):
+                assert rel_err(a, b) <= 1e-13, idx
+            for ij, b in ref[3].items():
+                assert rel_err(got[3][ij], b) <= 1e-13, (idx, ij)
+
+
+class TestTransformBudget:
+    # measured counts at n = 32, k_max = 2 (fields; a batch of k counts k).
+    # Each quadratic form is summed over its Leibniz sum or splittings and
+    # transformed once; dealiasing each product on its own costs a forward
+    # and an inverse transform per product and exceeds these.
+    @pytest.fixture
+    def state(self, grid32):
+        return make_initial_data(grid32, InitialDataParams(amplitude=0.01,
+                                                           mu=1e-2))
+
+    def test_derived_family(self, state, transforms):
+        transforms.clear()
+        derived_family(state, 2)
+        assert sum(transforms.values()) <= 435
+        assert set(transforms) == {"rfft2", "irfft2"}
+
+    def test_nonlinearity_f_all_indices(self, state, transforms):
+        fam = derived_family(state, 2)
+        transforms.clear()
+        for idx in fam.indices:
+            nonlinearity_f(fam, idx)
+        assert sum(transforms.values()) <= 909
+        assert set(transforms) == {"rfft2", "irfft2"}
 
 
 class TestApplyField:

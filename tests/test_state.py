@@ -5,9 +5,21 @@ import ve2d.spectral as sp
 from ve2d.grid import Grid
 from ve2d.state import (InitialDataParams, PotentialState, PrimitiveState,
                         constraint_norms, constraint_residual, deformation_of,
-                        initial_seminorms, make_initial_data, potentials_of,
-                        primitive_of, read_snapshot, velocity_of,
-                        write_snapshot)
+                        make_initial_data, potentials_of, primitive_of,
+                        read_snapshot, velocity_of, write_snapshot)
+
+
+def initial_seminorms(state):
+    """L2 seminorms of (V, H) through second derivatives."""
+    g = state.grid
+    fields = [state.V, state.H[0], state.H[1]]
+    out = {"L2": np.sqrt(sum(sp.l2_norm_sq(g, f) for f in fields))}
+    grads = [sp.gradient(g, f) for f in fields]
+    out["grad_L2"] = np.sqrt(sum(sp.l2_norm_sq(g, gr) for gr in grads))
+    out["grad2_L2"] = np.sqrt(sum(
+        sp.l2_norm_sq(g, sp.derivative(g, gr[i], axis=j + 1))
+        for gr in grads for i in range(2) for j in range(2)))
+    return {k: float(v) for k, v in out.items()}
 
 
 class TestStateValidation:
