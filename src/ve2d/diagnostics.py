@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .families import (DerivedFamily, MultiIndex, _member_stacks, _splittings,
-                       nonlinearity_f)
+from .families import DerivedFamily, MultiIndex, _splittings, nonlinearity_f
 from .grid import Grid
 from .state import constraint_norms
 
@@ -64,11 +63,10 @@ def energies(fam: DerivedFamily) -> dict[str, float]:
     by_order = {}
     grad_by_order = {}
     for idx in fam.indices:
-        V, H = fam.fields(idx)
         by_order.setdefault(idx.order, 0.0)
-        by_order[idx.order] += _pair_l2_sq(g, V, H)
+        by_order[idx.order] += _pair_l2_sq(g, *fam.fields(idx))
         if idx.order < fam.k_max:  # calE_k sums orders <= k - 1 only
-            D = sp.derivative_stack(g, V, H)
+            D = fam.stack(idx)
             grad_by_order.setdefault(idx.order, 0.0)
             grad_by_order[idx.order] += (sp.l2_norm_sq(g, D[0])
                                          + sp.l2_norm_sq(g, D[1:]))
@@ -80,39 +78,34 @@ def energies(fam: DerivedFamily) -> dict[str, float]:
     return out
 
 
+def _radial(w: GeometryWeights, grads: np.ndarray) -> np.ndarray:
+    """d_r = omega . grad of gradients stacked along axis -3."""
+    return w.omega[0] * grads[..., 0, :, :] + w.omega[1] * grads[..., 1, :, :]
+
+
 def _good_unknown_grads(w: GeometryWeights, D: np.ndarray):
-    """Per spatial direction i: (d_i V + d_i H . omega, d_i H . omega_perp)
-    from the derivative stack D of (V, H)."""
-    gV, gH = D[0], D[1:]                      # gH[j, i] = d_i H_j
-    good_r = np.empty_like(gV)
-    good_t = np.empty_like(gV)
-    for i in range(2):
-        dH_i = gH[:, i]                       # vector d_i H
-        good_r[i] = gV[i] + dH_i[0] * w.omega[0] + dH_i[1] * w.omega[1]
-        good_t[i] = dH_i[0] * w.omega_perp[0] + dH_i[1] * w.omega_perp[1]
-    return good_r, good_t
+    """(dV + dH . omega, dH . omega_perp) from derivatives D of (V, H1, H2)
+    stacked along axis 0.  A derivative stack gives the good unknowns per
+    spatial direction i; its radial projection _radial(w, D) gives
+    (d_r V + d_r H . omega, d_r H . omega_perp)."""
+    dV, dH = D[0], D[1:]                      # dH[j] = d H_j
+    return (dV + dH[0] * w.omega[0] + dH[1] * w.omega[1],
+            dH[0] * w.omega_perp[0] + dH[1] * w.omega_perp[1])
 
 
-def weighted_norms(fam: DerivedFamily, t: float | None = None
-                   ) -> dict[str, float]:
+def weighted_norms(fam: DerivedFamily) -> dict[str, float]:
     """X_k, Y_k, G_k for 1 <= k <= k_max."""
     g = fam.state.grid
-    if t is None:
-        t = fam.state.t
-    w = geometry_weights(g, t)
+    w = geometry_weights(g, fam.state.t)
     x_by, y_by, g_by = {}, {}, {}
     for idx in fam.indices:
         if idx.order > fam.k_max - 1:
             continue
-        D = sp.derivative_stack(g, *fam.fields(idx))
+        D = fam.stack(idx)
         gV, gH = D[0], D[1:]
         xterm = (sp.l2_norm_sq(g, w.sigma_bracket * gV)
                  + sp.l2_norm_sq(g, w.sigma_bracket * gH))
-        dr_V = w.omega[0] * gV[0] + w.omega[1] * gV[1]
-        dr_H = np.stack([w.omega[0] * gH[j, 0] + w.omega[1] * gH[j, 1]
-                         for j in range(2)])
-        good_rad = dr_V + dr_H[0] * w.omega[0] + dr_H[1] * w.omega[1]
-        good_tan = dr_H[0] * w.omega_perp[0] + dr_H[1] * w.omega_perp[1]
+        good_rad, good_tan = _good_unknown_grads(w, _radial(w, D))
         yterm = (sp.l2_norm_sq(g, w.r * good_rad)
                  + sp.l2_norm_sq(g, w.r * good_tan))
         good_r, good_t = _good_unknown_grads(w, D)
@@ -131,27 +124,21 @@ def weighted_norms(fam: DerivedFamily, t: float | None = None
     return out
 
 
-def good_unknown_norms(fam: DerivedFamily, t: float | None = None,
-                       max_order: int | None = None) -> dict:
-    """Sup norms of the good unknowns over the light cone mask r >= <t>/2.
+def good_unknown_norms(fam: DerivedFamily) -> dict:
+    """Sup norms of the good unknowns over the light cone mask r >= <t>/2,
+    for the members of order <= k_max - 1.
 
     Returns per-index (radial, tangential) sups and their overall sum.
     """
-    g = fam.state.grid
-    if t is None:
-        t = fam.state.t
-    if max_order is None:
-        max_order = fam.k_max - 1
-    w = geometry_weights(g, t)
+    w = geometry_weights(fam.state.grid, fam.state.t)
     if not np.any(w.mask):
-        raise ValueError(f"light-cone mask is empty at t = {t}")
+        raise ValueError(f"light-cone mask is empty at t = {fam.state.t}")
     per_index = {}
     total = 0.0
     for idx in fam.indices:
-        if idx.order > max_order:
+        if idx.order > fam.k_max - 1:
             continue
-        good_r, good_t = _good_unknown_grads(
-            w, sp.derivative_stack(g, *fam.fields(idx)))
+        good_r, good_t = _good_unknown_grads(w, fam.stack(idx))
         s_r = float(np.max(np.abs(good_r[:, w.mask])))
         s_t = float(np.max(np.abs(good_t[:, w.mask])))
         per_index[idx] = (s_r, s_t)
@@ -192,9 +179,8 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
 
     # null_split over all (i, j, k)
     res = 0.0
+    goodV, goodT = _good_unknown_grads(w, Dp)
     for i in range(2):
-        goodV_i = gVp[i] + gHp[0, i] * w.omega[0] + gHp[1, i] * w.omega[1]
-        goodT_i = gHp[0, i] * w.omega_perp[0] + gHp[1, i] * w.omega_perp[1]
         for j in range(2):
             for k in range(2):
                 lhs = (gHp[0, i] * ggH[0, j, k] + gHp[1, i] * ggH[1, j, k]
@@ -203,9 +189,9 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
                            + ggH[1, j, k] * w.omega[1])
                 dH_jk_t = (ggH[0, j, k] * w.omega_perp[0]
                            + ggH[1, j, k] * w.omega_perp[1])
-                rhs = (goodV_i * dH_jk_r
+                rhs = (goodV[i] * dH_jk_r
                        - gVp[i] * (ggV[j, k] + dH_jk_r)
-                       + goodT_i * dH_jk_t)
+                       + goodT[i] * dH_jk_t)
                 res = max(res, float(np.max(np.abs((lhs - rhs)[w.interior]))))
     out["null_split"] = res
 
@@ -227,7 +213,7 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
 
     # grad_split on r >= 4 spacing
     far = grid.r >= 4.0 * grid.spacing
-    dr = w.omega[0] * gV[0] + w.omega[1] * gV[1]
+    dr = _radial(w, gV)
     dtheta = grid.x1 * gV[1] - grid.x2 * gV[0]
     res = 0.0
     for i in range(2):
@@ -267,7 +253,7 @@ def weighted_sobolev_ratios(grid: Grid, f: np.ndarray,
     rhs1 = rhs2 = 0.0
     for h in fs:
         gh = sp.gradient(grid, h)
-        dr = w.omega[0] * gh[0] + w.omega[1] * gh[1]
+        dr = _radial(w, gh)
         rhs1 += sp.l2_norm_sq(grid, dr) + sp.l2_norm_sq(grid, h)
         rhs2 += (sp.l2_norm_sq(grid, w.sigma_bracket * dr)
                  + sp.l2_norm_sq(grid, w.sigma_bracket * h))
@@ -308,8 +294,8 @@ def _order_sums(fam: DerivedFamily):
 
 
 def nonlinearity_decay_ratios(fam: DerivedFamily,
-                              idx: MultiIndex = MultiIndex(0, (0, 0, 0, 0)),
-                              t: float | None = None) -> dict[str, float]:
+                              idx: MultiIndex = MultiIndex(0, (0, 0, 0, 0))
+                              ) -> dict[str, float]:
     """Pointwise decay bounds of the quadratic nonlinearities near the cone.
 
     f2_decay, f3_decay, divf2_decay, fij_decay: LHS/RHS ratios where each
@@ -317,9 +303,7 @@ def nonlinearity_decay_ratios(fam: DerivedFamily,
     good-unknown structure terms.
     """
     g = fam.state.grid
-    if t is None:
-        t = fam.state.t
-    w = geometry_weights(g, t)
+    w = geometry_weights(g, fam.state.t)
     sums_V, sums_H = _order_sums(fam)
 
     def graded(sums_a, sums_b, extra_a: int, extra_b: int, amax, bmax):
@@ -351,24 +335,15 @@ def nonlinearity_decay_ratios(fam: DerivedFamily,
     lhs = np.max(np.abs(np.stack(list(fij.values()))), axis=0)
     rhs = (graded(sums_V, sums_V, 1, 1, alpha, sum(a))
            + graded(sums_H, sums_H, 1, 1, alpha, sum(a))) / w.r
-    splits = list(_splittings(idx))
-    D = _member_stacks(fam, splits)
-    for left, right, _ in splits:
-        Dl, Dr = D[left], D[right]
-        gVl, gHl, gVr, gHr = Dl[0], Dl[1:], Dr[0], Dr[1:]
-        drV = w.omega[0] * gVl[0] + w.omega[1] * gVl[1]
-        drH = np.stack([w.omega[0] * gHl[j, 0] + w.omega[1] * gHl[j, 1]
-                        for j in range(2)])
-        good_rad = np.abs(drV + drH[0] * w.omega[0] + drH[1] * w.omega[1])
-        good_tan_l = np.abs(drH[0] * w.omega_perp[0]
-                            + drH[1] * w.omega_perp[1])
-        drHr = np.stack([w.omega[0] * gHr[j, 0] + w.omega[1] * gHr[j, 1]
-                         for j in range(2)])
-        good_tan_r = np.abs(drHr[0] * w.omega_perp[0]
-                            + drHr[1] * w.omega_perp[1])
-        mag_grad_r = np.sqrt(np.sum(gVr ** 2, axis=0)) + np.sqrt(
-            np.sum(gHr ** 2, axis=(0, 1)))
-        rhs = rhs + good_rad * mag_grad_r + good_tan_l * good_tan_r
+    for left, right, _ in _splittings(idx):
+        good_rad, good_tan_l = _good_unknown_grads(
+            w, _radial(w, fam.stack(left)))
+        Dr = fam.stack(right)
+        good_tan_r = _good_unknown_grads(w, _radial(w, Dr))[1]
+        mag_grad_r = np.sqrt(np.sum(Dr[0] ** 2, axis=0)) + np.sqrt(
+            np.sum(Dr[1:] ** 2, axis=(0, 1)))
+        rhs = (rhs + np.abs(good_rad) * mag_grad_r
+               + np.abs(good_tan_l) * np.abs(good_tan_r))
     out["fij_decay"] = _ratio(lhs, rhs)
     return out
 
@@ -436,6 +411,6 @@ def sample_record(fam: DerivedFamily) -> DiagnosticsRecord:
     vals["id417_res"] = ids["f2_split"]
     vals["id218_res"] = ids["grad_split"]
     # not part of the CSV schema, but useful for decay studies
-    D = sp.derivative_stack(st.grid, st.V, st.H)
+    D = fam.stack(MultiIndex(0, (0, 0, 0, 0)))
     vals["grad_sup"] = max(sp.linf_norm(D[0]), sp.linf_norm(D[1:]))
     return DiagnosticsRecord(t=st.t, mu=st.mu, values=vals)

@@ -167,8 +167,10 @@ def _parent(idx: MultiIndex) -> tuple[str, MultiIndex] | None:
 class DerivedFamily:
     """All U^(alpha, a) with alpha + |a| <= k_max for one base state.
 
-    Each entry keeps its full jet so that d_t of any family member is
-    available for residual checks without differencing.
+    A member of order k keeps the levels 0..k_max - k + 1 of its jet, the
+    most any descendant reads, so d_t of every member is available for
+    residual checks without differencing.  stack(idx) is the one home of a
+    member's gradients.
     """
 
     def __init__(self, state: PotentialState, k_max: int = 2,
@@ -179,12 +181,19 @@ class DerivedFamily:
         self.k_max = k_max
         self.indices = admissible_indices(k_max)
         self._jets: dict[MultiIndex, Jet] = {}
+        self._stacks: dict[MultiIndex, np.ndarray] = {}
         root = base_jet(state, k_max + 1, dealias)
         self._jets[MultiIndex(0, (0, 0, 0, 0))] = root
         for idx in self.indices:
             if idx not in self._jets:
                 op, parent = _parent(idx)
-                self._jets[idx] = apply_field(op, self._jets[parent])
+                # the member keeps levels 0..k_max - order + 1; dt and
+                # scale read one level more of the parent
+                keep = k_max - idx.order + 2 + (op in ("dt", "scale"))
+                jet = self._jets[parent]
+                self._jets[idx] = apply_field(
+                    op, Jet(jet.grid, jet.V[:keep], jet.H[:keep], jet.t,
+                            jet.mu))
         self.dealias = dealias
 
     def jet(self, idx: MultiIndex) -> Jet:
@@ -193,6 +202,20 @@ class DerivedFamily:
     def fields(self, idx: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
         """(V^(alpha,a), H^(alpha,a)) at level 0."""
         return self._jets[idx].pair(0)
+
+    def stack(self, idx: MultiIndex) -> np.ndarray:
+        """Derivative stack of U^idx at level 0 (spectral.derivative_stack).
+
+        Kept for members of order < k_max, which every sample functional
+        reads.  A member of order k_max appears only in the splittings of
+        its own index, so its stack is built on each call and not kept.
+        """
+        D = self._stacks.get(idx)
+        if D is None:
+            D = sp.derivative_stack(self.state.grid, *self.fields(idx))
+            if idx.order < self.k_max:
+                self._stacks[idx] = D
+        return D
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -228,23 +251,18 @@ def _splittings(idx: MultiIndex):
 # by the stepper and base_jet: it sums them over a Leibniz sum of derivative
 # stacks (spectral.derivative_stack), and dynamics._quadratic_hat masks and
 # transforms the sums once.  nonlinearity_f shares its f2 formula
-# (dynamics._f2) and writes the plain-derivative f_ij and f3 itself: the
-# commutator residuals check f1 from the plain-derivative f_ij against the
-# perp form that built the jets.
-
-def _member_stacks(fam: DerivedFamily, splits) -> dict:
-    """One derivative stack per distinct member of the splittings."""
-    members = {m for left, right, _ in splits for m in (left, right)}
-    return {m: sp.derivative_stack(fam.state.grid, *fam.fields(m))
-            for m in members}
-
+# (dynamics._f2) and writes the plain-derivative f_ij and f3 itself, from
+# the member stacks of DerivedFamily.stack: the commutator residuals check
+# f1 from the plain-derivative f_ij against the perp form that built the
+# jets.
 
 def _splitting_products(fam: DerivedFamily, idx: MultiIndex) -> np.ndarray:
     """f11, f12, f21, f22, f2_1, f2_2, f3 in physical space, summed over
-    the splittings of idx; the member stacks are freed on return."""
+    the splittings of idx; each distinct member's stack is read once."""
     g = fam.state.grid
     splits = list(_splittings(idx))
-    D = _member_stacks(fam, splits)
+    members = {m for left, right, _ in splits for m in (left, right)}
+    D = {m: fam.stack(m) for m in members}
     prods = np.zeros((7, g.n, g.n))
     for left, right, coef in splits:
         Da, Db = D[left], D[right]
@@ -289,20 +307,19 @@ def commutator_residuals(fam: DerivedFamily, idx: MultiIndex
     discretization error.
     """
     g = fam.state.grid
-    jet = fam.jet(idx)
-    V, H = jet.pair(0)
-    dtV, dtH = jet.pair(1)
+    dtV, dtH = fam.jet(idx).pair(1)
     f1, f2, f3, _ = nonlinearity_f(fam, idx)
+    D = fam.stack(idx)  # D[0] = grad V', D[1 + j, i] = d_i H'_j
 
-    r1 = dtV - sp.divergence(g, H) - f1
+    r1 = dtV - (D[1, 0] + D[2, 1]) - f1
     if fam.state.mu > 0:
         alpha, a = idx
-        visc = np.zeros_like(V)
+        visc = np.zeros_like(dtV)
         for l in range(alpha + 1):
             Vl, _ = fam.fields(MultiIndex(l, a))
             visc += comb(alpha, l) * (-1.0) ** (alpha - l) * Vl
         r1 -= fam.state.mu * sp.laplacian(g, visc)
 
-    r2 = dtH - sp.gradient(g, V) - f2
-    r3 = sp.perp_divergence(g, H) - f3
+    r2 = dtH - D[0] - f2
+    r3 = D[2, 0] - D[1, 1] - f3
     return (sp.linf_norm(r1), sp.linf_norm(r2), sp.linf_norm(r3))

@@ -5,9 +5,11 @@ import pytest
 
 import ve2d.spectral as sp
 from ve2d.dynamics import StepperConfig, evolve, rhs_potential
-from ve2d.families import (Jet, MultiIndex, _splittings, admissible_indices,
-                           apply_field, base_jet, commutator_residuals,
-                           derived_family, nonlinearity_f, time_derivative)
+from ve2d.diagnostics import sample_record
+from ve2d.families import (Jet, MultiIndex, _parent, _splittings,
+                           admissible_indices, apply_field, base_jet,
+                           commutator_residuals, derived_family,
+                           nonlinearity_f, time_derivative)
 from ve2d.state import InitialDataParams, PotentialState, make_initial_data
 
 ROOT = MultiIndex(0, (0, 0, 0, 0))
@@ -197,7 +199,9 @@ class TestTransformBudget:
     # measured counts at n = 32, k_max = 2 (fields; a batch of k counts k).
     # Each quadratic form is summed over its Leibniz sum or splittings and
     # transformed once; dealiasing each product on its own costs a forward
-    # and an inverse transform per product and exceeds these.
+    # and an inverse transform per product and exceeds these.  A member
+    # jet keeps only the levels its descendants read, and the derivative
+    # stack of each member of order < k_max is built once per family.
     @pytest.fixture
     def state(self, grid32):
         return make_initial_data(grid32, InitialDataParams(amplitude=0.01,
@@ -206,7 +210,14 @@ class TestTransformBudget:
     def test_derived_family(self, state, transforms):
         transforms.clear()
         derived_family(state, 2)
-        assert sum(transforms.values()) <= 435
+        assert sum(transforms.values()) <= 309
+        assert set(transforms) == {"rfft2", "irfft2"}
+
+    def test_sample_record(self, state, transforms):
+        fam = derived_family(state, 2)
+        transforms.clear()
+        sample_record(fam)
+        assert sum(transforms.values()) <= 94
         assert set(transforms) == {"rfft2", "irfft2"}
 
     def test_nonlinearity_f_all_indices(self, state, transforms):
@@ -214,7 +225,7 @@ class TestTransformBudget:
         transforms.clear()
         for idx in fam.indices:
             nonlinearity_f(fam, idx)
-        assert sum(transforms.values()) <= 909
+        assert sum(transforms.values()) <= 504
         assert set(transforms) == {"rfft2", "irfft2"}
 
 
@@ -306,6 +317,33 @@ class TestDerivedFamily:
         V_d12, _ = fam.fields(MultiIndex(0, (0, 1, 1, 0)))
         direct = sp.derivative(g, sp.derivative(g, evolved_state.V, 2), 1)
         assert sp.linf_norm(V_d12 - direct) < 1e-12
+
+    @pytest.mark.parametrize("k_max", [1, 2, 3])
+    def test_member_levels(self, grid64, k_max):
+        # each member keeps levels 0..k_max - order + 1, equal bit for bit
+        # to the same levels of the untrimmed apply_field chain
+        st = random_state(grid64, 7)
+        fam = derived_family(st, k_max)
+        full = {ROOT: base_jet(st, k_max + 1)}
+        for idx in fam.indices[1:]:
+            op, parent = _parent(idx)
+            full[idx] = apply_field(op, full[parent])
+        for idx in fam.indices:
+            jet = fam.jet(idx)
+            assert jet.levels == k_max - idx.order + 1, idx
+            assert np.array_equal(jet.V, full[idx].V[:jet.levels + 1]), idx
+            assert np.array_equal(jet.H, full[idx].H[:jet.levels + 1]), idx
+
+    def test_stack_sharing(self, grid64):
+        # stacks of members of order < k_max are kept and shared; an
+        # order-k_max stack is built on each call and dropped, since
+        # keeping those too would hold the gradients of every member at once
+        fam = derived_family(random_state(grid64, 3), 2)
+        for idx in fam.indices:
+            D = fam.stack(idx)
+            assert (D is fam.stack(idx)) == (idx.order < fam.k_max), idx
+            assert np.array_equal(
+                D, sp.derivative_stack(grid64, *fam.fields(idx))), idx
 
     def test_k_max_guard(self, evolved_state):
         with pytest.raises(ValueError):
