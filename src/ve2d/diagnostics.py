@@ -10,6 +10,13 @@ Functionals over a derived family (k ranges over 0..k_max where defined):
 
 with q = arctan(r - t).  The good unknowns are d_i V + d_i H . omega and
 d_i H . omega_perp, which decay faster near the light cone r ~ t.
+
+The family holds its members as rfft2 coefficients.  E_k reads them by
+Parseval, and every gradient functional reads DerivedFamily.stack, which
+the family keeps for the members of order < k_max.  sample_record reads
+the root's kept stack and coefficients for the constraint and the
+identities, so a sample transforms only the root's second derivatives
+and Riesz trace (14 inverse fields) and nothing forward.
 """
 
 from dataclasses import dataclass
@@ -19,7 +26,7 @@ import numpy as np
 from . import spectral as sp
 from .families import DerivedFamily, MultiIndex, _splittings, nonlinearity_f
 from .grid import Grid
-from .state import constraint_norms
+from .state import _constraint_of_gradients
 
 
 @dataclass(frozen=True)
@@ -53,18 +60,18 @@ def geometry_weights(grid: Grid, t: float) -> GeometryWeights:
     )
 
 
-def _pair_l2_sq(grid: Grid, V, H) -> float:
-    return sp.l2_norm_sq(grid, V) + sp.l2_norm_sq(grid, H)
-
-
 def energies(fam: DerivedFamily) -> dict[str, float]:
-    """E_k for k <= k_max and calE_k for 1 <= k <= k_max."""
+    """E_k for k <= k_max and calE_k for 1 <= k <= k_max.
+
+    E_k reads each member's level-0 coefficients by Parseval, with no
+    transform; calE_k reads the kept stacks.
+    """
     g = fam.state.grid
     by_order = {}
     grad_by_order = {}
     for idx in fam.indices:
         by_order.setdefault(idx.order, 0.0)
-        by_order[idx.order] += _pair_l2_sq(g, *fam.fields(idx))
+        by_order[idx.order] += sp.l2_norm_sq_hat(g, fam.jet(idx).hat[0])
         if idx.order < fam.k_max:  # calE_k sums orders <= k - 1 only
             D = fam.stack(idx)
             grad_by_order.setdefault(idx.order, 0.0)
@@ -165,16 +172,26 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
     All are exact away from the regularized origin; the first two are
     evaluated on r >= spacing, grad_split on r >= 4 spacing.
     """
-    w = geometry_weights(grid, t)
     if Vp is None:
         Vp = V
     if Hp is None:
         Hp = H
-    D = sp.derivative_stack(grid, V, H)
+    uh = sp.fft(np.concatenate((V[None], H)))
+    D = sp.gradient_from_hat(grid, uh)
     Dp = D if Vp is V and Hp is H else sp.derivative_stack(grid, Vp, Hp)
+    return _identity_checks(grid, uh, D, Dp, t)
+
+
+def _identity_checks(grid: Grid, uh: np.ndarray, D: np.ndarray,
+                     Dp: np.ndarray, t: float) -> dict[str, float]:
+    """identity_checks from the coefficients uh of (V, H1, H2), their
+    derivative stack D and the derivative stack Dp of (V', H'): 12 inverse
+    fields of second derivatives and 2 of the Riesz trace."""
+    w = geometry_weights(grid, t)
     gV, gH, gVp, gHp = D[0], D[1:], Dp[0], Dp[1:]
-    ggV = sp.gradient(grid, gV)                # [j, k] = d_k d_j V
-    ggH = sp.gradient(grid, gH)                # [m, j, k] = d_k d_j H_m
+    # dd[f, j, k] = d_k d_j of field f of (V, H1, H2)
+    dd = sp.ifft(grid.ik[:, None] * grid.ik * uh[:, None, None])
+    ggV, ggH = dd[0], dd[1:]                   # [j, k], [m, j, k]
     out = {}
 
     # null_split over all (i, j, k)
@@ -199,8 +216,8 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
     gpH = sp.perp(gH)                          # [j, l]
     gpV = sp.perp(gV)
     f2 = np.stack([gpH[m, 0] * gV[0] + gpH[m, 1] * gV[1] for m in range(2)])
-    coef_r = np.zeros_like(V)
-    coef_t = np.zeros_like(V)
+    coef_r = np.zeros_like(gV[0])
+    coef_t = np.zeros_like(gV[0])
     for l in range(2):
         gpH_l = gpH[:, l]                      # vector d_l^perp H
         coef_r += (gpH_l[0] * w.omega[0] + gpH_l[1] * w.omega[1]
@@ -225,7 +242,7 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
     out["perp_cancel"] = sp.linf_norm(gpV[0] * gV[0] + gpV[1] * gV[1])
 
     # trace of the perp-Riesz multiplier vanishes (k_perp . k = 0)
-    trace = sum(sp.riesz_pp(grid, i, i, V) for i in (1, 2))
+    trace = sum(sp.ifft(grid.riesz[i, i] * uh[0]) for i in range(2))
     out["riesz_trace"] = sp.linf_norm(trace)
     return out
 
@@ -403,14 +420,17 @@ def sample_record(fam: DerivedFamily) -> DiagnosticsRecord:
     for col in CSV_HEADER.split(",")[2:]:
         vals.setdefault(col, float("nan"))
     vals["good_sup"] = good_unknown_norms(fam)["sum"]
-    c2, cinf = constraint_norms(st.grid, st.H)
-    vals["constraint_L2"] = c2
-    vals["constraint_Linf"] = cinf
-    ids = identity_checks(st.grid, st.V, st.H, t=st.t)
+    # the root's kept stack and coefficients serve the constraint, the
+    # identities and grad_sup
+    root = MultiIndex(0, (0, 0, 0, 0))
+    D = fam.stack(root)
+    res = _constraint_of_gradients(D[1:])
+    vals["constraint_L2"] = sp.l2_norm(st.grid, res)
+    vals["constraint_Linf"] = sp.linf_norm(res)
+    ids = _identity_checks(st.grid, fam.jet(root).hat[0], D, D, st.t)
     vals["id45_res"] = ids["null_split"]
     vals["id417_res"] = ids["f2_split"]
     vals["id218_res"] = ids["grad_split"]
     # not part of the CSV schema, but useful for decay studies
-    D = fam.stack(MultiIndex(0, (0, 0, 0, 0)))
     vals["grad_sup"] = max(sp.linf_norm(D[0]), sp.linf_norm(D[1:]))
     return DiagnosticsRecord(t=st.t, mu=st.mu, values=vals)

@@ -12,11 +12,16 @@ level shift and scale~ consumes one level via
 
     (scale~ f)^[m] = t f^[m+1] + (m - 1) f^[m] + (x . grad) f^[m].
 
+Jets hold rfft2 coefficients from end to end (Boyd, Chebyshev and Fourier
+Spectral Methods, 2001): d_t is a slice, d_1 and d_2 are a multiply by ik,
+and only rot~ and scale~, which multiply by x, visit physical space: one
+inverse batch of gradients per parent and one forward batch per child.
+Readers inverse-transform what they need.
+
 The canonical operator word for the multi-index (alpha, a) is scale~^alpha
 d_t^{a1} d_1^{a2} d_2^{a3} rot~^{a4}, scaling powers outermost.
 """
 
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
@@ -55,26 +60,62 @@ def admissible_indices(k_max: int) -> list[MultiIndex]:
 # ---------------------------------------------------------------------------
 # jets of time-derivative levels
 
-@dataclass(frozen=True)
 class Jet:
     """Time-derivative levels of a (V, H) pair at a fixed time.
 
-    V has shape (M+1, n, n) and H has shape (M+1, 2, n, n); level m holds
-    d_t^m of the field.
+    hat holds the rfft2 coefficients (spectral.fft) of (V, H1, H2) level by
+    level, shape (M+1, 3, n, n//2+1); level m holds d_t^m of the fields.
+    It is read-only, since a dt member and a trimmed parent share its
+    buffer.  V (M+1, n, n), H (M+1, 2, n, n) and pair() are physical and
+    inverse-transformed on each access, except that a jet built from
+    physical fields (the constructor, or base_jet from a state) returns
+    its level 0 as given.
     """
 
-    grid: Grid
-    V: np.ndarray
-    H: np.ndarray
-    t: float
-    mu: float
+    def __init__(self, grid: Grid, V: np.ndarray, H: np.ndarray, t: float,
+                 mu: float):
+        """Jet of the physical levels V (M+1, n, n) and H (M+1, 2, n, n)."""
+        self._init(grid, sp.fft(np.concatenate((V[:, None], H), axis=1)),
+                   t, mu, (V[0], H[0]))
+
+    @classmethod
+    def from_hat(cls, grid: Grid, hat: np.ndarray, t: float, mu: float,
+                 level0: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> "Jet":
+        """Jet of the coefficients hat; level0, when given, is the physical
+        pair of level 0."""
+        jet = cls.__new__(cls)
+        jet._init(grid, hat, t, mu, level0)
+        return jet
+
+    def _init(self, grid, hat, t, mu, level0):
+        hat.flags.writeable = False
+        self.grid, self.hat, self.t, self.mu = grid, hat, t, mu
+        self._level0 = level0
 
     @property
     def levels(self) -> int:
-        return self.V.shape[0] - 1
+        return self.hat.shape[0] - 1
+
+    @property
+    def V(self) -> np.ndarray:
+        V = sp.ifft(self.hat[:, 0])
+        if self._level0 is not None:
+            V[0] = self._level0[0]
+        return V
+
+    @property
+    def H(self) -> np.ndarray:
+        H = sp.ifft(self.hat[:, 1:])
+        if self._level0 is not None:
+            H[0] = self._level0[1]
+        return H
 
     def pair(self, level: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        return self.V[level], self.H[level]
+        if level == 0 and self._level0 is not None:
+            return self._level0
+        u = sp.ifft(self.hat[level])
+        return u[0], u[1:]
 
 
 def base_jet(state: PotentialState, levels: int, dealias: bool = True) -> Jet:
@@ -82,27 +123,24 @@ def base_jet(state: PotentialState, levels: int, dealias: bool = True) -> Jet:
     evolution equations, so every level is exact at the continuous limit.
 
     Level m + 1 sums the quadratic sources over the pairs (C(m, l), D_l,
-    D_{m-l}) of the derivative stacks D_l of the levels below.  Each level
-    costs one batched forward transform of (V, H), one batched inverse of
-    its 6 gradients, one batched forward of the 5 summed products and one
-    batched inverse of (dV, dH).
+    D_{m-l}) of the derivative stacks D_l of the levels below.  The levels
+    stay spectral: the state costs one batched forward transform of
+    (V, H), and each level one batched inverse of its 6 gradients and one
+    batched forward of the 5 summed products.
     """
     g = state.grid
-    V = np.empty((levels + 1, g.n, g.n))
-    H = np.empty((levels + 1, 2, g.n, g.n))
-    V[0], H[0] = state.V, state.H
+    uh = np.empty((levels + 1, 3, g.n, g.n // 2 + 1), dtype=complex)
+    uh[0] = sp.fft(np.concatenate((state.V[None], state.H)))
     D = []  # derivative stack of each level, built once
     for m in range(levels):
-        uh = sp.fft(np.concatenate((V[m][None], H[m])))
-        D.append(sp.gradient_from_hat(g, uh))
+        D.append(sp.gradient_from_hat(g, uh[m]))
         f1h, f2h = _quadratic_hat(
             g, [(comb(m, l), D[l], D[m - l]) for l in range(m + 1)], dealias)
-        dVh = g.ik[0] * uh[1] + g.ik[1] * uh[2] + f1h
+        uh[m + 1, 0] = g.ik[0] * uh[m, 1] + g.ik[1] * uh[m, 2] + f1h
         if state.mu > 0:
-            dVh -= state.mu * g.k_sq * uh[0]
-        d = sp.ifft(np.concatenate((dVh[None], g.ik * uh[0] + f2h)))
-        V[m + 1], H[m + 1] = d[0], d[1:]
-    return Jet(grid=g, V=V, H=H, t=state.t, mu=state.mu)
+            uh[m + 1, 0] -= state.mu * g.k_sq * uh[m, 0]
+        uh[m + 1, 1:] = g.ik * uh[m, 0] + f2h
+    return Jet.from_hat(g, uh, state.t, state.mu, (state.V, state.H))
 
 
 def time_derivative(state: PotentialState, order: int,
@@ -110,42 +148,44 @@ def time_derivative(state: PotentialState, order: int,
     """(d_t^m V, d_t^m H) evaluated through the evolution equations."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    jet = base_jet(state, order, dealias)
-    return jet.V[order], jet.H[order]
+    return base_jet(state, order, dealias).pair(order)
 
 
-def apply_field(op: str, jet: Jet) -> Jet:
+def apply_field(op: str, jet: Jet, grads: np.ndarray | None = None) -> Jet:
     """Apply one generalized vector field to a jet.
 
-    d_t shifts levels; d_1/d_2 and rot~ act levelwise; scale~ consumes one
-    level.  The returned jet has one level fewer for d_t and scale~.
+    d_t shifts levels; d_1/d_2 multiply the coefficients by ik, with no
+    transform.  rot~ and scale~ multiply the physical gradients of the
+    levels they read by x and transform the result forward once; scale~
+    consumes one level, so the returned jet has one level fewer for d_t
+    and scale~.  grads, when given, holds those gradients
+    (spectral.gradient_from_hat of the first levels of jet.hat, at least
+    as many as the result has): the rot~ and scale~ children of one parent
+    share them.
     """
     g = jet.grid
+    if op in ("dt", "scale") and jet.levels < 1:
+        raise ValueError(f"jet has no levels left for {op}")
     if op == "dt":
-        if jet.levels < 1:
-            raise ValueError("jet has no levels left for dt")
-        return Jet(g, jet.V[1:], jet.H[1:], jet.t, jet.mu)
+        return Jet.from_hat(g, jet.hat[1:], jet.t, jet.mu)
     if op in ("d1", "d2"):
-        axis = 1 if op == "d1" else 2
-        return Jet(g, sp.derivative(g, jet.V, axis),
-                   sp.derivative(g, jet.H, axis), jet.t, jet.mu)
+        return Jet.from_hat(g, g.ik[int(op == "d2")] * jet.hat, jet.t, jet.mu)
+    if op not in ("rot", "scale"):
+        raise ValueError(f"unknown field op {op!r}")
+    out = jet.levels + (op == "rot")
+    if grads is None:
+        grads = sp.gradient_from_hat(g, jet.hat[:out])
+    G = grads[:out]
     if op == "rot":
-        V = sp.rotation(g, jet.V)
-        H = sp.rotation(g, jet.H)
+        hat = sp.fft(g.x1 * G[:, :, 1] - g.x2 * G[:, :, 0])
         # modified rotation: rot~ H = rot H - H^perp, H^perp = (-H2, H1)
-        H[:, 0] += jet.H[:, 1]
-        H[:, 1] -= jet.H[:, 0]
-        return Jet(g, V, H, jet.t, jet.mu)
-    if op == "scale":
-        if jet.levels < 1:
-            raise ValueError("jet has no levels left for scale")
-        m = np.arange(jet.levels)[:, None, None]
-        V = (jet.t * jet.V[1:] + (m - 1) * jet.V[:-1]
-             + sp.radial_scaled_derivative(g, jet.V[:-1]))
-        H = (jet.t * jet.H[1:] + (m[:, None] - 1) * jet.H[:-1]
-             + sp.radial_scaled_derivative(g, jet.H[:-1]))
-        return Jet(g, V, H, jet.t, jet.mu)
-    raise ValueError(f"unknown field op {op!r}")
+        hat[:, 1] += jet.hat[:, 2]
+        hat[:, 2] -= jet.hat[:, 1]
+    else:
+        m = np.arange(out)[:, None, None, None]
+        hat = sp.fft(g.x1 * G[:, :, 0] + g.x2 * G[:, :, 1])
+        hat += jet.t * jet.hat[1:] + (m - 1) * jet.hat[:-1]
+    return Jet.from_hat(g, hat, jet.t, jet.mu)
 
 
 def _parent(idx: MultiIndex) -> tuple[str, MultiIndex] | None:
@@ -167,54 +207,71 @@ def _parent(idx: MultiIndex) -> tuple[str, MultiIndex] | None:
 class DerivedFamily:
     """All U^(alpha, a) with alpha + |a| <= k_max for one base state.
 
-    A member of order k keeps the levels 0..k_max - k + 1 of its jet, the
-    most any descendant reads, so d_t of every member is available for
-    residual checks without differencing.  stack(idx) is the one home of a
-    member's gradients.
+    Every member is a jet of rfft2 coefficients.  A member of order k
+    keeps the levels 0..k_max - k + 1 of its jet, the most any descendant
+    reads, so d_t of every member is available for residual checks
+    without differencing.  stack(idx) is the one home of a member's
+    gradients.
+
+    A parent's rot~ and scale~ children read the physical gradients of
+    the same levels 0..k_max - order(parent), so the parent transforms
+    them once, in one inverse batch that is freed after its last child.
+    Every member of order < k_max has a scale~ child, and the level-0
+    slice of that batch is its kept stack.
     """
 
     def __init__(self, state: PotentialState, k_max: int = 2,
                  dealias: bool = True):
         if k_max > 3:
             raise ValueError("k_max > 3 is outside the supported desk scale")
+        g = state.grid
         self.state = state
         self.k_max = k_max
-        self.indices = admissible_indices(k_max)
-        self._jets: dict[MultiIndex, Jet] = {}
-        self._stacks: dict[MultiIndex, np.ndarray] = {}
-        root = base_jet(state, k_max + 1, dealias)
-        self._jets[MultiIndex(0, (0, 0, 0, 0))] = root
-        for idx in self.indices:
-            if idx not in self._jets:
-                op, parent = _parent(idx)
-                # the member keeps levels 0..k_max - order + 1; dt and
-                # scale read one level more of the parent
-                keep = k_max - idx.order + 2 + (op in ("dt", "scale"))
-                jet = self._jets[parent]
-                self._jets[idx] = apply_field(
-                    op, Jet(jet.grid, jet.V[:keep], jet.H[:keep], jet.t,
-                            jet.mu))
         self.dealias = dealias
+        self.indices = admissible_indices(k_max)
+        self._jets = {self.indices[0]: base_jet(state, k_max + 1, dealias)}
+        self._stacks: dict[MultiIndex, np.ndarray] = {}
+        grads = {}
+        for idx in self.indices[1:]:
+            op, parent = _parent(idx)
+            jet = self._jets[parent]
+            G = None
+            if op in ("rot", "scale"):
+                G = grads.get(parent)
+                if G is None:
+                    G = grads[parent] = sp.gradient_from_hat(
+                        g, jet.hat[:k_max - parent.order + 1])
+                    self._stacks[parent] = G[0].copy()
+                if op == "scale":
+                    # within each order, the scale~ child follows the rot~
+                    # child, so it is the parent's last reader
+                    del grads[parent]
+            # the member keeps levels 0..k_max - order + 1; dt and scale~
+            # read one level more of the parent
+            keep = k_max - idx.order + 2 + (op in ("dt", "scale"))
+            self._jets[idx] = apply_field(
+                op, Jet.from_hat(g, jet.hat[:keep], jet.t, jet.mu), G)
 
     def jet(self, idx: MultiIndex) -> Jet:
         return self._jets[idx]
 
     def fields(self, idx: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
-        """(V^(alpha,a), H^(alpha,a)) at level 0."""
+        """(V^(alpha,a), H^(alpha,a)) at level 0, inverse-transformed on
+        each call except for the root, whose fields are the state's."""
         return self._jets[idx].pair(0)
 
     def stack(self, idx: MultiIndex) -> np.ndarray:
-        """Derivative stack of U^idx at level 0 (spectral.derivative_stack).
+        """Derivative stack of U^idx at level 0 (spectral.derivative_stack
+        layout), from its coefficients.
 
         Kept for members of order < k_max, which every sample functional
         reads.  A member of order k_max appears only in the splittings of
-        its own index, so its stack is built on each call and not kept.
+        its own index, so its stack is built on each call (6 inverse
+        fields) and not kept.
         """
         D = self._stacks.get(idx)
         if D is None:
-            D = sp.derivative_stack(self.state.grid, *self.fields(idx))
-            if idx.order < self.k_max:
-                self._stacks[idx] = D
+            D = sp.gradient_from_hat(self.state.grid, self._jets[idx].hat[0])
         return D
 
     def __len__(self) -> int:
@@ -304,22 +361,26 @@ def commutator_residuals(fam: DerivedFamily, idx: MultiIndex
     r2: d_t H' - grad V' - f2
     r3: div_perp H' - f3
     All vanish at the continuous level; the measured values are pure
-    discretization error.
+    discretization error.  The linear terms come from the member's
+    coefficients in one inverse batch of 7 fields, the viscous term folded
+    into d_t V'.
     """
     g = fam.state.grid
-    dtV, dtH = fam.jet(idx).pair(1)
+    uh = fam.jet(idx).hat
     f1, f2, f3, _ = nonlinearity_f(fam, idx)
-    D = fam.stack(idx)  # D[0] = grad V', D[1 + j, i] = d_i H'_j
-
-    r1 = dtV - (D[1, 0] + D[2, 1]) - f1
+    dtV = uh[1, 0]
     if fam.state.mu > 0:
         alpha, a = idx
-        visc = np.zeros_like(dtV)
-        for l in range(alpha + 1):
-            Vl, _ = fam.fields(MultiIndex(l, a))
-            visc += comb(alpha, l) * (-1.0) ** (alpha - l) * Vl
-        r1 -= fam.state.mu * sp.laplacian(g, visc)
-
-    r2 = dtH - D[0] - f2
-    r3 = D[2, 0] - D[1, 1] - f3
+        visc = sum(comb(alpha, l) * (-1.0) ** (alpha - l)
+                   * fam.jet(MultiIndex(l, a)).hat[0, 0]
+                   for l in range(alpha + 1))
+        dtV = dtV + fam.state.mu * g.k_sq * visc
+    Vh, Hh = uh[0, 0], uh[0, 1:]
+    lin = sp.ifft(np.concatenate((
+        dtV[None], uh[1, 1:], g.ik * Vh,
+        (g.ik[0] * Hh[0] + g.ik[1] * Hh[1])[None],      # div H'
+        (g.ik[0] * Hh[1] - g.ik[1] * Hh[0])[None])))    # div_perp H'
+    r1 = lin[0] - lin[5] - f1
+    r2 = lin[1:3] - lin[3:5] - f2
+    r3 = lin[6] - f3
     return (sp.linf_norm(r1), sp.linf_norm(r2), sp.linf_norm(r3))

@@ -25,7 +25,6 @@ class Grid:
         self.spacing = self.box_len / self.n
 
         axis = (np.arange(self.n) - self.n // 2) * self.spacing
-        self.coords = axis
         self.x1, self.x2 = np.meshgrid(axis, axis, indexing="ij")
         self.r = np.hypot(self.x1, self.x2)
 

@@ -1,12 +1,14 @@
 """FFT-based spectral calculus on a periodic box.
 
-All operators act on real fields sampled on a :class:`~ve2d.grid.Grid` and
-return real fields.  The one transform pair is fft/ifft: a batched rfft2 and
-irfft2 over the last two axes, whose coefficients share the half-spectrum
-layout of the Grid multipliers.  An operator on a stack of fields makes one
-forward and one inverse call for the whole stack.  Nonlocal operators
-(inverse Laplacian and the perp-Riesz multiplier) adopt the zero-mean
-convention: the k=0 coefficient of the output is set to zero.
+Operators act on real fields sampled on a :class:`~ve2d.grid.Grid` and
+return real fields; the *_hat helpers act on coefficients instead, for
+callers that keep their fields spectral (the stepper and the derived
+family).  The one transform pair is fft/ifft: rfft2 and irfft2 over the
+last two axes, whose coefficients share the half-spectrum layout of the
+Grid multipliers.  An operator on a stack of fields makes one forward and
+one inverse call for the whole stack.  The nonlocal inverse Laplacian
+adopts the zero-mean convention: the k=0 coefficient of the output is set
+to zero.
 """
 
 import numpy as np
@@ -16,14 +18,25 @@ from .grid import Grid
 
 def fft(f: np.ndarray) -> np.ndarray:
     """rfft2 coefficients of real fields over the last two axes, in the
-    layout of the Grid multipliers; a stack of fields is one batched
-    transform."""
-    return np.fft.rfft2(f)
+    layout of the Grid multipliers.
+
+    A stack of fields is transformed field by field into one output: a
+    batched numpy call keeps an intermediate the size of the whole stack,
+    which at n = 256 no longer fits in cache and raises the peak memory.
+    """
+    out = np.empty(f.shape[:-1] + (f.shape[-1] // 2 + 1,), dtype=complex)
+    for i in np.ndindex(f.shape[:-2]):
+        out[i] = np.fft.rfft2(f[i])
+    return out
 
 
 def ifft(fh: np.ndarray) -> np.ndarray:
-    """Real fields from rfft2 coefficients; inverse of fft (n is even)."""
-    return np.fft.irfft2(fh)
+    """Real fields from rfft2 coefficients, field by field as in fft;
+    inverse of fft (n is even)."""
+    out = np.empty(fh.shape[:-1] + (2 * (fh.shape[-1] - 1),))
+    for i in np.ndindex(fh.shape[:-2]):
+        out[i] = np.fft.irfft2(fh[i])
+    return out
 
 
 def derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
@@ -71,18 +84,9 @@ def perp_divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
     return ifft(-grid.ik[1] * vh[0] + grid.ik[0] * vh[1])
 
 
-def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
-    return ifft(-grid.k_sq * fft(f))
-
-
 def inverse_laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Solve lap(u) = f spectrally; the mean of f is annihilated."""
     return ifft(-grid.inv_k_sq * fft(f))
-
-
-def riesz_pp(grid: Grid, i: int, j: int, f: np.ndarray) -> np.ndarray:
-    """Zero-order multiplier d_i^perp d_j lap^{-1}, symbol k_i^perp k_j / |k|^2."""
-    return ifft(grid.riesz[i - 1, j - 1] * fft(f))
 
 
 def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -98,22 +102,11 @@ def rotation(grid: Grid, f: np.ndarray) -> np.ndarray:
     return grid.x1 * g[..., 1, :, :] - grid.x2 * g[..., 0, :, :]
 
 
-def radial_scaled_derivative(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """r d_r f = x . grad f, of a field or of each field of a stack."""
-    g = gradient(grid, f)
-    return grid.x1 * g[..., 0, :, :] + grid.x2 * g[..., 1, :, :]
-
-
 def leray_hat(grid: Grid, vh: np.ndarray) -> np.ndarray:
     """Projection of the coefficients (2, n, n//2+1) of a vector field onto
     divergence-free fields; k=0 component zeroed."""
     div = grid.ik[0] * vh[0] + grid.ik[1] * vh[1]
     return (vh + grid.ik * div * grid.inv_k_sq) * (grid.k_sq > 0)
-
-
-def leray_project(grid: Grid, vec: np.ndarray) -> np.ndarray:
-    """Projection onto divergence-free fields; k=0 component zeroed."""
-    return ifft(leray_hat(grid, fft(vec)))
 
 
 def l2_norm(grid: Grid, f: np.ndarray) -> float:
@@ -123,6 +116,15 @@ def l2_norm(grid: Grid, f: np.ndarray) -> float:
 
 def l2_norm_sq(grid: Grid, f: np.ndarray) -> float:
     return float(np.sum(f * f) * grid.spacing ** 2)
+
+
+def l2_norm_sq_hat(grid: Grid, fh: np.ndarray) -> float:
+    """l2_norm_sq of the fields with rfft2 coefficients fh, by Parseval:
+    each column 0 < m2 < n/2 of the half spectrum stands for two conjugate
+    modes, so it has weight 2.  fh must be contiguous along its last axis."""
+    p = np.square(fh.view(float))       # re, im interleaved along axis -1
+    s = 2.0 * np.sum(p) - np.sum(p[..., :2]) - np.sum(p[..., -2:])
+    return float(s) * (grid.spacing / grid.n) ** 2
 
 
 def linf_norm(f: np.ndarray) -> float:

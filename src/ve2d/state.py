@@ -92,9 +92,15 @@ def deformation_of(grid: Grid, H: np.ndarray) -> np.ndarray:
 
 def constraint_residual(grid: Grid, H: np.ndarray) -> np.ndarray:
     """Pointwise residual of div_perp H = grad_perp H2 . grad H1."""
-    gpH2 = sp.perp_gradient(grid, H[1])
-    gH1 = sp.gradient(grid, H[0])
-    return sp.perp_divergence(grid, H) - (gpH2[0] * gH1[0] + gpH2[1] * gH1[1])
+    return _constraint_of_gradients(sp.gradient(grid, H))
+
+
+def _constraint_of_gradients(DH: np.ndarray) -> np.ndarray:
+    """constraint_residual from the gradients DH[j] = grad H_j, as in
+    D[1:] of a derivative stack."""
+    gpH2 = sp.perp(DH[1])
+    div_perp = DH[1, 0] - DH[0, 1]
+    return div_perp - (gpH2[0] * DH[0, 0] + gpH2[1] * DH[0, 1])
 
 
 def constraint_norms(grid: Grid, H: np.ndarray) -> tuple[float, float]:

@@ -42,6 +42,19 @@ class TestEnergies:
                   + sp.l2_norm_sq(g, evolved_state.H))
         assert dg.energies(family)["E0"] == pytest.approx(expect, rel=1e-12)
 
+    def test_parseval_matches_quadrature(self, family):
+        # E_k reads the coefficients by Parseval; the quadrature sums the
+        # physical fields
+        g = family.state.grid
+        e = dg.energies(family)
+        for k in range(family.k_max + 1):
+            quad = 0.0
+            for idx in family.indices:
+                if idx.order <= k:
+                    V, H = family.fields(idx)
+                    quad += sp.l2_norm_sq(g, V) + sp.l2_norm_sq(g, H)
+            assert abs(e[f"E{k}"] - quad) <= 1e-13 * quad, k
+
     def test_monotone_in_order(self, family):
         e = dg.energies(family)
         assert e["E0"] <= e["E1"] <= e["E2"]

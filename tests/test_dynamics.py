@@ -11,6 +11,7 @@ from ve2d.grid import Grid
 from ve2d.state import (InitialDataParams, PotentialState, PrimitiveState,
                         constraint_norms, make_initial_data, primitive_of,
                         velocity_of)
+from spectral_ops import laplacian, leray_project, riesz_pp
 
 CFG = StepperConfig()
 
@@ -101,7 +102,7 @@ def reference_quadratic_source(grid, V, H, dealias=True):
             fij = -mul(gpV[i], gpV[j])
             for m in range(2):
                 fij += mul(gpH[m, i], gpH[m, j])
-            f1 += sp.riesz_pp(grid, i + 1, j + 1, fij)
+            f1 += riesz_pp(grid, i + 1, j + 1, fij)
     f2 = np.stack([sum(mul(gpH[j, l], gV[l]) for l in range(2))
                    for j in range(2)])
     return f1, f2
@@ -156,7 +157,7 @@ class TestQuadraticSource:
         st, _ = single_mode_state(grid32, 1, 0, mu=0.2)
         dV, dH = rhs_potential(st, StepperConfig(nonlinear=False),
                                include_viscosity=True)
-        lin = 0.2 * sp.laplacian(grid32, st.V) + sp.divergence(grid32, st.H)
+        lin = 0.2 * laplacian(grid32, st.V) + sp.divergence(grid32, st.H)
         assert sp.linf_norm(dV - lin) < 1e-13
         assert sp.linf_norm(dH - sp.gradient(grid32, st.V)) < 1e-13
 
@@ -308,7 +309,7 @@ def reference_rhs_primitive(state, cfg=CFG, include_viscosity=True):
     dv = np.zeros_like(v)
     dG = np.zeros_like(G)
     if include_viscosity and state.mu > 0:
-        dv += state.mu * np.stack([sp.laplacian(g, v[i]) for i in range(2)])
+        dv += state.mu * np.stack([laplacian(g, v[i]) for i in range(2)])
 
     gv = np.stack([sp.gradient(g, v[i]) for i in range(2)])  # gv[i, j] = d_j v_i
     if cfg.coupling:
@@ -331,7 +332,7 @@ def reference_rhs_primitive(state, cfg=CFG, include_viscosity=True):
                 dv[i] += sp.derivative(g, GGt, axis=j + 1)
                 dG[i, j] += sum(mul(gv[i, k], G[k, j]) for k in range(2))
                 dG[i, j] -= sum(mul(v[l], gG[i, j, l]) for l in range(2))
-        dv = sp.leray_project(g, dv)
+        dv = leray_project(g, dv)
     return dv, dG
 
 

@@ -11,6 +11,7 @@ from ve2d.families import (Jet, MultiIndex, _parent, _splittings,
                            commutator_residuals, derived_family,
                            nonlinearity_f, time_derivative)
 from ve2d.state import InitialDataParams, PotentialState, make_initial_data
+from spectral_ops import laplacian, radial_scaled_derivative, riesz_pp
 
 ROOT = MultiIndex(0, (0, 0, 0, 0))
 
@@ -33,7 +34,7 @@ def reference_bilin_f1_perp(grid, Da, Db, dealias):
             fij = -_mul(grid, Pa[0, i], Pb[0, j], dealias)
             for m in range(2):
                 fij += _mul(grid, Pa[1 + m, i], Pb[1 + m, j], dealias)
-            out += sp.riesz_pp(grid, i + 1, j + 1, fij)
+            out += riesz_pp(grid, i + 1, j + 1, fij)
     return out
 
 
@@ -69,7 +70,7 @@ def reference_base_jet(state, levels, dealias=True):
         D.append(sp.derivative_stack(g, V[m], H[m]))
         dV = sp.divergence(g, H[m])
         if state.mu > 0:
-            dV += state.mu * sp.laplacian(g, V[m])
+            dV += state.mu * laplacian(g, V[m])
         dH = D[m][0].copy()
         for l in range(m + 1):
             c = comb(m, l)
@@ -97,7 +98,7 @@ def reference_nonlinearity_f(fam, idx):
         f3 += coef * reference_bilin_f3(g, Da, Db, fam.dealias)
     f1 = np.zeros((n, n))
     for (i, j), field_ij in fij.items():
-        f1 += sp.riesz_pp(g, i, j, field_ij)
+        f1 += riesz_pp(g, i, j, field_ij)
     return f1, f2, f3, fij
 
 
@@ -196,12 +197,14 @@ class TestSeedForms:
 
 
 class TestTransformBudget:
-    # measured counts at n = 32, k_max = 2 (fields; a batch of k counts k).
-    # Each quadratic form is summed over its Leibniz sum or splittings and
-    # transformed once; dealiasing each product on its own costs a forward
-    # and an inverse transform per product and exceeds these.  A member
-    # jet keeps only the levels its descendants read, and the derivative
-    # stack of each member of order < k_max is built once per family.
+    # measured counts at n = 32 (fields; a batch of k counts k).  Jets hold
+    # rfft2 coefficients: base_jet costs 3 fields in and 11 per level, d_t,
+    # d_1 and d_2 cost none, and each parent of a rot~ or scale~ child
+    # transforms the gradients of the levels they read once, which also
+    # gives its kept stack.  A sample reads the kept stacks and the
+    # coefficients and makes no forward transform.  Each quadratic form is
+    # summed over its Leibniz sum or splittings and transformed once;
+    # dealiasing each product on its own exceeds these.
     @pytest.fixture
     def state(self, grid32):
         return make_initial_data(grid32, InitialDataParams(amplitude=0.01,
@@ -210,22 +213,44 @@ class TestTransformBudget:
     def test_derived_family(self, state, transforms):
         transforms.clear()
         derived_family(state, 2)
-        assert sum(transforms.values()) <= 309
+        assert sum(transforms.values()) <= 168
         assert set(transforms) == {"rfft2", "irfft2"}
 
     def test_sample_record(self, state, transforms):
         fam = derived_family(state, 2)
         transforms.clear()
         sample_record(fam)
-        assert sum(transforms.values()) <= 94
+        assert sum(transforms.values()) <= 14
+        assert set(transforms) == {"irfft2"}
+
+    def test_derived_family_k_max_3(self, state, transforms):
+        transforms.clear()
+        derived_family(state, 3)
+        assert sum(transforms.values()) <= 515
         assert set(transforms) == {"rfft2", "irfft2"}
+
+    def test_sample_record_k_max_3(self, state, transforms):
+        fam = derived_family(state, 3)
+        transforms.clear()
+        sample_record(fam)
+        assert sum(transforms.values()) <= 14
+        assert set(transforms) == {"irfft2"}
 
     def test_nonlinearity_f_all_indices(self, state, transforms):
         fam = derived_family(state, 2)
         transforms.clear()
         for idx in fam.indices:
             nonlinearity_f(fam, idx)
-        assert sum(transforms.values()) <= 504
+        assert sum(transforms.values()) <= 405
+        assert set(transforms) == {"rfft2", "irfft2"}
+
+    def test_commutator_residuals_all_indices(self, state, transforms):
+        # nonlinearity_f, plus one inverse batch of 7 linear terms per index
+        fam = derived_family(state, 2)
+        transforms.clear()
+        for idx in fam.indices:
+            commutator_residuals(fam, idx)
+        assert sum(transforms.values()) <= 552
         assert set(transforms) == {"rfft2", "irfft2"}
 
 
@@ -258,7 +283,7 @@ class TestApplyField:
         jet = base_jet(evolved_state, 1)
         out = apply_field("scale", jet)
         expect = (jet.t * jet.V[1] - jet.V[0]
-                  + sp.radial_scaled_derivative(g, jet.V[0]))
+                  + radial_scaled_derivative(g, jet.V[0]))
         assert sp.linf_norm(out.V[0] - expect) < 1e-13
 
     def test_consumed_levels_guarded(self, evolved_state):
@@ -335,15 +360,27 @@ class TestDerivedFamily:
             assert np.array_equal(jet.H, full[idx].H[:jet.levels + 1]), idx
 
     def test_stack_sharing(self, grid64):
-        # stacks of members of order < k_max are kept and shared; an
-        # order-k_max stack is built on each call and dropped, since
-        # keeping those too would hold the gradients of every member at once
+        # stacks of members of order < k_max are kept and shared: each is a
+        # copy of the level-0 slice of the gradient batch that the member's
+        # rot~ and scale~ children read, so the batch itself is freed.  An
+        # order-k_max stack is built on each call and dropped, since keeping
+        # those too would hold the gradients of every member at once
         fam = derived_family(random_state(grid64, 3), 2)
         for idx in fam.indices:
             D = fam.stack(idx)
             assert (D is fam.stack(idx)) == (idx.order < fam.k_max), idx
+            assert D.base is None, idx
             assert np.array_equal(
-                D, sp.derivative_stack(grid64, *fam.fields(idx))), idx
+                D, sp.gradient_from_hat(grid64, fam.jet(idx).hat[0])), idx
+            assert rel_err(D, sp.derivative_stack(grid64, *fam.fields(idx))
+                           ) <= 1e-13, idx
+
+    def test_coefficients_read_only(self, grid64):
+        # dt members and trimmed parents share their coefficient buffers
+        fam = derived_family(random_state(grid64, 3), 2)
+        for idx in fam.indices:
+            with pytest.raises(ValueError):
+                fam.jet(idx).hat[0, 0, 0, 0] = 1.0
 
     def test_k_max_guard(self, evolved_state):
         with pytest.raises(ValueError):
