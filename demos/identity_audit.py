@@ -11,7 +11,6 @@ import numpy as np
 import ve2d.diagnostics as dg
 import ve2d.spectral as sp
 from ve2d.dynamics import StepperConfig, evolve
-from ve2d.families import derived_family
 from ve2d.grid import Grid
 from ve2d.state import InitialDataParams, make_initial_data
 
@@ -35,7 +34,6 @@ fine = Grid(128, 32.0)
 state = make_initial_data(fine, InitialDataParams(amplitude=0.01,
                                                   support_radius=6.0))
 state = evolve(state, 4.0, StepperConfig())
-family = derived_family(state, k_max=2)
 
 print(f"\nweighted Sobolev ratios on the evolved state at t = {state.t:g}:")
 for name, val in dg.weighted_sobolev_ratios(fine, state.V,
@@ -47,4 +45,3 @@ for name, val in dg.weighted_sobolev_ratios(fine, state.V,
 # denominators fall to the truncation-noise floor far from the bump and
 # the sup ratio loses meaning.  Use the audit CLI at full resolution for
 # those constants.
-print(f"\nfamily size kept for reference: {len(family)} members")

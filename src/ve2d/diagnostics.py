@@ -19,12 +19,14 @@ identities, so a sample transforms only the root's second derivatives
 and Riesz trace (14 inverse fields) and nothing forward.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral as sp
-from .families import DerivedFamily, MultiIndex, _splittings, nonlinearity_f
+from .families import (DerivedFamily, MultiIndex, _nonlinearity_hat,
+                       _splittings)
 from .grid import Grid
 from .state import _constraint_of_gradients
 
@@ -45,19 +47,35 @@ class GeometryWeights:
     interior: np.ndarray   # away from the regularized origin, r >= spacing
 
 
+# weights in use, by (grid, t): a sample's functionals share one build.
+# Entries are a function of the key alone and read-only, so callers can
+# share them, and they are freed with their last holder.
+_WEIGHTS = weakref.WeakValueDictionary()
+
+
 def geometry_weights(grid: Grid, t: float) -> GeometryWeights:
+    """The weights at (grid, t).  They are built once while any caller
+    holds them, so their arrays are read-only."""
+    w = _WEIGHTS.get((grid, t))
+    if w is not None:
+        return w
     r_true = grid.r
     r = np.maximum(r_true, grid.spacing)
     omega = np.stack([grid.x1 / r, grid.x2 / r])
     omega_perp = np.stack([-omega[1], omega[0]])
     sigma = r_true - t
-    return GeometryWeights(
+    w = GeometryWeights(
         grid=grid, t=t, r=r, omega=omega, omega_perp=omega_perp,
         sigma=sigma, sigma_bracket=np.sqrt(1.0 + sigma ** 2),
         eq=np.exp(np.arctan(sigma)),
         mask=r_true >= np.sqrt(1.0 + t * t) / 2.0,
         interior=r_true >= grid.spacing,
     )
+    for a in vars(w).values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    _WEIGHTS[grid, t] = w
+    return w
 
 
 def energies(fam: DerivedFamily) -> dict[str, float]:
@@ -334,7 +352,13 @@ def nonlinearity_decay_ratios(fam: DerivedFamily,
         return total
 
     alpha, a = idx
-    f1, f2, f3, fij = nonlinearity_f(fam, idx)
+    # the perp-form products, f2, f3 and div f2 from the shared spectra;
+    # the plain-derivative fij are the perp-form products up to sign
+    ph = _nonlinearity_hat(fam, idx)[1]
+    ph = np.concatenate((ph, g.ik[0] * ph[3:4] + g.ik[1] * ph[4:5]))
+    u = sp.ifft(ph)
+    del ph  # not read below; freed before the sums and stacks that follow
+    f2, f3 = u[3:5], u[5]
     out = {}
 
     lhs = np.sqrt(f2[0] ** 2 + f2[1] ** 2)
@@ -345,11 +369,10 @@ def nonlinearity_decay_ratios(fam: DerivedFamily,
     out["f3_decay"] = _ratio(np.abs(f3), rhs)
 
     if idx.order + 2 <= fam.k_max:
-        divf2 = sp.divergence(g, f2)
         rhs = graded(sums_V, sums_H, 2, 2, alpha, sum(a)) / w.r
-        out["divf2_decay"] = _ratio(np.abs(divf2), rhs)
+        out["divf2_decay"] = _ratio(np.abs(u[6]), rhs)
 
-    lhs = np.max(np.abs(np.stack(list(fij.values()))), axis=0)
+    lhs = np.max(np.abs(u[:3]), axis=0)
     rhs = (graded(sums_V, sums_V, 1, 1, alpha, sum(a))
            + graded(sums_H, sums_H, 1, 1, alpha, sum(a))) / w.r
     for left, right, _ in _splittings(idx):
@@ -413,6 +436,8 @@ class DiagnosticsRecord:
 def sample_record(fam: DerivedFamily) -> DiagnosticsRecord:
     """Evaluate the full diagnostics suite on one family."""
     st = fam.state
+    # held for the whole sample, so every functional reads the same weights
+    w = geometry_weights(st.grid, st.t)
     vals = {}
     vals.update(energies(fam))
     vals.update(weighted_norms(fam))

@@ -16,12 +16,13 @@ gradients), and the 5 quadratic products f11, f12, f22, f2_1, f2_2 forward.
 The 2/3 mask is one multiply of the product spectra, and the four Riesz
 symbols of f1 are fused into three, one per product (Grid.f1_riesz).
 
-_products is the one home of the perp-form quadratic sources f1 and f2: it
-sums them over a Leibniz sum of derivative stacks, so the stepper (one
-pair) and the time-derivative jets of families.base_jet (one pair per
-binomial term) share it, and _quadratic_hat masks and transforms the sums
-once.  The primitive RHS follows the same pattern: its products are summed
-per output and transformed in one batch.
+_products and _quadratic_hat are the one set of quadratic forms: the
+perp-form sources f1, f2 (and, on request, f3) summed over a Leibniz sum
+of derivative stacks, then masked and transformed once.  The stepper
+passes one pair, the time-derivative jets of families.base_jet one pair
+per binomial term, and the commuted equations of families one pair per
+splitting of a multi-index.  The primitive RHS follows the same pattern:
+its products are summed per output and transformed in one batch.
 """
 
 from dataclasses import dataclass
@@ -69,42 +70,42 @@ class StepperConfig:
 _F1_SIGNS = np.array([-1.0, 1.0, 1.0])
 
 
-def _f2(Pa: np.ndarray, Db: np.ndarray) -> np.ndarray:
-    """f2_j = sum_l d_l^perp Ha_j d_l Vb from the perp-derivative stack
-    Pa = spectral.perp(Da) of (Va, Ha) and the derivative stack Db of
-    (Vb, Hb); shape (2, n, n)."""
-    return np.einsum("jlxy,lxy->jxy", Pa[1:], Db[0])
+def _products(pairs, f3: bool = False) -> np.ndarray:
+    """The physical products f11, f12, f22, f2_1, f2_2 (and f3 when asked)
+    summed over a Leibniz sum pairs = [(coef, Da, Db), ...] of derivative
+    stacks (spectral.derivative_stack).
 
-
-def _products(pairs) -> np.ndarray:
-    """The physical products f11, f12, f22, f2_1, f2_2 summed over a
-    Leibniz sum pairs = [(coef, Da, Db), ...] of derivative stacks
-    (spectral.derivative_stack).
-
-    f_ij = -d_i^perp Va d_j^perp Vb + d_i^perp Ha . d_j^perp Hb.  The
-    coefficients are symmetric under a <-> b, so the summed f_ij is
-    symmetric and f21 is not formed.
+    f_ij = -d_i^perp Va d_j^perp Vb + d_i^perp Ha . d_j^perp Hb and
+    f3 = sum_l d_l^perp Ha_2 d_l Hb_1.  The coefficients are symmetric
+    under a <-> b, so the summed f_ij is symmetric and f21 is not formed.
     """
-    prods = np.zeros((5,) + pairs[0][1].shape[-2:])
+    prods = np.zeros((5 + f3,) + pairs[0][1].shape[-2:])
     for coef, Da, Db in pairs:
+        # d_1^perp = -d_2 and d_2^perp = d_1, so f11, f12, f22 are the
+        # plain products of d_2 a d_2 b, -d_2 a d_1 b and d_1 a d_1 b,
+        # and b needs no perp stack
+        for r, (i, j, s) in enumerate(((1, 1, 1), (1, 0, -1), (0, 0, 1))):
+            prods[r] += np.einsum("f,fxy,fxy->xy", s * coef * _F1_SIGNS,
+                                  Da[:, i], Db[:, j])
         Pa = sp.perp(Da)                            # P[f, i] = d_i^perp f
-        Pb = Pa if Db is Da else sp.perp(Db)
-        for r, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
-            prods[r] += np.einsum("f,fxy,fxy->xy", coef * _F1_SIGNS,
-                                  Pa[:, i], Pb[:, j])
-        prods[3:] += coef * _f2(Pa, Db)
+        # f2_j = sum_l d_l^perp Ha_j d_l Vb
+        prods[3:5] += coef * np.einsum("jlxy,lxy->jxy", Pa[1:], Db[0])
+        if f3:
+            prods[5] += coef * np.einsum("lxy,lxy->xy", Pa[2], Db[1])
     return prods
 
 
-def _quadratic_hat(grid: Grid, pairs, dealias: bool
+def _quadratic_hat(grid: Grid, pairs, dealias: bool, f3: bool = False
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(f1, f2) of a Leibniz sum as rfft2 coefficients: one batched forward
-    transform of the 5 summed products, the 2/3 mask (linear, so applied
-    once to the sums) and the fused Riesz symbols of f1."""
-    ph = sp.fft(_products(pairs))
+    """(f1, ph) of a Leibniz sum as rfft2 coefficients: one batched forward
+    transform of the summed products, the 2/3 mask (linear, so applied
+    once to the sums) and the fused Riesz symbols of f1.  ph holds the
+    masked spectra in the rows of _products: ph[3:5] is f2 and ph[5]
+    f3."""
+    ph = sp.fft(_products(pairs, f3))
     if dealias:
         ph *= grid.keep_mask
-    return np.einsum("rxy,rxy->xy", grid.f1_riesz, ph[:3]), ph[3:]
+    return np.einsum("rxy,rxy->xy", grid.f1_riesz, ph[:3]), ph
 
 
 def _rhs_hat(grid: Grid, Vh: np.ndarray, Hh: np.ndarray, cfg: StepperConfig
@@ -120,9 +121,9 @@ def _rhs_hat(grid: Grid, Vh: np.ndarray, Hh: np.ndarray, cfg: StepperConfig
         dHh += grid.ik * Vh
     if cfg.nonlinear:
         D = sp.gradient_from_hat(grid, np.concatenate((Vh[None], Hh)))
-        f1h, f2h = _quadratic_hat(grid, [(1, D, D)], cfg.dealias)
+        f1h, ph = _quadratic_hat(grid, [(1, D, D)], cfg.dealias)
         dVh += f1h
-        dHh += f2h
+        dHh += ph[3:]
     return dVh, dHh
 
 

@@ -180,7 +180,8 @@ def run_simulation(cfg: RunConfig, mu: float | None = None,
                            cfg.dt)
             # the family is dropped before the next evolve, so the two
             # never hold memory at the same time
-            rec = dg.sample_record(derived_family(state, cfg.k_max))
+            rec = dg.sample_record(derived_family(state, cfg.k_max,
+                                                     cfg.stepper.dealias))
             records.append(rec)
             times.append(state.t)
             e1 = rec.values.get("E1", 0.0)
@@ -358,7 +359,7 @@ def audit(cfg: RunConfig, n_random: int = 20, seed: int = 0) -> dict:
     k = round(min(cfg.t_final, 4.0) / cfg.sample_interval)
     short = replace(cfg, t_final=k * cfg.sample_interval, output_dir=None)
     run = run_simulation(short, mu=cfg.mu_list[0], write=False)
-    fam = derived_family(run.final_state, cfg.k_max)
+    fam = derived_family(run.final_state, cfg.k_max, cfg.stepper.dealias)
     commutators = {}
     for idx in fam.indices:
         r1, r2, r3 = commutator_residuals(fam, idx)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral as sp
-from .dynamics import _F1_SIGNS, _f2, _quadratic_hat
+from .dynamics import _quadratic_hat
 from .grid import Grid
 from .state import PotentialState
 
@@ -134,12 +134,12 @@ def base_jet(state: PotentialState, levels: int, dealias: bool = True) -> Jet:
     D = []  # derivative stack of each level, built once
     for m in range(levels):
         D.append(sp.gradient_from_hat(g, uh[m]))
-        f1h, f2h = _quadratic_hat(
+        f1h, ph = _quadratic_hat(
             g, [(comb(m, l), D[l], D[m - l]) for l in range(m + 1)], dealias)
         uh[m + 1, 0] = g.ik[0] * uh[m, 1] + g.ik[1] * uh[m, 2] + f1h
         if state.mu > 0:
             uh[m + 1, 0] -= state.mu * g.k_sq * uh[m, 0]
-        uh[m + 1, 1:] = g.ik * uh[m, 0] + f2h
+        uh[m + 1, 1:] = g.ik * uh[m, 0] + ph[3:]
     return Jet.from_hat(g, uh, state.t, state.mu, (state.V, state.H))
 
 
@@ -304,53 +304,42 @@ def _splittings(idx: MultiIndex):
 # ---------------------------------------------------------------------------
 # bilinear nonlinearities of the commuted equations
 #
-# The perp-form sources f1 and f2 have one home, dynamics._products, shared
-# by the stepper and base_jet: it sums them over a Leibniz sum of derivative
-# stacks (spectral.derivative_stack), and dynamics._quadratic_hat masks and
-# transforms the sums once.  nonlinearity_f shares its f2 formula
-# (dynamics._f2) and writes the plain-derivative f_ij and f3 itself, from
-# the member stacks of DerivedFamily.stack: the commutator residuals check
-# f1 from the plain-derivative f_ij against the perp form that built the
-# jets.
+# Commuting a vector field through the equations splits the arguments of
+# each quadratic form by Leibniz, so the commuted sources are the base
+# forms of dynamics._products summed over the splittings of the index, and
+# dynamics._quadratic_hat masks, Riesz-sums and transforms them in one
+# forward batch, exactly as for the stepper and base_jet.  The
+# plain-derivative forms fij = d_i Va d_j Vb - d_i Ha . d_j Hb are a
+# relabelling of the perp-form products: f11 = -f22^perp,
+# f12 = f21 = f12^perp and f22 = -f11^perp.
 
-def _splitting_products(fam: DerivedFamily, idx: MultiIndex) -> np.ndarray:
-    """f11, f12, f21, f22, f2_1, f2_2, f3 in physical space, summed over
-    the splittings of idx; each distinct member's stack is read once."""
-    g = fam.state.grid
+def _nonlinearity_hat(fam: DerivedFamily, idx: MultiIndex
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(f1, ph) of the commuted system at idx as rfft2 coefficients; ph
+    holds the masked f11^perp, f12^perp, f22^perp, f2_1, f2_2, f3.  Each
+    distinct member's stack is read once."""
     splits = list(_splittings(idx))
-    members = {m for left, right, _ in splits for m in (left, right)}
-    D = {m: fam.stack(m) for m in members}
-    prods = np.zeros((7, g.n, g.n))
-    for left, right, coef in splits:
-        Da, Db = D[left], D[right]
-        Pa = sp.perp(Da)
-        prods[:4] += np.einsum("f,fixy,fjxy->ijxy", -coef * _F1_SIGNS,
-                               Da, Db).reshape(4, g.n, g.n)
-        prods[4:6] += coef * _f2(Pa, Db)
-        prods[6] += coef * np.einsum("lxy,lxy->xy", Pa[2], Db[1])
-    return prods
+    D = {m: fam.stack(m) for m in {m for s in splits for m in s[:2]}}
+    pairs = [(coef, D[left], D[right]) for left, right, coef in splits]
+    return _quadratic_hat(fam.state.grid, pairs, fam.dealias, f3=True)
 
 
 def nonlinearity_f(fam: DerivedFamily, idx: MultiIndex):
     """(f1, f2, f3, fij) for the commuted system at the given index.
 
     fij is a dict {(i, j): field} of the plain-derivative quadratic forms
-    d_i Va d_j Vb - d_i Ha . d_j Hb; f1 = sum_ij riesz_pp(i, j, fij),
-    f2 = dynamics._f2 and f3 = sum_l d_l^perp Ha_2 d_l Hb_1.  All are
-    binomial-weighted sums over splittings of the index: one batched
-    forward transform of the 7 sums, one mask, then the inverse transforms
-    of f1 and of the 7 masked sums.
+    d_i Va d_j Vb - d_i Ha . d_j Hb, f1 = sum_ij R_ij fij with the
+    perp-Riesz symbols R_ij = k_i^perp k_j / |k|^2,
+    f2_j = sum_l d_l^perp Ha_j d_l Vb and f3 = sum_l d_l^perp Ha_2 d_l Hb_1.
+    All are binomial-weighted sums over splittings of the index: one
+    batched forward transform of 6 products and one inverse batch of 7
+    fields.
     """
-    g = fam.state.grid
-    ph = sp.fft(_splitting_products(fam, idx))
-    if fam.dealias:
-        ph *= g.keep_mask
-    f1 = sp.ifft(np.einsum("rxy,rxy->xy", g.riesz.reshape(ph[:4].shape),
-                           ph[:4]))
-    out = sp.ifft(ph)
-    fij = {(i, j): out[2 * i + j - 3]
-           for i in range(1, 3) for j in range(1, 3)}
-    return f1, out[4:6], out[6], fij
+    f1h, ph = _nonlinearity_hat(fam, idx)
+    out = sp.ifft(np.concatenate((f1h[None], ph)))
+    fij = {(1, 1): -out[3], (1, 2): out[2], (2, 1): out[2],
+           (2, 2): -out[1]}
+    return out[0], out[4:6], out[6], fij
 
 
 def commutator_residuals(fam: DerivedFamily, idx: MultiIndex
@@ -361,13 +350,13 @@ def commutator_residuals(fam: DerivedFamily, idx: MultiIndex
     r2: d_t H' - grad V' - f2
     r3: div_perp H' - f3
     All vanish at the continuous level; the measured values are pure
-    discretization error.  The linear terms come from the member's
-    coefficients in one inverse batch of 7 fields, the viscous term folded
-    into d_t V'.
+    discretization error.  The residuals are formed in coefficients, the
+    viscous term folded into d_t V', and come back in one inverse batch
+    of 4 fields.
     """
     g = fam.state.grid
     uh = fam.jet(idx).hat
-    f1, f2, f3, _ = nonlinearity_f(fam, idx)
+    f1h, ph = _nonlinearity_hat(fam, idx)
     dtV = uh[1, 0]
     if fam.state.mu > 0:
         alpha, a = idx
@@ -376,11 +365,8 @@ def commutator_residuals(fam: DerivedFamily, idx: MultiIndex
                    for l in range(alpha + 1))
         dtV = dtV + fam.state.mu * g.k_sq * visc
     Vh, Hh = uh[0, 0], uh[0, 1:]
-    lin = sp.ifft(np.concatenate((
-        dtV[None], uh[1, 1:], g.ik * Vh,
-        (g.ik[0] * Hh[0] + g.ik[1] * Hh[1])[None],      # div H'
-        (g.ik[0] * Hh[1] - g.ik[1] * Hh[0])[None])))    # div_perp H'
-    r1 = lin[0] - lin[5] - f1
-    r2 = lin[1:3] - lin[3:5] - f2
-    r3 = lin[6] - f3
-    return (sp.linf_norm(r1), sp.linf_norm(r2), sp.linf_norm(r3))
+    r = sp.ifft(np.concatenate((
+        (dtV - g.ik[0] * Hh[0] - g.ik[1] * Hh[1] - f1h)[None],   # r1
+        uh[1, 1:] - g.ik * Vh - ph[3:5],                        # r2
+        (g.ik[0] * Hh[1] - g.ik[1] * Hh[0] - ph[5])[None])))    # r3
+    return sp.linf_norm(r[0]), sp.linf_norm(r[1:3]), sp.linf_norm(r[3])

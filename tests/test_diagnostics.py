@@ -34,6 +34,20 @@ class TestGeometryWeights:
         late = dg.geometry_weights(grid64, t=20.0)
         assert np.count_nonzero(late.mask) < np.count_nonzero(near.mask)
 
+    def test_built_once_per_sample(self, family, monkeypatch):
+        built = []
+        real = dg.GeometryWeights
+        monkeypatch.setattr(dg, "GeometryWeights",
+                            lambda **kw: built.append(kw["t"]) or real(**kw))
+        dg.sample_record(family)
+        assert built == [family.state.t]
+
+    def test_shared_arrays_read_only(self, grid64):
+        w = dg.geometry_weights(grid64, t=3.0)
+        assert dg.geometry_weights(grid64, t=3.0) is w
+        for a in (w.r, w.omega, w.sigma_bracket, w.eq, w.mask):
+            assert not a.flags.writeable
+
 
 class TestEnergies:
     def test_e0_matches_direct_norm(self, evolved_state, family):

@@ -10,6 +10,7 @@ from ve2d.experiments import (ConfigError, RunConfig, audit,
                               convergence_study, run_simulation,
                               state_l2_distance, sweep_viscosity,
                               worker_count, write_csv)
+from ve2d.families import derived_family
 from ve2d.state import InitialDataParams
 
 SMALL = dict(n=64, box_len=32.0, t_final=2.0, sample_interval=0.5, k_max=1,
@@ -125,6 +126,15 @@ class TestRunSimulation:
         assert (out / "energy_mu0.svg").exists()
         header = (out / "run_mu0.csv").read_text().splitlines()[0]
         assert header == dg.CSV_HEADER
+
+    def test_family_follows_the_dealias_setting(self):
+        # the family takes d_t from the equation the run integrates, so a
+        # run without dealiasing samples a family built without it
+        cfg = RunConfig(**{**SMALL, "t_final": 0.5, "k_max": 2,
+                           "stepper": StepperConfig(dealias=False)})
+        run = run_simulation(cfg, mu=0.0, write=False)
+        fam = derived_family(run.final_state, 2, dealias=False)
+        assert run.records[-1].values == dg.sample_record(fam).values
 
     def test_deterministic_rerun(self, tmp_path):
         outs = []

@@ -5,7 +5,7 @@ import pytest
 
 import ve2d.spectral as sp
 from ve2d.dynamics import StepperConfig, evolve, rhs_potential
-from ve2d.diagnostics import sample_record
+from ve2d.diagnostics import nonlinearity_decay_ratios, sample_record
 from ve2d.families import (Jet, MultiIndex, _parent, _splittings,
                            admissible_indices, apply_field, base_jet,
                            commutator_residuals, derived_family,
@@ -237,20 +237,33 @@ class TestTransformBudget:
         assert set(transforms) == {"irfft2"}
 
     def test_nonlinearity_f_all_indices(self, state, transforms):
+        # per index one forward batch of the 6 summed products and one
+        # inverse batch of 7 fields; each order-2 member's stack is built
+        # once, 6 fields
         fam = derived_family(state, 2)
         transforms.clear()
         for idx in fam.indices:
             nonlinearity_f(fam, idx)
-        assert sum(transforms.values()) <= 405
+        assert sum(transforms.values()) <= 363
         assert set(transforms) == {"rfft2", "irfft2"}
 
     def test_commutator_residuals_all_indices(self, state, transforms):
-        # nonlinearity_f, plus one inverse batch of 7 linear terms per index
+        # the 6 products forward, then the residuals formed in
+        # coefficients and one inverse batch of 4 fields per index
         fam = derived_family(state, 2)
         transforms.clear()
         for idx in fam.indices:
             commutator_residuals(fam, idx)
-        assert sum(transforms.values()) <= 552
+        assert sum(transforms.values()) <= 300
+        assert set(transforms) == {"rfft2", "irfft2"}
+
+    def test_nonlinearity_decay_ratios(self, state, transforms):
+        # the 20 non-root members' fields (3 each), the root's 6 products
+        # forward and 7 fields back, div f2 among them
+        fam = derived_family(state, 2)
+        transforms.clear()
+        nonlinearity_decay_ratios(fam)
+        assert sum(transforms.values()) <= 73
         assert set(transforms) == {"rfft2", "irfft2"}
 
 
@@ -405,8 +418,9 @@ class TestCommutedEquations:
             assert max(r1, r2, r3) < 1e-5, idx
 
     def test_root_sources_match_evolution_sources(self, evolved_state):
-        # rhs_potential's nonlinear part (f1 from the perp-derivative form)
-        # against nonlinearity_f (f1 from the plain-derivative fij)
+        # rhs_potential's nonlinear part (the stepper's batch of 5
+        # products) against nonlinearity_f at the root (the batch of 6
+        # with f3, summed over the one splitting)
         fam = derived_family(evolved_state, 2)
         f1, f2, f3, fij = nonlinearity_f(fam, ROOT)
         g1, g2 = rhs_potential(evolved_state, StepperConfig(coupling=False),
