@@ -2,6 +2,10 @@
 
 Subcommands: simulate, sweep-mu, converge, audit, fit.  Exit codes:
 0 success, 2 blow-up, 3 configuration error.
+
+audit evolves to one state without sampling diagnostics, so it exits 2
+only when the fields turn non-finite; simulate also stops at its E1
+ceiling.
 """
 
 import argparse

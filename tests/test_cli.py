@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,24 @@ t_final = 2.0
 sample_interval = 0.5
 k_max = 1
 {extra}
+"""
+
+
+# on data this large, steps of dt = 0.5 trip simulate's E1 ceiling at the
+# t = 0.5 sample and leave non-finite fields at t = 1.5
+BLOWUP_INI = """\
+[grid]
+n = 32
+box_len = 16
+[initial]
+amplitude = 50
+[run]
+mu = 0
+t_final = 4
+sample_interval = 0.5
+k_max = 1
+[stepper]
+dt = 0.5
 """
 
 
@@ -116,6 +135,17 @@ class TestAuditAndFit:
         assert cli.main(["audit", "--config", cfg]) == cli.EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["identity_residuals"]["null_split"] < 1e-11
+
+    def test_audit_blow_up_exits_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "blowup.ini"
+        path.write_text(BLOWUP_INI, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["audit", "--config", str(path)])
+        assert rc == cli.EXIT_BLOWUP
+        err = capsys.readouterr().err
+        assert err.startswith("solution blew up at t = ")
+        assert err.count("\n") == 1
 
     def test_fit_on_synthetic_csv(self, tmp_path, capsys):
         path = tmp_path / "series.csv"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ve2d.diagnostics as dg
+import ve2d.experiments as experiments
 from ve2d.dynamics import StepperConfig
 from ve2d.experiments import (ConfigError, RunConfig, audit,
                               convergence_study, run_simulation,
@@ -189,6 +190,29 @@ class TestAudit:
         assert set(on_disk) == {"identity_residuals",
                                 "commutator_residuals",
                                 "inequality_ratios"}
+
+    def test_one_family_on_the_run_final_state(self, small_run, monkeypatch):
+        # the audit evolves to the run's last sample time (4 intervals) and
+        # builds its one family there, sampling nothing on the way
+        built, sampled = [], []
+        record = dg.sample_record
+
+        def family(state, *args):
+            built.append(state)
+            return derived_family(state, *args)
+
+        def sample(fam):
+            sampled.append(fam)
+            return record(fam)
+
+        monkeypatch.setattr(experiments, "derived_family", family)
+        monkeypatch.setattr(dg, "sample_record", sample)
+        audit(RunConfig(**SMALL), n_random=0)
+        final = small_run.final_state
+        assert built[0].t == final.t
+        assert np.array_equal(built[0].V, final.V)
+        assert np.array_equal(built[0].H, final.H)
+        assert len(built) == 1 and sampled == []
 
 
 class TestCsvWriter:

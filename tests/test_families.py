@@ -5,6 +5,7 @@ import pytest
 
 import ve2d.spectral as sp
 from ve2d.dynamics import StepperConfig, evolve, rhs_potential
+from ve2d.experiments import RunConfig, audit
 from ve2d.diagnostics import nonlinearity_decay_ratios, sample_record
 from ve2d.families import (Jet, MultiIndex, _parent, _splittings,
                            admissible_indices, apply_field, base_jet,
@@ -264,6 +265,17 @@ class TestTransformBudget:
         transforms.clear()
         nonlinearity_decay_ratios(fam)
         assert sum(transforms.values()) <= 73
+        assert set(transforms) == {"rfft2", "irfft2"}
+
+    def test_audit(self, transforms):
+        # the steps to t = 0.5, one family (168), the 21 commutator
+        # residuals (300) and the ratios; a family and a sample at each of
+        # the 3 sample times on the way, then a fourth family, took 1322
+        cfg = RunConfig(n=32, box_len=16.0, t_final=0.5, sample_interval=0.25,
+                        k_max=2)
+        transforms.clear()
+        audit(cfg, n_random=0)
+        assert sum(transforms.values()) <= 776
         assert set(transforms) == {"rfft2", "irfft2"}
 
 
