@@ -45,18 +45,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit(args) -> int:
-    with open(args.csv, encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows or args.column not in rows[0]:
-        print(f"column {args.column!r} not found in {args.csv}",
+    try:
+        with open(args.csv, encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        ts = [float(row["t"]) for row in rows]
+        vals = [float(row[args.column]) for row in rows]
+        p, err = fit_decay(ts, vals, args.t0, args.t1)
+    except KeyError as exc:
+        print(f"column {exc.args[0]!r} not found in {args.csv}",
               file=sys.stderr)
         return EXIT_CONFIG
-    ts = [float(row["t"]) for row in rows]
-    vals = [float(row[args.column]) for row in rows]
-    try:
-        p, err = fit_decay(ts, vals, args.t0, args.t1)
-    except ValueError as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
+    except (OSError, TypeError, ValueError, csv.Error) as exc:
+        # an unreadable file, a non-numeric cell or too few samples
+        print(f"fit failed on {args.csv}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"{args.column}: exponent {p:.4f} +/- {err:.4f} "
           f"over t in [{args.t0:g}, {args.t1:g}]")

@@ -17,6 +17,12 @@ the family keeps for the members of order < k_max.  sample_record reads
 the root's kept stack and coefficients for the constraint and the
 identities, so a sample transforms only the root's second derivatives
 and Riesz trace (14 inverse fields) and nothing forward.
+
+The inequality ratios are evaluated at the base state only, as the audit
+and the acceptance gate report them.  nonlinearity_decay_ratios reads the
+root's products and stack and the fields of the members U^(0,a) with
+|a| = 1 and 2; weighted_sobolev_ratios reads one field and the words of
+length <= 2 built from its one forward transform.
 """
 
 import weakref
@@ -25,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .families import (DerivedFamily, MultiIndex, _nonlinearity_hat,
-                       _splittings)
+from .families import DerivedFamily, MultiIndex, _nonlinearity_hat
 from .grid import Grid
 from .state import _constraint_of_gradients
 
@@ -282,108 +287,86 @@ def weighted_sobolev_ratios(grid: Grid, f: np.ndarray,
     sob_r:       r |f|^2            vs sums of ||d_r rot^a f||^2 + ||rot^a f||^2
     sob_rw:      r <t-r>^2 |f|^2    vs the same sums with weight <t-r>
     sob_int:     <t> sup_{r<=t/2}|f| vs sum_{|a|<=2} ||<t-r> d^a f||
+
+    rot^a runs over a <= 1.  sob_int sums the 7 words d^a of length <= 2
+    (f, d1 f, d2 f, d1d1 f, d1d2 f, d2d1 f, d2d2 f; the mixed word counts
+    twice).  The gradient, the rotation and the second-order words all
+    come from one forward transform of f; the rotation costs one more.
     """
     w = geometry_weights(grid, t)
-    fs = [f, sp.rotation(grid, f)]
+    fh = sp.fft(f)
+    gf = sp.gradient_from_hat(grid, fh)
+    rot = grid.x1 * gf[1] - grid.x2 * gf[0]
     rhs1 = rhs2 = 0.0
-    for h in fs:
-        gh = sp.gradient(grid, h)
+    for h, gh in ((f, gf), (rot, sp.gradient(grid, rot))):
         dr = _radial(w, gh)
         rhs1 += sp.l2_norm_sq(grid, dr) + sp.l2_norm_sq(grid, h)
         rhs2 += (sp.l2_norm_sq(grid, w.sigma_bracket * dr)
                  + sp.l2_norm_sq(grid, w.sigma_bracket * h))
-    out = {
-        "sob_r": _ratio(grid.r * f ** 2, rhs1),
-        "sob_rw": _ratio(grid.r * w.sigma_bracket ** 2 * f ** 2, rhs2),
-    }
+    out = {"sob_r": _ratio(grid.r * f ** 2, rhs1),
+           "sob_rw": _ratio(grid.r * w.sigma_bracket ** 2 * f ** 2, rhs2),
+           "sob_int": 0.0}
     inner = grid.r <= t / 2.0
     if np.any(inner):
         lhs = np.sqrt(1.0 + t * t) * float(np.max(np.abs(f[inner])))
+        dd = sp.ifft(grid.ik[:, None] * grid.ik * fh)    # [i, j] = d_i d_j f
         rhs = 0.0
-        derivs = {(): f}
-        for order in (1, 2):
-            new = {}
-            for word, h in list(derivs.items()):
-                if len(word) == order - 1:
-                    for ax in (1, 2):
-                        new[word + (ax,)] = sp.derivative(grid, h, ax)
-            derivs.update(new)
-        for h in derivs.values():
+        for h in (f, gf[0], gf[1], dd[0, 0], dd[0, 1], dd[1, 0], dd[1, 1]):
             rhs += sp.l2_norm(grid, w.sigma_bracket * h)
         out["sob_int"] = lhs / max(rhs, 1e-30)
-    else:
-        out["sob_int"] = 0.0
     return out
 
 
-def _order_sums(fam: DerivedFamily):
-    """Pointwise sums of |V|, |H|, |grad...| grouped by (alpha order, a order)."""
-    sums_V, sums_H = {}, {}
+def _root_sums(fam: DerivedFamily, order: int):
+    """Pointwise sums of |V| and |H| over the members U^(0,a) with
+    |a| = order, in the family's order."""
+    sum_V = sum_H = 0.0
     for idx in fam.indices:
-        V, H = fam.fields(idx)
-        key = (idx.alpha, sum(idx.a))
-        absH = np.sqrt(H[0] ** 2 + H[1] ** 2)
-        sums_V[key] = sums_V.get(key, 0.0) + np.abs(V)
-        sums_H[key] = sums_H.get(key, 0.0) + absH
-    return sums_V, sums_H
+        if idx.alpha == 0 and idx.order == order:
+            V, H = fam.fields(idx)
+            sum_V = sum_V + np.abs(V)
+            sum_H = sum_H + np.sqrt(H[0] ** 2 + H[1] ** 2)
+    return sum_V, sum_H
 
 
-def nonlinearity_decay_ratios(fam: DerivedFamily,
-                              idx: MultiIndex = MultiIndex(0, (0, 0, 0, 0))
-                              ) -> dict[str, float]:
-    """Pointwise decay bounds of the quadratic nonlinearities near the cone.
+def nonlinearity_decay_ratios(fam: DerivedFamily) -> dict[str, float]:
+    """Pointwise decay bounds of the quadratic nonlinearities near the cone,
+    at the base state.
 
     f2_decay, f3_decay, divf2_decay, fij_decay: LHS/RHS ratios where each
-    right side combines 1/r with order-graded field sums, and fij adds the
-    good-unknown structure terms.
+    right side is 1/r times products of the sums of |V| and |H| over the
+    members U^(0,a) with |a| = 1 (|a| = 2 for div f2), and fij adds the
+    good-unknown structure terms of the root.  divf2_decay needs
+    k_max >= 2; at k_max = 0 there is no first-order member, and no ratio
+    is returned.
     """
+    if fam.k_max < 1:
+        return {}
     g = fam.state.grid
     w = geometry_weights(g, fam.state.t)
-    sums_V, sums_H = _order_sums(fam)
-
-    def graded(sums_a, sums_b, extra_a: int, extra_b: int, amax, bmax):
-        total = np.zeros((g.n, g.n))
-        for (ma, la), A in sums_a.items():
-            for (mb, lb), B in sums_b.items():
-                if (ma + mb <= amax and la - extra_a >= 0
-                        and lb - extra_b >= 0
-                        and (la - extra_a) + (lb - extra_b) <= bmax):
-                    total += A * B
-        return total
-
-    alpha, a = idx
+    root = MultiIndex(0, (0, 0, 0, 0))
     # the perp-form products, f2, f3 and div f2 from the shared spectra;
     # the plain-derivative fij are the perp-form products up to sign
-    ph = _nonlinearity_hat(fam, idx)[1]
-    ph = np.concatenate((ph, g.ik[0] * ph[3:4] + g.ik[1] * ph[4:5]))
-    u = sp.ifft(ph)
+    ph = _nonlinearity_hat(fam, root)[1]
+    u = sp.ifft(np.concatenate((ph, g.ik[0] * ph[3:4] + g.ik[1] * ph[4:5])))
     del ph  # not read below; freed before the sums and stacks that follow
     f2, f3 = u[3:5], u[5]
+    sum_V, sum_H = _root_sums(fam, 1)
     out = {}
-
     lhs = np.sqrt(f2[0] ** 2 + f2[1] ** 2)
-    rhs = graded(sums_V, sums_H, 1, 1, alpha, sum(a)) / w.r
-    out["f2_decay"] = _ratio(lhs, rhs)
-
-    rhs = graded(sums_H, sums_H, 1, 1, alpha, sum(a)) / w.r
-    out["f3_decay"] = _ratio(np.abs(f3), rhs)
-
-    if idx.order + 2 <= fam.k_max:
-        rhs = graded(sums_V, sums_H, 2, 2, alpha, sum(a)) / w.r
-        out["divf2_decay"] = _ratio(np.abs(u[6]), rhs)
+    out["f2_decay"] = _ratio(lhs, sum_V * sum_H / w.r)
+    out["f3_decay"] = _ratio(np.abs(f3), sum_H * sum_H / w.r)
+    if fam.k_max >= 2:
+        sum_V2, sum_H2 = _root_sums(fam, 2)
+        out["divf2_decay"] = _ratio(np.abs(u[6]), sum_V2 * sum_H2 / w.r)
 
     lhs = np.max(np.abs(u[:3]), axis=0)
-    rhs = (graded(sums_V, sums_V, 1, 1, alpha, sum(a))
-           + graded(sums_H, sums_H, 1, 1, alpha, sum(a))) / w.r
-    for left, right, _ in _splittings(idx):
-        good_rad, good_tan_l = _good_unknown_grads(
-            w, _radial(w, fam.stack(left)))
-        Dr = fam.stack(right)
-        good_tan_r = _good_unknown_grads(w, _radial(w, Dr))[1]
-        mag_grad_r = np.sqrt(np.sum(Dr[0] ** 2, axis=0)) + np.sqrt(
-            np.sum(Dr[1:] ** 2, axis=(0, 1)))
-        rhs = (rhs + np.abs(good_rad) * mag_grad_r
-               + np.abs(good_tan_l) * np.abs(good_tan_r))
+    D = fam.stack(root)
+    good_rad, good_tan = _good_unknown_grads(w, _radial(w, D))
+    mag_grad = np.sqrt(np.sum(D[0] ** 2, axis=0)) + np.sqrt(
+        np.sum(D[1:] ** 2, axis=(0, 1)))
+    rhs = ((sum_V * sum_V + sum_H * sum_H) / w.r
+           + np.abs(good_rad) * mag_grad + np.abs(good_tan) * np.abs(good_tan))
     out["fij_decay"] = _ratio(lhs, rhs)
     return out
 

@@ -46,6 +46,9 @@ class RunConfig:
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
             raise ConfigError(f"n must be even and >= 8, got {self.n}")
+        # the range checks are written so that a NaN fails each of them
+        if not 0.0 < self.box_len < np.inf:
+            raise ConfigError("box_len must be positive and finite")
         if not 0 <= self.k_max <= 3:
             raise ConfigError(f"k_max must lie in [0, 3], got {self.k_max}")
         radius = self.initial.support_radius
@@ -53,13 +56,13 @@ class RunConfig:
             raise ConfigError("support_radius must be below box_len/4")
         if not 0.0 <= self.t_final <= self.box_len / 4.0 + 1e-12:
             raise ConfigError("t_final must lie in [0, box_len/4]")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if self.dt is not None and not 0.0 < self.dt < np.inf:
+            raise ConfigError("dt must be positive and finite")
         for mu in self.mu_list:
             if not 0.0 <= mu <= 1.0:
                 raise ConfigError(f"viscosity {mu} outside [0, 1]")
-        if self.sample_interval <= 0:
-            raise ConfigError("sample_interval must be positive")
+        if not 0.0 < self.sample_interval < np.inf:
+            raise ConfigError("sample_interval must be positive and finite")
         samples = self.t_final / self.sample_interval
         if abs(samples - round(samples)) > 1e-9:
             raise ConfigError("t_final must be a multiple of sample_interval")
@@ -246,9 +249,10 @@ def _write_run_artifacts(cfg: RunConfig, result: RunResult) -> None:
             f"blow-up at t = {result.blowup_t}\n", encoding="utf-8")
         return
     ts, e1 = result.series("E1")
-    svg.line_plot(out / f"energy_{tag}.svg",
-                  [(ts, e1, "E1")], title=f"E1 history, mu = {result.mu:g}",
-                  xlabel="t", ylabel="E1")
+    if np.any(np.isfinite(e1)):  # k_max = 0 leaves E1 empty
+        svg.line_plot(out / f"energy_{tag}.svg", [(ts, e1, "E1")],
+                      title=f"E1 history, mu = {result.mu:g}",
+                      xlabel="t", ylabel="E1")
     ts, good = result.series("good_sup")
     pos = good > 0
     if np.count_nonzero(pos & (ts > 0)) >= 2:

@@ -39,11 +39,6 @@ def ifft(fh: np.ndarray) -> np.ndarray:
     return out
 
 
-def derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
-    """Spectral partial derivative along axis 1 or 2."""
-    return ifft(grid.ik[axis - 1] * fft(f))
-
-
 def gradient_from_hat(grid: Grid, fh: np.ndarray) -> np.ndarray:
     """Physical gradients of the fields with coefficients fh, stacked along
     axis -3 as in gradient; one inverse transform."""
@@ -93,13 +88,6 @@ def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
     """2/3-rule projection of a physical field: zero the modes with
     max(|m1|,|m2|) > n/3."""
     return ifft(fft(f) * grid.keep_mask)
-
-
-def rotation(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Angular derivative x1 d2 f - x2 d1 f (centered coordinates), of a
-    field or of each field of a stack."""
-    g = gradient(grid, f)
-    return grid.x1 * g[..., 1, :, :] - grid.x2 * g[..., 0, :, :]
 
 
 def leray_hat(grid: Grid, vh: np.ndarray) -> np.ndarray:

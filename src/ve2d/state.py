@@ -74,10 +74,15 @@ class InitialDataParams:
     mu: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
+        # written so that a NaN fails each comparison
+        if not 0.0 <= self.amplitude < np.inf:
+            raise ValueError("amplitude must be finite and nonnegative")
         if self.profile not in ("gaussian-bump", "ring", "spectral"):
             raise ValueError(f"unknown profile {self.profile!r}")
+        if self.support_radius is not None and not self.support_radius > 0:
+            raise ValueError("support_radius must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def velocity_of(grid: Grid, V: np.ndarray) -> np.ndarray:

@@ -4,6 +4,18 @@ independent references (each transforms its input on its own)."""
 import ve2d.spectral as sp
 
 
+def derivative(grid, f, axis):
+    """Spectral partial derivative along axis 1 or 2."""
+    return sp.ifft(grid.ik[axis - 1] * sp.fft(f))
+
+
+def rotation(grid, f):
+    """Angular derivative x1 d2 f - x2 d1 f (centered coordinates), of a
+    field or of each field of a stack."""
+    g = sp.gradient(grid, f)
+    return grid.x1 * g[..., 1, :, :] - grid.x2 * g[..., 0, :, :]
+
+
 def laplacian(grid, f):
     return sp.ifft(-grid.k_sq * sp.fft(f))
 

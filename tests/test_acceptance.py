@@ -2,8 +2,9 @@
 (n = 256, L = 64, T = 16, amplitude 0.01, k_max = 2).
 
 Each test emits one PASS/FAIL line; the expensive runs (viscosity sweep,
-co-evolution, mid-time state) are shared through session fixtures.  The
-whole module takes on the order of ten minutes.
+co-evolution, mid-time state) are shared through session fixtures.  On a
+shared 2-core Xeon (numpy 2.4.6) the whole test suite took 111-256 s,
+nearly all of it in this module, its two criterion-2 runs alone 72-169 s.
 """
 
 import os

@@ -81,9 +81,21 @@ class TestSimulate:
         ("simulate", "support_radius = 6.0", "support_radius = 8.0", {}),
         ("simulate", "t_final = 2.0", "t_final = -1.0", {}),
         ("simulate", "k_max = 1", "k_max = 1\n[stepper]\ndt = 0", {}),
+        ("simulate", "amplitude = 0.01", "amplitude = nan", {}),
+        ("simulate", "amplitude = 0.01", "amplitude = inf", {}),
+        ("simulate", "support_radius = 6.0", "support_radius = nan", {}),
+        ("simulate", "k_max = 1", "k_max = 1\n[stepper]\ndt = nan", {}),
+        ("simulate", "k_max = 1", "k_max = 1\n[stepper]\ndt = inf", {}),
+        ("simulate", "amplitude = 0.01",
+         "amplitude = 0.01\nprofile = spectral\nseed = -1", {}),
+        ("simulate", "sample_interval = 0.5", "sample_interval = inf", {}),
+        ("simulate", "box_len = 32.0", "box_len = inf", {}),
     ], ids=["odd_n", "k_max_5", "threads_not_int", "unknown_key",
             "unknown_stepper_key", "unknown_section", "t_final_off_samples",
-            "empty_mu", "support_too_wide", "negative_t_final", "zero_dt"])
+            "empty_mu", "support_too_wide", "negative_t_final", "zero_dt",
+            "nan_amplitude", "inf_amplitude", "nan_support_radius", "nan_dt",
+            "inf_dt", "negative_seed", "inf_sample_interval",
+            "inf_box_len"])
     def test_bad_config_exits_3_with_one_line(self, tmp_path, capsys,
                                               monkeypatch, command, old, new,
                                               env):
@@ -97,6 +109,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
+
+    def test_k_max_0_writes_artifacts_without_energy_plot(self, tmp_path,
+                                                          capsys):
+        # k_max = 0 leaves the E1 column empty, so there is nothing to plot
+        out = tmp_path / "out"
+        path = tmp_path / "k0.ini"
+        path.write_text(
+            "[grid]\nn = 16\nbox_len = 8\n[run]\nt_final = 2\n"
+            f"sample_interval = 0.5\nk_max = 0\noutput_dir = {out}\n",
+            encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        for name in ("run_mu0.csv", "final_mu0.snap", "summary_mu0.json"):
+            assert (out / name).exists(), name
+        assert not (out / "energy_mu0.svg").exists()
 
     def test_blow_up_exits_2(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
@@ -165,3 +192,25 @@ class TestAuditAndFit:
         rc = cli.main(["fit", "--csv", str(path), "--column", "nope",
                        "--t0", "1", "--t1", "2"])
         assert rc == cli.EXIT_CONFIG
+
+    def test_fit_missing_csv_exits_3_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "none.csv"
+        rc = cli.main(["fit", "--csv", str(path), "--column", "value",
+                       "--t0", "1", "--t1", "2"])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad_row", ["2,oops", "two,0.5"],
+                             ids=["column", "t"])
+    def test_fit_non_numeric_cell_exits_3_with_one_line(self, tmp_path,
+                                                        capsys, bad_row):
+        path = tmp_path / "series.csv"
+        path.write_text(f"t,value\n1,1\n{bad_row}\n", encoding="utf-8")
+        rc = cli.main(["fit", "--csv", str(path), "--column", "value",
+                       "--t0", "1", "--t1", "2"])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert err.count("\n") == 1

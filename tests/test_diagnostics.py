@@ -5,13 +5,105 @@ from hypothesis import strategies as st
 
 import ve2d.diagnostics as dg
 import ve2d.spectral as sp
-from ve2d.families import derived_family
+from ve2d.families import (MultiIndex, _nonlinearity_hat, _splittings,
+                           derived_family)
 from ve2d.grid import Grid
+from spectral_ops import derivative, rotation
 
 
 @pytest.fixture(scope="module")
 def family(evolved_state):
     return derived_family(evolved_state, 2)
+
+
+def reference_weighted_sobolev_ratios(grid, f, t):
+    """weighted_sobolev_ratios with every word its own transform round
+    trip: the rotation, each gradient, and the words of length <= 2 built
+    one derivative at a time."""
+    w = dg.geometry_weights(grid, t)
+    rhs1 = rhs2 = 0.0
+    for h in (f, rotation(grid, f)):
+        dr = dg._radial(w, sp.gradient(grid, h))
+        rhs1 += sp.l2_norm_sq(grid, dr) + sp.l2_norm_sq(grid, h)
+        rhs2 += (sp.l2_norm_sq(grid, w.sigma_bracket * dr)
+                 + sp.l2_norm_sq(grid, w.sigma_bracket * h))
+    out = {"sob_r": dg._ratio(grid.r * f ** 2, rhs1),
+           "sob_rw": dg._ratio(grid.r * w.sigma_bracket ** 2 * f ** 2, rhs2)}
+    inner = grid.r <= t / 2.0
+    if not np.any(inner):
+        return {**out, "sob_int": 0.0}
+    lhs = np.sqrt(1.0 + t * t) * float(np.max(np.abs(f[inner])))
+    derivs = {(): f}
+    for order in (1, 2):
+        new = {}
+        for word, h in list(derivs.items()):
+            if len(word) == order - 1:
+                for ax in (1, 2):
+                    new[word + (ax,)] = derivative(grid, h, ax)
+        derivs.update(new)
+    rhs = 0.0
+    for h in derivs.values():
+        rhs += sp.l2_norm(grid, w.sigma_bracket * h)
+    return {**out, "sob_int": lhs / max(rhs, 1e-30)}
+
+
+def _order_sums(fam):
+    """Pointwise sums of |V|, |H| grouped by (alpha order, a order)."""
+    sums_V, sums_H = {}, {}
+    for idx in fam.indices:
+        V, H = fam.fields(idx)
+        key = (idx.alpha, sum(idx.a))
+        absH = np.sqrt(H[0] ** 2 + H[1] ** 2)
+        sums_V[key] = sums_V.get(key, 0.0) + np.abs(V)
+        sums_H[key] = sums_H.get(key, 0.0) + absH
+    return sums_V, sums_H
+
+
+def reference_nonlinearity_decay_ratios(fam, idx):
+    """The decay ratios at any index: each right side sums the products of
+    the order-graded field sums, and fij adds the structure terms of every
+    splitting of idx."""
+    g = fam.state.grid
+    w = dg.geometry_weights(g, fam.state.t)
+    sums_V, sums_H = _order_sums(fam)
+
+    def graded(sums_a, sums_b, extra_a, extra_b, amax, bmax):
+        total = np.zeros((g.n, g.n))
+        for (ma, la), A in sums_a.items():
+            for (mb, lb), B in sums_b.items():
+                if (ma + mb <= amax and la - extra_a >= 0
+                        and lb - extra_b >= 0
+                        and (la - extra_a) + (lb - extra_b) <= bmax):
+                    total += A * B
+        return total
+
+    alpha, a = idx
+    ph = _nonlinearity_hat(fam, idx)[1]
+    u = sp.ifft(np.concatenate((ph, g.ik[0] * ph[3:4] + g.ik[1] * ph[4:5])))
+    f2, f3 = u[3:5], u[5]
+    out = {}
+    lhs = np.sqrt(f2[0] ** 2 + f2[1] ** 2)
+    rhs = graded(sums_V, sums_H, 1, 1, alpha, sum(a)) / w.r
+    out["f2_decay"] = dg._ratio(lhs, rhs)
+    rhs = graded(sums_H, sums_H, 1, 1, alpha, sum(a)) / w.r
+    out["f3_decay"] = dg._ratio(np.abs(f3), rhs)
+    if idx.order + 2 <= fam.k_max:
+        rhs = graded(sums_V, sums_H, 2, 2, alpha, sum(a)) / w.r
+        out["divf2_decay"] = dg._ratio(np.abs(u[6]), rhs)
+    lhs = np.max(np.abs(u[:3]), axis=0)
+    rhs = (graded(sums_V, sums_V, 1, 1, alpha, sum(a))
+           + graded(sums_H, sums_H, 1, 1, alpha, sum(a))) / w.r
+    for left, right, _ in _splittings(idx):
+        good_rad, good_tan_l = dg._good_unknown_grads(
+            w, dg._radial(w, fam.stack(left)))
+        Dr = fam.stack(right)
+        good_tan_r = dg._good_unknown_grads(w, dg._radial(w, Dr))[1]
+        mag_grad_r = np.sqrt(np.sum(Dr[0] ** 2, axis=0)) + np.sqrt(
+            np.sum(Dr[1:] ** 2, axis=(0, 1)))
+        rhs = (rhs + np.abs(good_rad) * mag_grad_r
+               + np.abs(good_tan_l) * np.abs(good_tan_r))
+    out["fij_decay"] = dg._ratio(lhs, rhs)
+    return out
 
 
 class TestGeometryWeights:
@@ -142,6 +234,33 @@ class TestInequalityRatios:
         assert set(out) == {"f2_decay", "f3_decay", "divf2_decay",
                             "fij_decay"}
         assert all(np.isfinite(v) and v > 0 for v in out.values())
+
+    @pytest.mark.parametrize("k_max", [1, 2, 3])
+    @pytest.mark.parametrize("viscous", [False, True], ids=["mu0", "mu005"])
+    def test_nonlinearity_decay_matches_reference(self, evolved_state,
+                                                  evolved_state_viscous,
+                                                  k_max, viscous):
+        # the ratios condition a one-ulp change of the state into ~1e-6,
+        # so the root-only sums must keep the reference's order exactly
+        st = evolved_state_viscous if viscous else evolved_state
+        fam = derived_family(st, k_max)
+        root = MultiIndex(0, (0, 0, 0, 0))
+        assert (dg.nonlinearity_decay_ratios(fam)
+                == reference_nonlinearity_decay_ratios(fam, root))
+
+    def test_nonlinearity_decay_empty_at_k_max_0(self, evolved_state):
+        # no first-order member, so no right side to divide by
+        assert dg.nonlinearity_decay_ratios(
+            derived_family(evolved_state, 0)) == {}
+
+    @pytest.mark.parametrize("t", [0.0, 2.0, 8.0])
+    def test_weighted_sobolev_matches_reference(self, evolved_state, t):
+        g, f = evolved_state.grid, evolved_state.V
+        got = dg.weighted_sobolev_ratios(g, f, t=t)
+        ref = reference_weighted_sobolev_ratios(g, f, t)
+        assert got["sob_r"] == ref["sob_r"]
+        assert got["sob_rw"] == ref["sob_rw"]
+        assert abs(got["sob_int"] - ref["sob_int"]) <= 1e-13 * ref["sob_int"]
 
     def test_nonlinearity_decay_scale_invariant(self, family):
         # both sides of each estimate are quadratic in the fields, so the

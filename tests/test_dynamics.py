@@ -11,7 +11,7 @@ from ve2d.grid import Grid
 from ve2d.state import (InitialDataParams, PotentialState, PrimitiveState,
                         constraint_norms, make_initial_data, primitive_of,
                         velocity_of)
-from spectral_ops import laplacian, leray_project, riesz_pp
+from spectral_ops import derivative, laplacian, leray_project, riesz_pp
 
 CFG = StepperConfig()
 
@@ -314,7 +314,7 @@ def reference_rhs_primitive(state, cfg=CFG, include_viscosity=True):
     gv = np.stack([sp.gradient(g, v[i]) for i in range(2)])  # gv[i, j] = d_j v_i
     if cfg.coupling:
         for i in range(2):
-            dv[i] += sum(sp.derivative(g, G[i, j], axis=j + 1) for j in range(2))
+            dv[i] += sum(derivative(g, G[i, j], axis=j + 1) for j in range(2))
             dG[i] += gv[i]
 
     if cfg.nonlinear:
@@ -329,7 +329,7 @@ def reference_rhs_primitive(state, cfg=CFG, include_viscosity=True):
             dv[i] -= sum(mul(v[l], gv[i, l]) for l in range(2))
             for j in range(2):
                 GGt = sum(mul(G[i, k], G[j, k]) for k in range(2))
-                dv[i] += sp.derivative(g, GGt, axis=j + 1)
+                dv[i] += derivative(g, GGt, axis=j + 1)
                 dG[i, j] += sum(mul(gv[i, k], G[k, j]) for k in range(2))
                 dG[i, j] -= sum(mul(v[l], gG[i, j, l]) for l in range(2))
         dv = leray_project(g, dv)

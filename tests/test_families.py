@@ -6,13 +6,15 @@ import pytest
 import ve2d.spectral as sp
 from ve2d.dynamics import StepperConfig, evolve, rhs_potential
 from ve2d.experiments import RunConfig, audit
-from ve2d.diagnostics import nonlinearity_decay_ratios, sample_record
+from ve2d.diagnostics import (nonlinearity_decay_ratios, sample_record,
+                             weighted_sobolev_ratios)
 from ve2d.families import (Jet, MultiIndex, _parent, _splittings,
                            admissible_indices, apply_field, base_jet,
                            commutator_residuals, derived_family,
                            nonlinearity_f, time_derivative)
 from ve2d.state import InitialDataParams, PotentialState, make_initial_data
-from spectral_ops import laplacian, radial_scaled_derivative, riesz_pp
+from spectral_ops import (derivative, laplacian, radial_scaled_derivative,
+                          riesz_pp, rotation)
 
 ROOT = MultiIndex(0, (0, 0, 0, 0))
 
@@ -259,12 +261,21 @@ class TestTransformBudget:
         assert set(transforms) == {"rfft2", "irfft2"}
 
     def test_nonlinearity_decay_ratios(self, state, transforms):
-        # the 20 non-root members' fields (3 each), the root's 6 products
-        # forward and 7 fields back, div f2 among them
+        # the fields of the 14 members U^(0,a) with |a| = 1 or 2 (3 each),
+        # the root's 6 products forward and 7 fields back, div f2 among
+        # them
         fam = derived_family(state, 2)
         transforms.clear()
         nonlinearity_decay_ratios(fam)
-        assert sum(transforms.values()) <= 73
+        assert sum(transforms.values()) <= 55
+        assert set(transforms) == {"rfft2", "irfft2"}
+
+    def test_weighted_sobolev_ratios(self, state, transforms):
+        # f and its rotation forward, their gradients (2 each) and the 4
+        # second derivatives of f back
+        transforms.clear()
+        weighted_sobolev_ratios(state.grid, state.V, t=state.t)
+        assert sum(transforms.values()) <= 10
         assert set(transforms) == {"rfft2", "irfft2"}
 
     def test_audit(self, transforms):
@@ -275,7 +286,7 @@ class TestTransformBudget:
                         k_max=2)
         transforms.clear()
         audit(cfg, n_random=0)
-        assert sum(transforms.values()) <= 776
+        assert sum(transforms.values()) <= 747
         assert set(transforms) == {"rfft2", "irfft2"}
 
 
@@ -286,7 +297,7 @@ class TestApplyField:
         for op, axis in (("d1", 1), ("d2", 2)):
             out = apply_field(op, jet)
             assert sp.linf_norm(out.V[0]
-                                - sp.derivative(g, jet.V[0], axis)) < 1e-13
+                                - derivative(g, jet.V[0], axis)) < 1e-13
 
     def test_dt_shifts_levels(self, evolved_state):
         jet = base_jet(evolved_state, 2)
@@ -298,8 +309,8 @@ class TestApplyField:
         g = evolved_state.grid
         jet = base_jet(evolved_state, 0)
         out = apply_field("rot", jet)
-        expect0 = sp.rotation(g, jet.H[0, 0]) + jet.H[0, 1]
-        expect1 = sp.rotation(g, jet.H[0, 1]) - jet.H[0, 0]
+        expect0 = rotation(g, jet.H[0, 0]) + jet.H[0, 1]
+        expect1 = rotation(g, jet.H[0, 1]) - jet.H[0, 0]
         assert sp.linf_norm(out.H[0, 0] - expect0) < 1e-13
         assert sp.linf_norm(out.H[0, 1] - expect1) < 1e-13
 
@@ -362,10 +373,10 @@ class TestDerivedFamily:
         fam = derived_family(evolved_state, 2)
         g = evolved_state.grid
         V_d1, _ = fam.fields(MultiIndex(0, (0, 1, 0, 0)))
-        assert sp.linf_norm(V_d1 - sp.derivative(g, evolved_state.V, 1)) \
+        assert sp.linf_norm(V_d1 - derivative(g, evolved_state.V, 1)) \
             < 1e-13
         V_d12, _ = fam.fields(MultiIndex(0, (0, 1, 1, 0)))
-        direct = sp.derivative(g, sp.derivative(g, evolved_state.V, 2), 1)
+        direct = derivative(g, derivative(g, evolved_state.V, 2), 1)
         assert sp.linf_norm(V_d12 - direct) < 1e-12
 
     @pytest.mark.parametrize("k_max", [1, 2, 3])

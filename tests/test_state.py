@@ -7,6 +7,7 @@ from ve2d.state import (InitialDataParams, PotentialState, PrimitiveState,
                         constraint_norms, constraint_residual, deformation_of,
                         make_initial_data, potentials_of, primitive_of,
                         read_snapshot, velocity_of, write_snapshot)
+from spectral_ops import derivative
 
 
 def initial_seminorms(state):
@@ -17,7 +18,7 @@ def initial_seminorms(state):
     grads = [sp.gradient(g, f) for f in fields]
     out["grad_L2"] = np.sqrt(sum(sp.l2_norm_sq(g, gr) for gr in grads))
     out["grad2_L2"] = np.sqrt(sum(
-        sp.l2_norm_sq(g, sp.derivative(g, gr[i], axis=j + 1))
+        sp.l2_norm_sq(g, derivative(g, gr[i], axis=j + 1))
         for gr in grads for i in range(2) for j in range(2)))
     return {k: float(v) for k, v in out.items()}
 
