@@ -169,8 +169,8 @@ def good_unknown_norms(fam: DerivedFamily) -> dict:
         if idx.order > fam.k_max - 1:
             continue
         good_r, good_t = _good_unknown_grads(w, fam.stack(idx))
-        s_r = float(np.max(np.abs(good_r[:, w.mask])))
-        s_t = float(np.max(np.abs(good_t[:, w.mask])))
+        s_r = float(np.max(np.abs(good_r), where=w.mask, initial=0.0))
+        s_t = float(np.max(np.abs(good_t), where=w.mask, initial=0.0))
         per_index[idx] = (s_r, s_t)
         total += s_r + s_t
     return {"per_index": per_index, "sum": total}
@@ -205,19 +205,15 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
     return _identity_checks(grid, uh, D, Dp, t)
 
 
-def _identity_checks(grid: Grid, uh: np.ndarray, D: np.ndarray,
-                     Dp: np.ndarray, t: float) -> dict[str, float]:
-    """identity_checks from the coefficients uh of (V, H1, H2), their
-    derivative stack D and the derivative stack Dp of (V', H'): 12 inverse
-    fields of second derivatives and 2 of the Riesz trace."""
-    w = geometry_weights(grid, t)
-    gV, gH, gVp, gHp = D[0], D[1:], Dp[0], Dp[1:]
+def _null_split(grid: Grid, w: GeometryWeights, uh: np.ndarray,
+                Dp: np.ndarray) -> float:
+    """null_split over all (i, j, k), from the coefficients uh of
+    (V, H1, H2) and the derivative stack Dp of (V', H').  Its 12 second
+    derivatives are freed on return, before the other identities."""
+    gVp, gHp = Dp[0], Dp[1:]
     # dd[f, j, k] = d_k d_j of field f of (V, H1, H2)
     dd = sp.ifft(grid.ik[:, None] * grid.ik * uh[:, None, None])
     ggV, ggH = dd[0], dd[1:]                   # [j, k], [m, j, k]
-    out = {}
-
-    # null_split over all (i, j, k)
     res = 0.0
     goodV, goodT = _good_unknown_grads(w, Dp)
     for i in range(2):
@@ -232,8 +228,19 @@ def _identity_checks(grid: Grid, uh: np.ndarray, D: np.ndarray,
                 rhs = (goodV[i] * dH_jk_r
                        - gVp[i] * (ggV[j, k] + dH_jk_r)
                        + goodT[i] * dH_jk_t)
-                res = max(res, float(np.max(np.abs((lhs - rhs)[w.interior]))))
-    out["null_split"] = res
+                res = max(res, float(np.max(np.abs(lhs - rhs),
+                                            where=w.interior, initial=0.0)))
+    return res
+
+
+def _identity_checks(grid: Grid, uh: np.ndarray, D: np.ndarray,
+                     Dp: np.ndarray, t: float) -> dict[str, float]:
+    """identity_checks from the coefficients uh of (V, H1, H2), their
+    derivative stack D and the derivative stack Dp of (V', H'): 12 inverse
+    fields of second derivatives and 2 of the Riesz trace."""
+    w = geometry_weights(grid, t)
+    gV, gH = D[0], D[1:]
+    out = {"null_split": _null_split(grid, w, uh, Dp)}
 
     # f2_split: sum_l d_l^perp H_m d_l V decomposed along (omega, omega_perp)
     gpH = sp.perp(gH)                          # [j, l]
@@ -249,7 +256,8 @@ def _identity_checks(grid: Grid, uh: np.ndarray, D: np.ndarray,
                    + gpH_l[1] * w.omega_perp[1]) * gV[l]
     rhs = np.stack([coef_r * w.omega[m] + coef_t * w.omega_perp[m]
                     for m in range(2)])
-    out["f2_split"] = float(np.max(np.abs((f2 - rhs)[:, w.interior])))
+    out["f2_split"] = float(np.max(np.abs(f2 - rhs), where=w.interior,
+                                   initial=0.0))
 
     # grad_split on r >= 4 spacing
     far = grid.r >= 4.0 * grid.spacing
@@ -258,7 +266,8 @@ def _identity_checks(grid: Grid, uh: np.ndarray, D: np.ndarray,
     res = 0.0
     for i in range(2):
         rhs = w.omega[i] * dr + w.omega_perp[i] / w.r * dtheta
-        res = max(res, float(np.max(np.abs((gV[i] - rhs)[far]))))
+        res = max(res, float(np.max(np.abs(gV[i] - rhs), where=far,
+                                    initial=0.0)))
     out["grad_split"] = res
 
     # antisymmetry cancellation

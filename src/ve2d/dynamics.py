@@ -41,6 +41,10 @@ class BlowUpError(RuntimeError):
         super().__init__(f"solution blew up at t = {t:.6g}")
         self.t = t
 
+    def __reduce__(self):
+        # args holds the message, not t, so rebuild from t
+        return type(self), (self.t,)
+
 
 @dataclass(frozen=True)
 class StepperConfig:

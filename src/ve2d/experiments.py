@@ -188,22 +188,25 @@ def run_simulation(cfg: RunConfig, mu: float | None = None,
     """
     if mu is None:
         mu = cfg.mu_list[0]
-    e1_ceiling = None
+    # the blow-up ceiling reads E1, or E0 where k_max = 0 leaves E1 empty
+    energy = "E1" if cfg.k_max >= 1 else "E0"
+    ceiling = None
     records = []
     times = []
     blowup_t = None
     try:
         for state in _trajectory(cfg, mu):
             # the family is dropped before the next evolve, so the two
-            # never hold memory at the same time
-            rec = dg.sample_record(derived_family(state, cfg.k_max,
-                                                     cfg.stepper.dealias))
+            # never hold memory at the same time; a sample reads level 0
+            # of each member, so the residual level is not built
+            rec = dg.sample_record(derived_family(
+                state, cfg.k_max, cfg.stepper.dealias, residual=False))
             records.append(rec)
             times.append(state.t)
-            e1 = rec.values.get("E1", 0.0)
-            if e1_ceiling is None:
-                e1_ceiling = 100.0 * max(e1, 1e-300)
-            elif e1 > e1_ceiling:
+            e = rec.values[energy]
+            if ceiling is None:
+                ceiling = 100.0 * max(e, 1e-300)
+            elif e > ceiling:
                 raise BlowUpError(state.t)
     except BlowUpError as exc:
         blowup_t = exc.t

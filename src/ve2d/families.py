@@ -18,6 +18,12 @@ and only rot~ and scale~, which multiply by x, visit physical space: one
 inverse batch of gradients per parent and one forward batch per child.
 Readers inverse-transform what they need.
 
+Which levels a family builds depends on its reader.  Every sample
+functional reads level 0 of each member, so a family built for sampling
+(residual=False) keeps only the levels its members' descendants need for
+that.  commutator_residuals also reads d_t of each member, one level
+more, which only a family built with residual=True (the default) holds.
+
 The canonical operator word for the multi-index (alpha, a) is scale~^alpha
 d_t^{a1} d_1^{a2} d_2^{a3} rot~^{a4}, scaling powers outermost.
 """
@@ -208,28 +214,36 @@ class DerivedFamily:
     """All U^(alpha, a) with alpha + |a| <= k_max for one base state.
 
     Every member is a jet of rfft2 coefficients.  A member of order k
-    keeps the levels 0..k_max - k + 1 of its jet, the most any descendant
-    reads, so d_t of every member is available for residual checks
-    without differencing.  stack(idx) is the one home of a member's
-    gradients.
+    keeps the levels 0..k_max - k + r of its jet, the most any descendant
+    reads, with r = 1 when residual is true and 0 otherwise.  The sample
+    functionals (diagnostics.sample_record, the inequality ratios) read
+    level 0 alone, so run_simulation builds with residual=False.
+    commutator_residuals reads d_t of every member without differencing
+    and needs residual=True, the default, which the audit builds.  The
+    levels both depths keep are equal bit for bit.  stack(idx) is the one
+    home of a member's gradients.
 
     A parent's rot~ and scale~ children read the physical gradients of
-    the same levels 0..k_max - order(parent), so the parent transforms
-    them once, in one inverse batch that is freed after its last child.
-    Every member of order < k_max has a scale~ child, and the level-0
-    slice of that batch is its kept stack.
+    the same levels 0..k_max - order(parent) - 1 + r, so the parent
+    transforms them once, in one inverse batch that is freed after its
+    last child.  Every member of order < k_max has a scale~ child, and the
+    level-0 slice of that batch is its kept stack.
     """
 
     def __init__(self, state: PotentialState, k_max: int = 2,
-                 dealias: bool = True):
+                 dealias: bool = True, *, residual: bool = True):
         if k_max > 3:
             raise ValueError("k_max > 3 is outside the supported desk scale")
         g = state.grid
         self.state = state
         self.k_max = k_max
         self.dealias = dealias
+        self.residual = residual
+        # 1 when the level that only commutator_residuals reads is built
+        extra = int(residual)
         self.indices = admissible_indices(k_max)
-        self._jets = {self.indices[0]: base_jet(state, k_max + 1, dealias)}
+        self._jets = {self.indices[0]: base_jet(state, k_max + extra,
+                                                dealias)}
         self._stacks: dict[MultiIndex, np.ndarray] = {}
         grads = {}
         for idx in self.indices[1:]:
@@ -240,15 +254,15 @@ class DerivedFamily:
                 G = grads.get(parent)
                 if G is None:
                     G = grads[parent] = sp.gradient_from_hat(
-                        g, jet.hat[:k_max - parent.order + 1])
+                        g, jet.hat[:k_max - parent.order + extra])
                     self._stacks[parent] = G[0].copy()
                 if op == "scale":
                     # within each order, the scale~ child follows the rot~
                     # child, so it is the parent's last reader
                     del grads[parent]
-            # the member keeps levels 0..k_max - order + 1; dt and scale~
-            # read one level more of the parent
-            keep = k_max - idx.order + 2 + (op in ("dt", "scale"))
+            # the member keeps levels 0..k_max - order + extra; dt and
+            # scale~ read one level more of the parent
+            keep = k_max - idx.order + extra + 1 + (op in ("dt", "scale"))
             self._jets[idx] = apply_field(
                 op, Jet.from_hat(g, jet.hat[:keep], jet.t, jet.mu), G)
 
@@ -279,8 +293,9 @@ class DerivedFamily:
 
 
 def derived_family(state: PotentialState, k_max: int = 2,
-                   dealias: bool = True) -> DerivedFamily:
-    return DerivedFamily(state, k_max, dealias)
+                   dealias: bool = True, *,
+                   residual: bool = True) -> DerivedFamily:
+    return DerivedFamily(state, k_max, dealias, residual=residual)
 
 
 def _splittings(idx: MultiIndex):
@@ -352,8 +367,12 @@ def commutator_residuals(fam: DerivedFamily, idx: MultiIndex
     All vanish at the continuous level; the measured values are pure
     discretization error.  The residuals are formed in coefficients, the
     viscous term folded into d_t V', and come back in one inverse batch
-    of 4 fields.
+    of 4 fields.  The family must carry the residual level
+    (residual=True).
     """
+    if not fam.residual:
+        raise ValueError("commutator_residuals needs a family built with "
+                         "residual=True")
     g = fam.state.grid
     uh = fam.jet(idx).hat
     f1h, ph = _nonlinearity_hat(fam, idx)

@@ -125,6 +125,17 @@ class TestSimulate:
             assert (out / name).exists(), name
         assert not (out / "energy_mu0.svg").exists()
 
+    def test_k_max_0_blow_up_caught_by_the_ceiling(self, tmp_path, capsys):
+        # k_max = 0 has no E1; the ceiling reads E0, which grows from
+        # 1.6e3 to 1.8e18 by t = 0.5, so the run stops there as k_max = 1
+        # does, not at the non-finite fields of t = 1.5
+        path = tmp_path / "blowup.ini"
+        path.write_text(BLOWUP_INI.replace("k_max = 1", "k_max = 0"),
+                        encoding="utf-8")
+        rc = cli.main(["simulate", "--config", str(path)])
+        assert rc == cli.EXIT_BLOWUP
+        assert capsys.readouterr().err == "blow-up at t = 0.5\n"
+
     def test_blow_up_exits_2(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
 

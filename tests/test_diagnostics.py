@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,58 @@ def reference_nonlinearity_decay_ratios(fam, idx):
     return out
 
 
+def reference_masked_sups(grid, uh, D, Dp, t):
+    """The sups that read a mask, each taken over a boolean gather:
+    null_split, f2_split, grad_split (as _identity_checks) and the
+    good-unknown sups of the stack Dp (as good_unknown_norms)."""
+    w = dg.geometry_weights(grid, t)
+    gV, gH, gVp, gHp = D[0], D[1:], Dp[0], Dp[1:]
+    dd = sp.ifft(grid.ik[:, None] * grid.ik * uh[:, None, None])
+    ggV, ggH = dd[0], dd[1:]
+    out = {}
+    res = 0.0
+    goodV, goodT = dg._good_unknown_grads(w, Dp)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                lhs = (gHp[0, i] * ggH[0, j, k] + gHp[1, i] * ggH[1, j, k]
+                       - gVp[i] * ggV[j, k])
+                dH_jk_r = (ggH[0, j, k] * w.omega[0]
+                           + ggH[1, j, k] * w.omega[1])
+                dH_jk_t = (ggH[0, j, k] * w.omega_perp[0]
+                           + ggH[1, j, k] * w.omega_perp[1])
+                rhs = (goodV[i] * dH_jk_r
+                       - gVp[i] * (ggV[j, k] + dH_jk_r)
+                       + goodT[i] * dH_jk_t)
+                res = max(res, float(np.max(np.abs((lhs - rhs)[w.interior]))))
+    out["null_split"] = res
+    gpH = sp.perp(gH)
+    gpV = sp.perp(gV)
+    f2 = np.stack([gpH[m, 0] * gV[0] + gpH[m, 1] * gV[1] for m in range(2)])
+    coef_r = np.zeros_like(gV[0])
+    coef_t = np.zeros_like(gV[0])
+    for l in range(2):
+        gpH_l = gpH[:, l]
+        coef_r += (gpH_l[0] * w.omega[0] + gpH_l[1] * w.omega[1]
+                   + gpV[l]) * gV[l]
+        coef_t += (gpH_l[0] * w.omega_perp[0]
+                   + gpH_l[1] * w.omega_perp[1]) * gV[l]
+    rhs = np.stack([coef_r * w.omega[m] + coef_t * w.omega_perp[m]
+                    for m in range(2)])
+    out["f2_split"] = float(np.max(np.abs((f2 - rhs)[:, w.interior])))
+    far = grid.r >= 4.0 * grid.spacing
+    dr = dg._radial(w, gV)
+    dtheta = grid.x1 * gV[1] - grid.x2 * gV[0]
+    res = 0.0
+    for i in range(2):
+        rhs = w.omega[i] * dr + w.omega_perp[i] / w.r * dtheta
+        res = max(res, float(np.max(np.abs((gV[i] - rhs)[far]))))
+    out["grad_split"] = res
+    out["good"] = (float(np.max(np.abs(goodV[:, w.mask]))),
+                   float(np.max(np.abs(goodT[:, w.mask]))))
+    return out
+
+
 class TestGeometryWeights:
     def test_frame_is_orthonormal(self, grid64):
         # away from the regularized origin cell
@@ -208,6 +262,49 @@ class TestIdentityChecks:
                              for s in (45, 46)])
         out = dg.identity_checks(grid64, V, H, Vp=Vp, Hp=Hp, t=2.0)
         assert out["null_split"] < 1e-12
+
+
+class TestMaskedSups:
+    # the sups over a mask take np.max(..., where=mask); they must equal
+    # the boolean gathers of reference_masked_sups bit for bit
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_identity_checks(self, grid64, cross):
+        V, Vp = (0.1 * sp.random_band_limited(grid64, seed=s)
+                 for s in (51, 54))
+        H, Hp = (0.1 * np.stack([sp.random_band_limited(grid64, seed=s)
+                                 for s in pair]) for pair in ((52, 53),
+                                                              (55, 56)))
+        if not cross:
+            Vp, Hp = V, H
+        got = dg.identity_checks(grid64, V, H, Vp, Hp, t=3.0)
+        uh = sp.fft(np.concatenate((V[None], H)))
+        ref = reference_masked_sups(grid64, uh, sp.gradient_from_hat(
+            grid64, uh), sp.derivative_stack(grid64, Vp, Hp), 3.0)
+        for key in ("null_split", "f2_split", "grad_split"):
+            assert got[key] == ref[key], key
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-2])
+    @pytest.mark.parametrize("k_max", [1, 2, 3])
+    def test_sample_record(self, evolved_state, k_max, mu):
+        st = replace(evolved_state, mu=mu)
+        fam = derived_family(st, k_max)
+        vals = dg.sample_record(fam).values
+        root = MultiIndex(0, (0, 0, 0, 0))
+        D = fam.stack(root)
+        ref = reference_masked_sups(st.grid, fam.jet(root).hat[0], D, D,
+                                    st.t)
+        assert vals["id45_res"] == ref["null_split"]
+        assert vals["id417_res"] == ref["f2_split"]
+        assert vals["id218_res"] == ref["grad_split"]
+        total = 0.0
+        for idx, sups in dg.good_unknown_norms(fam)["per_index"].items():
+            Ds = fam.stack(idx)
+            ref = reference_masked_sups(st.grid, fam.jet(idx).hat[0], Ds, Ds,
+                                        st.t)["good"]
+            assert sups == ref, idx
+            total += ref[0] + ref[1]
+        assert vals["good_sup"] == total
 
 
 class TestInequalityRatios:

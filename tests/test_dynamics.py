@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -295,6 +296,12 @@ class TestStep:
                              small_state.H)
         with pytest.raises(BlowUpError):
             step(bad, 0.01, CFG)
+
+    def test_blow_up_error_pickles(self):
+        # a process-pool worker returns its exceptions pickled
+        exc = pickle.loads(pickle.dumps(BlowUpError(1.5)))
+        assert exc.t == 1.5
+        assert str(exc) == str(BlowUpError(1.5))
 
     def test_evolve_lands_on_t_final(self, small_state):
         out = evolve(small_state, 0.5, CFG, dt=0.03)

@@ -137,6 +137,23 @@ class TestRunSimulation:
         fam = derived_family(run.final_state, 2, dealias=False)
         assert run.records[-1].values == dg.sample_record(fam).values
 
+    def test_sampling_builds_lean_families(self, monkeypatch):
+        # a sample reads level 0 of each member, so the run builds no
+        # residual level; the audit's one family carries it
+        depths = []
+
+        def family(state, *args, **kwargs):
+            fam = derived_family(state, *args, **kwargs)
+            depths.append(fam.residual)
+            return fam
+
+        monkeypatch.setattr(experiments, "derived_family", family)
+        run_simulation(RunConfig(**SMALL), mu=0.0, write=False)
+        assert depths == [False] * 5
+        depths.clear()
+        audit(RunConfig(**SMALL), n_random=0)
+        assert depths == [True]
+
     def test_deterministic_rerun(self, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -232,6 +232,21 @@ class TestTransformBudget:
         assert sum(transforms.values()) <= 515
         assert set(transforms) == {"rfft2", "irfft2"}
 
+    def test_lean_derived_family(self, state, transforms):
+        # without the residual level: base_jet one level shorter, each
+        # gradient batch one level shorter, and each rot~ or scale~ child
+        # one level fewer forward
+        transforms.clear()
+        derived_family(state, 2, residual=False)
+        assert sum(transforms.values()) <= 97
+        assert set(transforms) == {"rfft2", "irfft2"}
+
+    def test_lean_derived_family_k_max_3(self, state, transforms):
+        transforms.clear()
+        derived_family(state, 3, residual=False)
+        assert sum(transforms.values()) <= 306
+        assert set(transforms) == {"rfft2", "irfft2"}
+
     def test_sample_record_k_max_3(self, state, transforms):
         fam = derived_family(state, 3)
         transforms.clear()
@@ -379,19 +394,22 @@ class TestDerivedFamily:
         direct = derivative(g, derivative(g, evolved_state.V, 2), 1)
         assert sp.linf_norm(V_d12 - direct) < 1e-12
 
-    @pytest.mark.parametrize("k_max", [1, 2, 3])
-    def test_member_levels(self, grid64, k_max):
-        # each member keeps levels 0..k_max - order + 1, equal bit for bit
-        # to the same levels of the untrimmed apply_field chain
+    @pytest.mark.parametrize("k_max, residual", [
+        *(pytest.param(k, True, id=f"{k}") for k in (1, 2, 3)),
+        *(pytest.param(k, False, id=f"lean-{k}") for k in (0, 1, 2, 3))])
+    def test_member_levels(self, grid64, k_max, residual):
+        # each member keeps levels 0..k_max - order + 1 (k_max - order
+        # without the residual level), equal bit for bit to the same levels
+        # of the untrimmed apply_field chain
         st = random_state(grid64, 7)
-        fam = derived_family(st, k_max)
+        fam = derived_family(st, k_max, residual=residual)
         full = {ROOT: base_jet(st, k_max + 1)}
         for idx in fam.indices[1:]:
             op, parent = _parent(idx)
             full[idx] = apply_field(op, full[parent])
         for idx in fam.indices:
             jet = fam.jet(idx)
-            assert jet.levels == k_max - idx.order + 1, idx
+            assert jet.levels == k_max - idx.order + residual, idx
             assert np.array_equal(jet.V, full[idx].V[:jet.levels + 1]), idx
             assert np.array_equal(jet.H, full[idx].H[:jet.levels + 1]), idx
 
@@ -400,16 +418,38 @@ class TestDerivedFamily:
         # copy of the level-0 slice of the gradient batch that the member's
         # rot~ and scale~ children read, so the batch itself is freed.  An
         # order-k_max stack is built on each call and dropped, since keeping
-        # those too would hold the gradients of every member at once
-        fam = derived_family(random_state(grid64, 3), 2)
-        for idx in fam.indices:
-            D = fam.stack(idx)
-            assert (D is fam.stack(idx)) == (idx.order < fam.k_max), idx
-            assert D.base is None, idx
-            assert np.array_equal(
-                D, sp.gradient_from_hat(grid64, fam.jet(idx).hat[0])), idx
-            assert rel_err(D, sp.derivative_stack(grid64, *fam.fields(idx))
-                           ) <= 1e-13, idx
+        # those too would hold the gradients of every member at once.  Both
+        # depths keep the same stacks
+        st = random_state(grid64, 3)
+        for residual in (True, False):
+            fam = derived_family(st, 2, residual=residual)
+            for idx in fam.indices:
+                D = fam.stack(idx)
+                assert (D is fam.stack(idx)) == (idx.order < fam.k_max), idx
+                assert D.base is None, idx
+                assert np.array_equal(
+                    D, sp.gradient_from_hat(grid64, fam.jet(idx).hat[0])), idx
+                assert rel_err(D, sp.derivative_stack(
+                    grid64, *fam.fields(idx))) <= 1e-13, idx
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-2])
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    def test_lean_family_samples_equal_full(self, grid64, k_max, mu):
+        # level 0 of every member is transformed field by field, so the
+        # samples do not see whether the residual level was built
+        st = random_state(grid64, 5, mu)
+        lean = sample_record(derived_family(st, k_max, residual=False))
+        full = sample_record(derived_family(st, k_max))
+        assert lean.values.keys() == full.values.keys()
+        for key, value in full.values.items():
+            assert (lean.values[key] == value
+                    or (np.isnan(value) and np.isnan(lean.values[key]))), key
+
+    def test_lean_family_refuses_residuals(self, grid64):
+        fam = derived_family(random_state(grid64, 3), 2, residual=False)
+        with pytest.raises(ValueError) as err:
+            commutator_residuals(fam, ROOT)
+        assert "\n" not in str(err.value)
 
     def test_coefficients_read_only(self, grid64):
         # dt members and trimmed parents share their coefficient buffers
