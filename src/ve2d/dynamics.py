@@ -1,28 +1,36 @@
 """Right-hand sides and time integration, uniform in viscosity mu in [0, 1].
 
-One IF-RK4 body (classical RK4 with the viscous semigroup applied as an
-exact spectral integrating factor) serves both forms, damping V in the
-potential form and v in the primitive form.  The damped unknown is held as
-rfft2 coefficients inside the step, so the integrating factor
-e^{-mu |k|^2 dt} is an elementwise multiply.  With the coupling and
+One integrator, _if_rk4 (classical RK4 with the viscous semigroup applied
+as an exact spectral integrating factor), advances both forms.  Its
+contract: a physical stack of unknowns whose leading rows carry mu lap (V
+of (V, H1, H2); v1, v2 of (v1, v2, G11, G12, G21, G22)), and a coefficient
+kernel kernel(grid, uh, cfg) -> duh giving the rest of the right-hand side.
+The stack is transformed forward once, the four stages run on rfft2
+coefficients, where the integrating factor e^{-mu |k|^2 dt} is an
+elementwise multiply (exactly 1 on the undamped rows), and the result is
+transformed back once and checked to be finite.  With the coupling and
 nonlinearity switched off, a step therefore reproduces pure heat decay to
 machine precision, for every mu, and mu = 0 degenerates to plain RK4 on the
-hyperbolic system.
+hyperbolic system.  rhs_potential and rhs_primitive are physical-space
+wrappers over the same kernels.
 
-The potential step keeps (V, H) spectral and transforms once in and once
-out.  Each RHS stage costs 11 real-field transforms: the 6 gradients of
-(V, H1, H2) back to physical space (the perp-gradients are relabelled
-gradients), and the 5 quadratic products f11, f12, f22, f2_1, f2_2 forward.
-The 2/3 mask is one multiply of the product spectra, and the four Riesz
-symbols of f1 are fused into three, one per product (Grid.f1_riesz).
+Each stage of the potential kernel, _rhs_hat, costs 11 real-field
+transforms: the 6 gradients of (V, H1, H2) back to physical space (the
+perp-gradients are relabelled gradients), and the 5 quadratic products
+f11, f12, f22, f2_1, f2_2 forward.  The 2/3 mask is one multiply of the
+product spectra, and the four Riesz symbols of f1 are fused into three, one
+per product (Grid.f1_riesz).  Each stage of the primitive kernel,
+_rhs_primitive_hat, costs 27: v, G and their 12 gradients back, and 9
+products forward (v.grad v, the 3 entries of the symmetric G G^T, and
+(grad v) G - v.grad G), masked once; the pressure is removed by the Leray
+projection of the coefficients.
 
 _products and _quadratic_hat are the one set of quadratic forms: the
 perp-form sources f1, f2 (and, on request, f3) summed over a Leibniz sum
 of derivative stacks, then masked and transformed once.  The stepper
 passes one pair, the time-derivative jets of families.base_jet one pair
 per binomial term, and the commuted equations of families one pair per
-splitting of a multi-index.  The primitive RHS follows the same pattern:
-its products are summed per output and transformed in one batch.
+splitting of a multi-index.
 """
 
 from dataclasses import dataclass
@@ -112,23 +120,57 @@ def _quadratic_hat(grid: Grid, pairs, dealias: bool, f3: bool = False
     return np.einsum("rxy,rxy->xy", grid.f1_riesz, ph[:3]), ph
 
 
-def _rhs_hat(grid: Grid, Vh: np.ndarray, Hh: np.ndarray, cfg: StepperConfig
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """(dV, dH) of the potential form without mu lap V, from and to rfft2
-    coefficients.  The quadratic part costs one batched inverse transform of
-    6 gradients and one batched forward transform of 5 products."""
-    dVh = np.zeros_like(Vh)
-    dHh = np.zeros_like(Hh)
+def _rhs_hat(grid: Grid, uh: np.ndarray, cfg: StepperConfig) -> np.ndarray:
+    """(dV, dH1, dH2) of the potential form without mu lap V, from and to
+    the rfft2 coefficients of the stack (V, H1, H2).  The quadratic part
+    costs one batched inverse transform of 6 gradients and one batched
+    forward transform of 5 products."""
+    duh = np.zeros_like(uh)
     if cfg.coupling:
-        dVh += grid.ik[0] * Hh[0]
-        dVh += grid.ik[1] * Hh[1]
-        dHh += grid.ik * Vh
+        duh[0] += grid.ik[0] * uh[1]
+        duh[0] += grid.ik[1] * uh[2]
+        duh[1:] += grid.ik * uh[0]
     if cfg.nonlinear:
-        D = sp.gradient_from_hat(grid, np.concatenate((Vh[None], Hh)))
+        D = sp.gradient_from_hat(grid, uh)
         f1h, ph = _quadratic_hat(grid, [(1, D, D)], cfg.dealias)
-        dVh += f1h
-        dHh += ph[3:]
-    return dVh, dHh
+        duh[0] += f1h
+        duh[1:] += ph[3:]
+    return duh
+
+
+def _rhs_primitive_hat(grid: Grid, uh: np.ndarray, cfg: StepperConfig
+                       ) -> np.ndarray:
+    """(dv, dG) of the primitive form without mu lap v, from and to the
+    rfft2 coefficients of the stack (v1, v2, G11, G12, G21, G22).  The
+    quadratic part costs one batched inverse transform of v, G and their 12
+    gradients and one batched forward transform of 9 products."""
+    n, shape = grid.n, uh.shape[-2:]
+    Duh = grid.ik * uh[:, None]                     # Duh[r, l] = d_l row r
+    duh = np.zeros_like(uh)
+    if cfg.coupling:
+        # div G, and grad v with (grad v)_{ij} = d_j v_i
+        duh[:2] += np.einsum("jxy,ijxy->ixy", grid.ik,
+                             uh[2:].reshape(2, 2, *shape))
+        duh[2:] += Duh[:2].reshape(4, *shape)
+    if cfg.nonlinear:
+        f = sp.ifft(np.concatenate((uh, Duh.reshape(12, *shape))))
+        v, G = f[:2], f[2:6].reshape(2, 2, n, n)
+        gv = f[6:10].reshape(2, 2, n, n)            # gv[i, j] = d_j v_i
+        gG = f[10:].reshape(2, 2, 2, n, n)          # gG[i, j, l] = d_l G_ij
+        ph = sp.fft(np.concatenate((
+            np.einsum("lxy,ilxy->ixy", v, gv),      # v.grad v
+            # G G^T is symmetric: its entries 11, 12, 22
+            np.einsum("rkxy,rkxy->rxy", G[[0, 0, 1]], G[[0, 1, 1]]),
+            (np.einsum("ikxy,kjxy->ijxy", gv, G)
+             - np.einsum("lxy,ijlxy->ijxy", v, gG)).reshape(4, n, n))))
+        if cfg.dealias:
+            ph *= grid.keep_mask
+        # div(G G^T) - v.grad v, projected
+        GGt = ph[[2, 3, 3, 4]].reshape(2, 2, *shape)
+        duh[:2] = sp.leray_hat(grid, duh[:2] - ph[:2] + np.einsum(
+            "jxy,ijxy->ixy", grid.ik, GGt))
+        duh[2:] += ph[5:]
+    return duh
 
 
 def rhs_potential(state: PotentialState,
@@ -143,10 +185,10 @@ def rhs_potential(state: PotentialState,
     """
     g = state.grid
     uh = sp.fft(np.concatenate((state.V[None], state.H)))
-    dVh, dHh = _rhs_hat(g, uh[0], uh[1:], cfg)
+    duh = _rhs_hat(g, uh, cfg)
     if include_viscosity and state.mu > 0:
-        dVh -= state.mu * g.k_sq * uh[0]
-    d = sp.ifft(np.concatenate((dVh[None], dHh)))
+        duh[0] -= state.mu * g.k_sq * uh[0]
+    d = sp.ifft(duh)
     return d[0], d[1:]
 
 
@@ -156,42 +198,21 @@ def rhs_primitive(state: PrimitiveState,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(dv, dG) of the primitive system with pressure removed by projection.
 
-    dv = P[mu lap v + div G - v.grad v + div(G G^T)],
+    dv = mu lap v + P[div G - v.grad v + div(G G^T)],
     dG = grad v + (grad v) G - v.grad G,  with (grad v)_{ij} = d_j v_i.
 
-    The products are summed per output (v.grad v, G G^T, and
-    (grad v) G - v.grad G), transformed forward in one batch and masked
-    once; dv and the quadratic part of dG come back in one inverse batch.
+    P is the Leray projection; it commutes with lap, and lap v needs none
+    for the divergence-free v of the primitive form.  With the
+    nonlinearity switched off, div G is not projected.
+    include_viscosity=False drops mu lap v.
     """
     g = state.grid
-    v, G = state.v, state.G
-    vh, Gh = sp.fft(v), sp.fft(G)
-    dvh = np.zeros_like(vh)
-    dGh = np.zeros_like(Gh)
-    dG = np.zeros_like(G)
+    uh = sp.fft(np.concatenate((state.v, state.G.reshape(4, g.n, g.n))))
+    duh = _rhs_primitive_hat(g, uh, cfg)
     if include_viscosity and state.mu > 0:
-        dvh -= state.mu * g.k_sq * vh
-    gv = sp.gradient_from_hat(g, vh)                # gv[i, j] = d_j v_i
-    if cfg.coupling:
-        dvh += np.einsum("jxy,ijxy->ixy", g.ik, Gh)  # div G
-        dG += gv
-
-    if cfg.nonlinear:
-        gG = sp.gradient_from_hat(g, Gh)            # gG[i, j, l] = d_l G_ij
-        prods = np.concatenate((
-            np.einsum("lxy,ilxy->ixy", v, gv),      # v.grad v
-            np.einsum("ikxy,jkxy->ijxy", G, G).reshape(4, g.n, g.n),
-            (np.einsum("ikxy,kjxy->ijxy", gv, G)
-             - np.einsum("lxy,ijlxy->ijxy", v, gG)).reshape(4, g.n, g.n)))
-        ph = sp.fft(prods)
-        if cfg.dealias:
-            ph *= g.keep_mask
-        # div(G G^T) - v.grad v, projected
-        dvh += np.einsum("jxy,ijxy->ixy", g.ik, ph[2:6].reshape(Gh.shape))
-        dvh = sp.leray_hat(g, dvh - ph[:2])
-        dGh = ph[6:].reshape(Gh.shape)
-    d = sp.ifft(np.concatenate((dvh, dGh.reshape(4, *Gh.shape[-2:]))))
-    return d[:2], dG + d[2:].reshape(G.shape)
+        duh[:2] -= state.mu * g.k_sq * uh[:2]
+    d = sp.ifft(duh)
+    return d[:2], d[2:].reshape(state.G.shape)
 
 
 def choose_dt(state: PotentialState, cfg: StepperConfig) -> float:
@@ -200,28 +221,30 @@ def choose_dt(state: PotentialState, cfg: StepperConfig) -> float:
     return cfg.cfl_factor * state.grid.spacing / (1.0 + sp.linf_norm(v))
 
 
-def _if_rk4(grid: Grid, mu: float, dt: float, u, w, N):
-    """One integrating-factor RK4 step of u' = mu lap u + Nu, w' = Nw.
+def _if_rk4(kernel, state, u: np.ndarray, damped: int, dt: float,
+            cfg: StepperConfig) -> np.ndarray:
+    """The stack u of physical unknowns after one integrating-factor RK4
+    step of u' = mu lap u + kernel(u) from state.t, on the grid and with
+    the mu of state; mu lap acts on the first `damped` rows only.
 
-    u holds rfft2 coefficients, so the heat semigroup on u is an exact
-    elementwise multiply; w is whatever N accepts.  N(u, w) returns
-    (Nu, Nw), Nu again as coefficients.
+    kernel(grid, uh, cfg) -> duh acts on rfft2 coefficients, so the heat
+    semigroup is an exact elementwise multiply.  Raises BlowUpError if the
+    result is not finite.
     """
-    E = np.exp(-mu * grid.k_sq * (dt / 2.0))
+    g = state.grid
+    uh = sp.fft(u)
+    # exp(-0) = 1 exactly: the undamped rows are plain RK4
+    rows = (np.arange(len(uh)) < damped)[:, None, None]
+    E = np.exp(-state.mu * g.k_sq * (dt / 2.0) * rows)
     E2 = E * E
-    k1u, k1w = N(u, w)
-    k2u, k2w = N(E * (u + 0.5 * dt * k1u), w + 0.5 * dt * k1w)
-    k3u, k3w = N(E * u + 0.5 * dt * k2u, w + 0.5 * dt * k2w)
-    k4u, k4w = N(E2 * u + dt * E * k3u, w + dt * k3w)
-
-    un = E2 * u + dt / 6.0 * (E2 * k1u + 2.0 * E * (k2u + k3u) + k4u)
-    wn = w + dt / 6.0 * (k1w + 2.0 * (k2w + k3w) + k4w)
-    return un, wn
-
-
-def _check_finite(t: float, *fields: np.ndarray) -> None:
-    if not all(np.all(np.isfinite(f)) for f in fields):
-        raise BlowUpError(t)
+    k1 = kernel(g, uh, cfg)
+    k2 = kernel(g, E * (uh + 0.5 * dt * k1), cfg)
+    k3 = kernel(g, E * uh + 0.5 * dt * k2, cfg)
+    k4 = kernel(g, E2 * uh + dt * E * k3, cfg)
+    un = sp.ifft(E2 * uh + dt / 6.0 * (E2 * k1 + 2.0 * E * (k2 + k3) + k4))
+    if not np.all(np.isfinite(un)):
+        raise BlowUpError(state.t + dt)
+    return un
 
 
 def step(state: PotentialState, dt: float,
@@ -230,13 +253,9 @@ def step(state: PotentialState, dt: float,
 
     Raises BlowUpError if the result is not finite.
     """
-    g = state.grid
-    uh = sp.fft(np.concatenate((state.V[None], state.H)))
-    Vh, Hh = _if_rk4(g, state.mu, dt, uh[0], uh[1:],
-                     lambda Vh, Hh: _rhs_hat(g, Vh, Hh, cfg))
-    u = sp.ifft(np.concatenate((Vh[None], Hh)))
-    _check_finite(state.t + dt, u)
-    return PotentialState(grid=g, V=u[0], H=u[1:], t=state.t + dt,
+    u = _if_rk4(_rhs_hat, state, np.concatenate((state.V[None], state.H)),
+                1, dt, cfg)
+    return PotentialState(grid=state.grid, V=u[0], H=u[1:], t=state.t + dt,
                           mu=state.mu)
 
 
@@ -247,17 +266,11 @@ def step_primitive(state: PrimitiveState, dt: float,
     Raises BlowUpError if the result is not finite.
     """
     g = state.grid
-
-    def N(vh, G):
-        s = PrimitiveState(grid=g, v=sp.ifft(vh), G=G, t=state.t,
-                           mu=state.mu)
-        dv, dG = rhs_primitive(s, cfg, include_viscosity=False)
-        return sp.fft(dv), dG
-
-    vh, G = _if_rk4(g, state.mu, dt, sp.fft(state.v), state.G, N)
-    v = sp.ifft(vh)
-    _check_finite(state.t + dt, v, G)
-    return PrimitiveState(grid=g, v=v, G=G, t=state.t + dt, mu=state.mu)
+    u = _if_rk4(_rhs_primitive_hat, state,
+                np.concatenate((state.v, state.G.reshape(4, g.n, g.n))),
+                2, dt, cfg)
+    return PrimitiveState(grid=g, v=u[:2], G=u[2:].reshape(state.G.shape),
+                          t=state.t + dt, mu=state.mu)
 
 
 def evolve(state: PotentialState, t_final: float,

@@ -4,7 +4,8 @@ vanishing-viscosity convergence, and identity/inequality audits.
 Configs are INI files (UTF-8, '#' comments) with sections [grid],
 [initial], [run], [stepper]; see RunConfig.from_ini.  Sweep members run in
 a process pool whose size is controlled by the VE2D_THREADS environment
-variable (default 1: fully deterministic artifacts).
+variable (a positive integer, default 1: fully deterministic artifacts),
+capped at one worker per viscosity.
 """
 
 import configparser
@@ -140,9 +141,12 @@ def _parse_bool(text: str) -> bool:
 def worker_count() -> int:
     env = os.environ.get("VE2D_THREADS") or "1"
     try:
-        return max(1, int(env))
+        count = int(env)
     except ValueError:
         raise ConfigError(f"VE2D_THREADS is not an integer: {env!r}") from None
+    if count < 1:
+        raise ConfigError(f"VE2D_THREADS must be at least 1, got {count}")
+    return count
 
 
 @dataclass
@@ -278,9 +282,10 @@ def sweep_viscosity(cfg: RunConfig) -> dict:
     """
     if len(cfg.mu_list) < 1:
         raise ConfigError("sweep needs at least one viscosity value")
-    workers = worker_count()
     jobs = [(replace(cfg, output_dir=None), mu) for mu in cfg.mu_list]
-    if workers > 1 and len(jobs) > 1:
+    # the pool starts all its workers up front: no more than the jobs
+    workers = min(worker_count(), len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:

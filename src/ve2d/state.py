@@ -28,6 +28,15 @@ SNAPSHOT_VERSION = 1
 ADMISSIBILITY_TOL = 1e-8
 
 
+def _check_state(grid: Grid, mu: float, fields) -> None:
+    """The checks both forms make: each (array, leading shape) of fields
+    has that shape over the grid, and mu lies in [0, 1]."""
+    if any(a.shape != lead + (grid.n, grid.n) for a, lead in fields):
+        raise ValueError("field shapes do not match the grid")
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"viscosity must lie in [0, 1], got {mu}")
+
+
 @dataclass(frozen=True)
 class PotentialState:
     """Potential-form unknowns (V, H) at time t with viscosity mu."""
@@ -39,11 +48,7 @@ class PotentialState:
     mu: float = 0.0
 
     def __post_init__(self):
-        n = self.grid.n
-        if self.V.shape != (n, n) or self.H.shape != (2, n, n):
-            raise ValueError("field shapes do not match the grid")
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError(f"viscosity must lie in [0, 1], got {self.mu}")
+        _check_state(self.grid, self.mu, ((self.V, ()), (self.H, (2,))))
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,9 @@ class PrimitiveState:
     G: np.ndarray        # (2, 2, n, n)
     t: float = 0.0
     mu: float = 0.0
+
+    def __post_init__(self):
+        _check_state(self.grid, self.mu, ((self.v, (2,)), (self.G, (2, 2))))
 
 
 @dataclass(frozen=True)

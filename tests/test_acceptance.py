@@ -4,7 +4,8 @@
 Each test emits one PASS/FAIL line; the expensive runs (viscosity sweep,
 co-evolution, mid-time state) are shared through session fixtures.  On a
 shared 2-core Xeon (numpy 2.4.6) the whole test suite took 111-256 s,
-nearly all of it in this module, its two criterion-2 runs alone 72-169 s.
+nearly all of it in this module; its two criterion-2 runs took 101 s in
+one run.
 """
 
 import os

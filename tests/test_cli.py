@@ -72,6 +72,8 @@ class TestSimulate:
         ("simulate", "n = 64", "n = 33", {}),
         ("simulate", "k_max = 1", "k_max = 5", {}),
         ("sweep-mu", "mu = 0", "mu = 0 0.1", {"VE2D_THREADS": "abc"}),
+        ("sweep-mu", "mu = 0", "mu = 0 0.1", {"VE2D_THREADS": "0"}),
+        ("sweep-mu", "mu = 0", "mu = 0 0.1", {"VE2D_THREADS": "-1"}),
         ("simulate", "sample_interval", "sample_intervl", {}),
         ("simulate", "k_max = 1", "k_max = 1\n[stepper]\ncfl = 0.1", {}),
         ("simulate", "[initial]", "[initail]", {}),
@@ -90,8 +92,9 @@ class TestSimulate:
          "amplitude = 0.01\nprofile = spectral\nseed = -1", {}),
         ("simulate", "sample_interval = 0.5", "sample_interval = inf", {}),
         ("simulate", "box_len = 32.0", "box_len = inf", {}),
-    ], ids=["odd_n", "k_max_5", "threads_not_int", "unknown_key",
-            "unknown_stepper_key", "unknown_section", "t_final_off_samples",
+    ], ids=["odd_n", "k_max_5", "threads_not_int", "threads_0", "threads_-1",
+            "unknown_key", "unknown_stepper_key", "unknown_section",
+            "t_final_off_samples",
             "empty_mu", "support_too_wide", "negative_t_final", "zero_dt",
             "nan_amplitude", "inf_amplitude", "nan_support_radius", "nan_dt",
             "inf_dt", "negative_seed", "inf_sample_interval",

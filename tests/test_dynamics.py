@@ -189,9 +189,16 @@ def reference_step(state, dt, cfg):
             dH += f2
         return dV, dH
 
-    E = np.exp(-state.mu * g.k_sq * (dt / 2.0))
+    V, H = reference_if_rk4(g, state.mu, dt, state.V, state.H, N)
+    return PotentialState(g, V, H, t=state.t + dt, mu=state.mu)
+
+
+def reference_if_rk4(g, mu, dt, u, w, N):
+    """The seed IF-RK4 body in physical space: u' = mu lap u + Nu and
+    w' = Nw, with (Nu, Nw) = N(u, w) and the heat factor on u round-tripped
+    through fft/ifft at each use."""
+    E = np.exp(-mu * g.k_sq * (dt / 2.0))
     E2 = E * E
-    u, w = state.V, state.H
     k1u, k1w = N(u, w)
     k2u, k2w = N(_damp(u + 0.5 * dt * k1u, E), w + 0.5 * dt * k1w)
     k3u, k3w = N(_damp(u, E) + 0.5 * dt * k2u, w + 0.5 * dt * k2w)
@@ -199,7 +206,7 @@ def reference_step(state, dt, cfg):
     un = (_damp(u, E2)
           + dt / 6.0 * (_damp(k1u, E2) + 2.0 * _damp(k2u + k3u, E) + k4u))
     wn = w + dt / 6.0 * (k1w + 2.0 * (k2w + k3w) + k4w)
-    return PotentialState(g, un, wn, t=state.t + dt, mu=state.mu)
+    return un, wn
 
 
 SWITCHES = {"default": CFG,
@@ -237,6 +244,18 @@ def test_step_transform_budget(grid32, transforms):
     transforms.clear()
     step(st, 0.01, CFG)
     assert sum(transforms.values()) <= 50
+    assert set(transforms) == {"rfft2", "irfft2"}
+
+
+def test_step_primitive_transform_budget(grid32, transforms):
+    # 6 fields in and 6 out, and v, G and their 12 gradients back plus 9
+    # products forward in each of the 4 stages
+    st = make_initial_data(grid32, InitialDataParams(amplitude=0.01,
+                                                     mu=1e-2))
+    prim = primitive_of(st)
+    transforms.clear()
+    step_primitive(prim, 0.01, CFG)
+    assert sum(transforms.values()) <= 120
     assert set(transforms) == {"rfft2", "irfft2"}
 
 
@@ -290,12 +309,15 @@ class TestStep:
         assert sp.linf_norm(sp.dealias(g, evolved_state.V)
                             - evolved_state.V) < 1e-13
 
-    def test_nan_raises_blow_up(self, small_state):
+    @pytest.mark.parametrize("stepper, form", [
+        (step, lambda s: s), (step_primitive, primitive_of)],
+        ids=["potential", "primitive"])
+    def test_nan_raises_blow_up(self, small_state, stepper, form):
         bad = PotentialState(small_state.grid,
                              np.full_like(small_state.V, np.nan),
                              small_state.H)
         with pytest.raises(BlowUpError):
-            step(bad, 0.01, CFG)
+            stepper(form(bad), 0.01, CFG)
 
     def test_blow_up_error_pickles(self):
         # a process-pool worker returns its exceptions pickled
@@ -343,20 +365,38 @@ def reference_rhs_primitive(state, cfg=CFG, include_viscosity=True):
     return dv, dG
 
 
+def reference_step_primitive(state, dt, cfg):
+    """The seed IF-RK4 step of the primitive form: physical-space state,
+    the heat factor on v round-tripped through fft/ifft at each use, and
+    reference_rhs_primitive without viscosity.  The reference for
+    step_primitive."""
+    g = state.grid
+
+    def N(v, G):
+        return reference_rhs_primitive(PrimitiveState(g, v, G, mu=state.mu),
+                                       cfg, include_viscosity=False)
+
+    v, G = reference_if_rk4(g, state.mu, dt, state.v, state.G, N)
+    return PrimitiveState(g, v, G, t=state.t + dt, mu=state.mu)
+
+
+def off_potential_state(grid, mu):
+    """A primitive state whose products reach past the 2/3 cutoff (modes up
+    to 16 of 32, so dealiasing acts) and whose G is off the potential form:
+    its columns are not divergence-free."""
+    band = [sp.random_band_limited(grid, seed=s, max_mode=16)
+            for s in (7, 8, 9)]
+    pot = primitive_of(PotentialState(grid, 0.05 * band[0],
+                                      0.05 * np.stack(band[1:]), mu=mu))
+    return PrimitiveState(grid, pot.v, pot.G + 0.01 * pot.G[::-1], mu=mu)
+
+
 class TestReferencePrimitive:
     @pytest.mark.parametrize("viscosity", [True, False])
     @pytest.mark.parametrize("switch", list(SWITCHES))
     def test_rhs_matches_seed_formula(self, grid64, switch, viscosity):
         cfg = SWITCHES[switch]
-        # modes up to 16 of 32: the products reach past the 2/3 cutoff, so
-        # dealiasing acts
-        band = [sp.random_band_limited(grid64, seed=s, max_mode=16)
-                for s in (7, 8, 9)]
-        pot = primitive_of(PotentialState(grid64, 0.05 * band[0],
-                                          0.05 * np.stack(band[1:]), mu=1e-2))
-        # G off the potential form: its columns are not divergence-free
-        prim = PrimitiveState(grid64, pot.v, pot.G + 0.01 * pot.G[::-1],
-                              mu=pot.mu)
+        prim = off_potential_state(grid64, 1e-2)
         got = rhs_primitive(prim, cfg, viscosity)
         ref = reference_rhs_primitive(prim, cfg, viscosity)
         dflt = reference_rhs_primitive(prim, CFG, True)
@@ -366,6 +406,24 @@ class TestReferencePrimitive:
         if (cfg, viscosity) != (CFG, True):
             assert max(sp.linf_norm(d - b) / sp.linf_norm(b)
                        for d, b in zip(dflt, ref)) > 1e-10
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-2])
+    @pytest.mark.parametrize("switch", list(SWITCHES))
+    def test_step_primitive_matches_seed_formula(self, grid64, mu, switch):
+        cfg = SWITCHES[switch]
+        st = off_potential_state(grid64, mu)
+        dt = CFG.cfl_factor * grid64.spacing      # the CFL step at unit speed
+        out, ref, dflt = st, st, st
+        for _ in range(5):
+            out = step_primitive(out, dt, cfg)
+            ref = reference_step_primitive(ref, dt, cfg)
+            dflt = step_primitive(dflt, dt, CFG)
+        for a, b, d in ((out.v, ref.v, dflt.v), (out.G, ref.G, dflt.G)):
+            scale = sp.linf_norm(b)
+            assert sp.linf_norm(a - b) <= 1e-13 * scale
+            # each switch changes the step: none is a no-op
+            if cfg != CFG:
+                assert sp.linf_norm(d - b) > 1e-10 * scale
 
 
 class TestPrimitiveConsistency:

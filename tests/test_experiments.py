@@ -104,6 +104,12 @@ class TestWorkerCount:
         monkeypatch.setenv("VE2D_THREADS", "4")
         assert worker_count() == 4
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("VE2D_THREADS", value)
+        with pytest.raises(ConfigError):
+            worker_count()
+
 
 class TestRunSimulation:
     def test_sampling_cadence(self, small_run):
@@ -171,6 +177,31 @@ class TestSweep:
         assert report["max_E1_ratio"] >= 1.0
         for entry in report["per_mu"].values():
             assert entry["max_E1_ratio"] > 0
+
+    def test_pool_capped_at_job_count(self, monkeypatch):
+        # a stand-in pool that records its size and maps serially, so no
+        # process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("VE2D_THREADS", "64")
+        cfg = RunConfig(**{**SMALL, "t_final": 0.5, "mu_list": (0.0, 0.1)})
+        report = sweep_viscosity(cfg)
+        assert sizes == [2]
+        assert set(report["per_mu"]) == {0.0, 0.1}
 
     def test_empty_sweep_rejected(self):
         cfg = RunConfig(**{**SMALL, "mu_list": ()})

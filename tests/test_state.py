@@ -39,6 +39,19 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             PotentialState(grid32, V, H, mu=1.5)
 
+    @pytest.mark.parametrize("bad", [
+        {"v": np.zeros((32, 32))}, {"v": np.zeros((2, 32, 31))},
+        {"G": np.zeros((4, 32, 32))}, {"G": np.zeros((2, 2, 16, 16))},
+        {"mu": -0.1}, {"mu": 1.5}, {"mu": float("nan")}],
+        ids=["v_scalar", "v_short", "G_flat", "G_coarse", "mu_negative",
+             "mu_above_1", "mu_nan"])
+    def test_primitive_state_checked(self, grid32, bad):
+        fields = {"v": np.zeros((2, 32, 32)), "G": np.zeros((2, 2, 32, 32))}
+        PrimitiveState(grid32, **fields, mu=0.5)
+        with pytest.raises(ValueError) as exc:
+            PrimitiveState(grid32, **{**fields, "mu": 0.5, **bad})
+        assert "\n" not in str(exc.value)
+
 
 class TestInitialData:
     @pytest.mark.parametrize("profile", ["gaussian-bump", "ring", "spectral"])
