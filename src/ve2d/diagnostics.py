@@ -11,12 +11,17 @@ Functionals over a derived family (k ranges over 0..k_max where defined):
 with q = arctan(r - t).  The good unknowns are d_i V + d_i H . omega and
 d_i H . omega_perp, which decay faster near the light cone r ~ t.
 
-The family holds its members as rfft2 coefficients.  E_k reads them by
-Parseval, and every gradient functional reads DerivedFamily.stack, which
-the family keeps for the members of order < k_max.  sample_record reads
-the root's kept stack and coefficients for the constraint and the
-identities, so a sample transforms only the root's second derivatives
-and Riesz trace (14 inverse fields) and nothing forward.
+Each of these is a sum over members of a per-member term, and one home,
+_member_terms, computes every term one member adds: E by Parseval of its
+rfft2 coefficients, and, for the members of order < k_max, calE, X, Y,
+G and the good-unknown sups from DerivedFamily.stack, which the family
+keeps for them.  A sample is one pass over the family (_sample_pass):
+the terms are summed per order in the family's order, then over the
+orders, and every kept stack is read once.  sample_record also reads the
+root's kept stack and coefficients for the constraint and the three
+recorded identities, so a sample transforms only the root's second
+derivatives (12 inverse fields) and nothing forward.  energies,
+weighted_norms and good_unknown_norms each read the same pass.
 
 The inequality ratios are evaluated at the base state only, as the audit
 and the acceptance gate report them.  nonlinearity_decay_ratios reads the
@@ -45,8 +50,7 @@ class GeometryWeights:
     r: np.ndarray          # regularized: max(|x|, spacing)
     omega: np.ndarray      # (2, n, n), x / r_reg
     omega_perp: np.ndarray
-    sigma: np.ndarray      # r - t (true r)
-    sigma_bracket: np.ndarray   # <r - t>
+    sigma_bracket: np.ndarray   # <r - t>, true r
     eq: np.ndarray         # ghost weight e^{arctan(r - t)}
     mask: np.ndarray       # light cone region r >= <t>/2
     interior: np.ndarray   # away from the regularized origin, r >= spacing
@@ -71,7 +75,7 @@ def geometry_weights(grid: Grid, t: float) -> GeometryWeights:
     sigma = r_true - t
     w = GeometryWeights(
         grid=grid, t=t, r=r, omega=omega, omega_perp=omega_perp,
-        sigma=sigma, sigma_bracket=np.sqrt(1.0 + sigma ** 2),
+        sigma_bracket=np.sqrt(1.0 + sigma ** 2),
         eq=np.exp(np.arctan(sigma)),
         mask=r_true >= np.sqrt(1.0 + t * t) / 2.0,
         interior=r_true >= grid.spacing,
@@ -81,31 +85,6 @@ def geometry_weights(grid: Grid, t: float) -> GeometryWeights:
             a.flags.writeable = False
     _WEIGHTS[grid, t] = w
     return w
-
-
-def energies(fam: DerivedFamily) -> dict[str, float]:
-    """E_k for k <= k_max and calE_k for 1 <= k <= k_max.
-
-    E_k reads each member's level-0 coefficients by Parseval, with no
-    transform; calE_k reads the kept stacks.
-    """
-    g = fam.state.grid
-    by_order = {}
-    grad_by_order = {}
-    for idx in fam.indices:
-        by_order.setdefault(idx.order, 0.0)
-        by_order[idx.order] += sp.l2_norm_sq_hat(g, fam.jet(idx).hat[0])
-        if idx.order < fam.k_max:  # calE_k sums orders <= k - 1 only
-            D = fam.stack(idx)
-            grad_by_order.setdefault(idx.order, 0.0)
-            grad_by_order[idx.order] += (sp.l2_norm_sq(g, D[0])
-                                         + sp.l2_norm_sq(g, D[1:]))
-    out = {}
-    for k in range(fam.k_max + 1):
-        out[f"E{k}"] = sum(by_order.get(m, 0.0) for m in range(k + 1))
-        if k >= 1:
-            out[f"calE{k}"] = sum(grad_by_order.get(m, 0.0) for m in range(k))
-    return out
 
 
 def _radial(w: GeometryWeights, grads: np.ndarray) -> np.ndarray:
@@ -123,35 +102,78 @@ def _good_unknown_grads(w: GeometryWeights, D: np.ndarray):
             dH[0] * w.omega_perp[0] + dH[1] * w.omega_perp[1])
 
 
+def _member_terms(fam: DerivedFamily, w: GeometryWeights,
+                  idx: MultiIndex) -> dict:
+    """What the member idx adds to the sample functionals: E by Parseval
+    of its level-0 coefficients, and, for an order below k_max, calE, X,
+    Y, G and the masked (radial, tangential) sups of its good unknowns,
+    from its kept stack."""
+    g = fam.state.grid
+    terms = {"E": sp.l2_norm_sq_hat(g, fam.jet(idx).hat[0])}
+    if idx.order >= fam.k_max:  # calE_k .. G_k sum orders <= k - 1 only
+        return terms
+    D = fam.stack(idx)
+    gV, gH = D[0], D[1:]
+    terms["calE"] = sp.l2_norm_sq(g, gV) + sp.l2_norm_sq(g, gH)
+    terms["X"] = (sp.l2_norm_sq(g, w.sigma_bracket * gV)
+                  + sp.l2_norm_sq(g, w.sigma_bracket * gH))
+    good_rad, good_tan = _good_unknown_grads(w, _radial(w, D))
+    terms["Y"] = (sp.l2_norm_sq(g, w.r * good_rad)
+                  + sp.l2_norm_sq(g, w.r * good_tan))
+    good_r, good_t = _good_unknown_grads(w, D)
+    kern = w.eq / w.sigma_bracket ** 2
+    terms["G"] = float(np.sum((good_r ** 2 + good_t ** 2) * kern)
+                       * g.spacing ** 2)
+    terms["sup"] = (float(np.max(np.abs(good_r), where=w.mask, initial=0.0)),
+                    float(np.max(np.abs(good_t), where=w.mask, initial=0.0)))
+    return terms
+
+
+def _sample_pass(fam: DerivedFamily) -> tuple[dict[str, float], dict]:
+    """One pass over the family: the functionals E_k .. G_k, each summed
+    per order in the family's order and then over the orders, and the
+    good-unknown sups of each member of order < k_max."""
+    w = geometry_weights(fam.state.grid, fam.state.t)
+    by_order, sups = {}, {}
+    for idx in fam.indices:
+        terms = _member_terms(fam, w, idx)
+        if "sup" in terms:
+            sups[idx] = terms.pop("sup")
+        for name, term in terms.items():
+            key = name, idx.order
+            by_order[key] = by_order.get(key, 0.0) + term
+    out = {}
+    for k in range(fam.k_max + 1):
+        out[f"E{k}"] = sum(by_order.get(("E", m), 0.0) for m in range(k + 1))
+        if k >= 1:
+            for name in ("calE", "X", "Y", "G"):
+                out[f"{name}{k}"] = sum(by_order.get((name, m), 0.0)
+                                        for m in range(k))
+    return out, sups
+
+
+def _good_sup(w: GeometryWeights, sups: dict) -> float:
+    """Sum of the sups over the members in the family's order; the light
+    cone mask of w must not be empty."""
+    if not np.any(w.mask):
+        raise ValueError(f"light-cone mask is empty at t = {w.t}")
+    return sum((s_r + s_t for s_r, s_t in sups.values()), 0.0)
+
+
+def energies(fam: DerivedFamily) -> dict[str, float]:
+    """E_k for k <= k_max and calE_k for 1 <= k <= k_max.
+
+    E_k reads each member's level-0 coefficients by Parseval, with no
+    transform; calE_k reads the kept stacks.
+    """
+    out = _sample_pass(fam)[0]
+    return {k: v for k, v in out.items() if k.startswith(("E", "calE"))}
+
+
 def weighted_norms(fam: DerivedFamily) -> dict[str, float]:
     """X_k, Y_k, G_k for 1 <= k <= k_max."""
-    g = fam.state.grid
-    w = geometry_weights(g, fam.state.t)
-    x_by, y_by, g_by = {}, {}, {}
-    for idx in fam.indices:
-        if idx.order > fam.k_max - 1:
-            continue
-        D = fam.stack(idx)
-        gV, gH = D[0], D[1:]
-        xterm = (sp.l2_norm_sq(g, w.sigma_bracket * gV)
-                 + sp.l2_norm_sq(g, w.sigma_bracket * gH))
-        good_rad, good_tan = _good_unknown_grads(w, _radial(w, D))
-        yterm = (sp.l2_norm_sq(g, w.r * good_rad)
-                 + sp.l2_norm_sq(g, w.r * good_tan))
-        good_r, good_t = _good_unknown_grads(w, D)
-        kern = w.eq / w.sigma_bracket ** 2
-        gterm = float(np.sum((good_r ** 2 + good_t ** 2) * kern)
-                      * g.spacing ** 2)
-        o = idx.order
-        x_by[o] = x_by.get(o, 0.0) + xterm
-        y_by[o] = y_by.get(o, 0.0) + yterm
-        g_by[o] = g_by.get(o, 0.0) + gterm
-    out = {}
-    for k in range(1, fam.k_max + 1):
-        out[f"X{k}"] = sum(x_by.get(m, 0.0) for m in range(k))
-        out[f"Y{k}"] = sum(y_by.get(m, 0.0) for m in range(k))
-        out[f"G{k}"] = sum(g_by.get(m, 0.0) for m in range(k))
-    return out
+    out = _sample_pass(fam)[0]
+    return {k: v for k, v in out.items() if k.startswith(("X", "Y", "G"))}
 
 
 def good_unknown_norms(fam: DerivedFamily) -> dict:
@@ -160,20 +182,10 @@ def good_unknown_norms(fam: DerivedFamily) -> dict:
 
     Returns per-index (radial, tangential) sups and their overall sum.
     """
+    # held across the pass, which reads the same weights
     w = geometry_weights(fam.state.grid, fam.state.t)
-    if not np.any(w.mask):
-        raise ValueError(f"light-cone mask is empty at t = {fam.state.t}")
-    per_index = {}
-    total = 0.0
-    for idx in fam.indices:
-        if idx.order > fam.k_max - 1:
-            continue
-        good_r, good_t = _good_unknown_grads(w, fam.stack(idx))
-        s_r = float(np.max(np.abs(good_r), where=w.mask, initial=0.0))
-        s_t = float(np.max(np.abs(good_t), where=w.mask, initial=0.0))
-        per_index[idx] = (s_r, s_t)
-        total += s_r + s_t
-    return {"per_index": per_index, "sum": total}
+    sups = _sample_pass(fam)[1]
+    return {"per_index": sups, "sum": _good_sup(w, sups)}
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +214,15 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
     uh = sp.fft(np.concatenate((V[None], H)))
     D = sp.gradient_from_hat(grid, uh)
     Dp = D if Vp is V and Hp is H else sp.derivative_stack(grid, Vp, Hp)
-    return _identity_checks(grid, uh, D, Dp, t)
+    out = _identity_checks(grid, uh, D, Dp, t)
+    # antisymmetry cancellation
+    gV = D[0]
+    gpV = sp.perp(gV)
+    out["perp_cancel"] = sp.linf_norm(gpV[0] * gV[0] + gpV[1] * gV[1])
+    # trace of the perp-Riesz multiplier vanishes (k_perp . k = 0)
+    trace = sum(sp.ifft(grid.riesz[i, i] * uh[0]) for i in range(2))
+    out["riesz_trace"] = sp.linf_norm(trace)
+    return out
 
 
 def _null_split(grid: Grid, w: GeometryWeights, uh: np.ndarray,
@@ -235,9 +255,10 @@ def _null_split(grid: Grid, w: GeometryWeights, uh: np.ndarray,
 
 def _identity_checks(grid: Grid, uh: np.ndarray, D: np.ndarray,
                      Dp: np.ndarray, t: float) -> dict[str, float]:
-    """identity_checks from the coefficients uh of (V, H1, H2), their
-    derivative stack D and the derivative stack Dp of (V', H'): 12 inverse
-    fields of second derivatives and 2 of the Riesz trace."""
+    """null_split, f2_split and grad_split, the identities a sample
+    records, from the coefficients uh of (V, H1, H2), their derivative
+    stack D and the derivative stack Dp of (V', H'): 12 inverse fields of
+    second derivatives."""
     w = geometry_weights(grid, t)
     gV, gH = D[0], D[1:]
     out = {"null_split": _null_split(grid, w, uh, Dp)}
@@ -269,13 +290,6 @@ def _identity_checks(grid: Grid, uh: np.ndarray, D: np.ndarray,
         res = max(res, float(np.max(np.abs(gV[i] - rhs), where=far,
                                     initial=0.0)))
     out["grad_split"] = res
-
-    # antisymmetry cancellation
-    out["perp_cancel"] = sp.linf_norm(gpV[0] * gV[0] + gpV[1] * gV[1])
-
-    # trace of the perp-Riesz multiplier vanishes (k_perp . k = 0)
-    trace = sum(sp.ifft(grid.riesz[i, i] * uh[0]) for i in range(2))
-    out["riesz_trace"] = sp.linf_norm(trace)
     return out
 
 
@@ -426,17 +440,16 @@ class DiagnosticsRecord:
 
 
 def sample_record(fam: DerivedFamily) -> DiagnosticsRecord:
-    """Evaluate the full diagnostics suite on one family."""
+    """Evaluate the full diagnostics suite on one family, in one pass over
+    its members."""
     st = fam.state
     # held for the whole sample, so every functional reads the same weights
     w = geometry_weights(st.grid, st.t)
-    vals = {}
-    vals.update(energies(fam))
-    vals.update(weighted_norms(fam))
+    vals, sups = _sample_pass(fam)
     # families built with k_max < 2 leave the deeper columns empty
     for col in CSV_HEADER.split(",")[2:]:
         vals.setdefault(col, float("nan"))
-    vals["good_sup"] = good_unknown_norms(fam)["sum"]
+    vals["good_sup"] = _good_sup(w, sups)
     # the root's kept stack and coefficients serve the constraint, the
     # identities and grad_sup
     root = MultiIndex(0, (0, 0, 0, 0))

@@ -165,11 +165,12 @@ def _rhs_primitive_hat(grid: Grid, uh: np.ndarray, cfg: StepperConfig
              - np.einsum("lxy,ijlxy->ijxy", v, gG)).reshape(4, n, n))))
         if cfg.dealias:
             ph *= grid.keep_mask
-        # div(G G^T) - v.grad v, projected
+        # div(G G^T) - v.grad v
         GGt = ph[[2, 3, 3, 4]].reshape(2, 2, *shape)
-        duh[:2] = sp.leray_hat(grid, duh[:2] - ph[:2] + np.einsum(
-            "jxy,ijxy->ixy", grid.ik, GGt))
+        duh[:2] = duh[:2] - ph[:2] + np.einsum("jxy,ijxy->ixy", grid.ik, GGt)
         duh[2:] += ph[5:]
+    # the pressure: dv is projected on every path, nonlinear or not
+    duh[:2] = sp.leray_hat(grid, duh[:2])
     return duh
 
 
@@ -202,9 +203,10 @@ def rhs_primitive(state: PrimitiveState,
     dG = grad v + (grad v) G - v.grad G,  with (grad v)_{ij} = d_j v_i.
 
     P is the Leray projection; it commutes with lap, and lap v needs none
-    for the divergence-free v of the primitive form.  With the
-    nonlinearity switched off, div G is not projected.
-    include_viscosity=False drops mu lap v.
+    for the divergence-free v of the primitive form.  P acts with every
+    switch, so dv is divergence-free with the coupling or the
+    nonlinearity switched off too.  include_viscosity=False drops mu lap
+    v.
     """
     g = state.grid
     uh = sp.fft(np.concatenate((state.v, state.G.reshape(4, g.n, g.n))))

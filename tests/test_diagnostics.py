@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 import ve2d.diagnostics as dg
 import ve2d.spectral as sp
+from ve2d.dynamics import evolve
 from ve2d.families import (MultiIndex, _nonlinearity_hat, _splittings,
                            derived_family)
 from ve2d.grid import Grid
+from ve2d.state import InitialDataParams, make_initial_data
 from spectral_ops import derivative, rotation
 
 
@@ -106,6 +108,67 @@ def reference_nonlinearity_decay_ratios(fam, idx):
                + np.abs(good_tan_l) * np.abs(good_tan_r))
     out["fij_decay"] = dg._ratio(lhs, rhs)
     return out
+
+
+def reference_sample_functionals(fam):
+    """energies, weighted_norms and good_unknown_norms as three loops over
+    the members, each with its own per-order tally: the reference for the
+    one pass of diagnostics._sample_pass."""
+    g = fam.state.grid
+    by_order = {}
+    grad_by_order = {}
+    for idx in fam.indices:
+        by_order.setdefault(idx.order, 0.0)
+        by_order[idx.order] += sp.l2_norm_sq_hat(g, fam.jet(idx).hat[0])
+        if idx.order < fam.k_max:  # calE_k sums orders <= k - 1 only
+            D = fam.stack(idx)
+            grad_by_order.setdefault(idx.order, 0.0)
+            grad_by_order[idx.order] += (sp.l2_norm_sq(g, D[0])
+                                         + sp.l2_norm_sq(g, D[1:]))
+    energies = {}
+    for k in range(fam.k_max + 1):
+        energies[f"E{k}"] = sum(by_order.get(m, 0.0) for m in range(k + 1))
+        if k >= 1:
+            energies[f"calE{k}"] = sum(grad_by_order.get(m, 0.0)
+                                       for m in range(k))
+
+    w = dg.geometry_weights(g, fam.state.t)
+    x_by, y_by, g_by = {}, {}, {}
+    for idx in fam.indices:
+        if idx.order > fam.k_max - 1:
+            continue
+        D = fam.stack(idx)
+        gV, gH = D[0], D[1:]
+        xterm = (sp.l2_norm_sq(g, w.sigma_bracket * gV)
+                 + sp.l2_norm_sq(g, w.sigma_bracket * gH))
+        good_rad, good_tan = dg._good_unknown_grads(w, dg._radial(w, D))
+        yterm = (sp.l2_norm_sq(g, w.r * good_rad)
+                 + sp.l2_norm_sq(g, w.r * good_tan))
+        good_r, good_t = dg._good_unknown_grads(w, D)
+        kern = w.eq / w.sigma_bracket ** 2
+        gterm = float(np.sum((good_r ** 2 + good_t ** 2) * kern)
+                      * g.spacing ** 2)
+        o = idx.order
+        x_by[o] = x_by.get(o, 0.0) + xterm
+        y_by[o] = y_by.get(o, 0.0) + yterm
+        g_by[o] = g_by.get(o, 0.0) + gterm
+    weighted = {}
+    for k in range(1, fam.k_max + 1):
+        weighted[f"X{k}"] = sum(x_by.get(m, 0.0) for m in range(k))
+        weighted[f"Y{k}"] = sum(y_by.get(m, 0.0) for m in range(k))
+        weighted[f"G{k}"] = sum(g_by.get(m, 0.0) for m in range(k))
+
+    per_index = {}
+    total = 0.0
+    for idx in fam.indices:
+        if idx.order > fam.k_max - 1:
+            continue
+        good_r, good_t = dg._good_unknown_grads(w, fam.stack(idx))
+        s_r = float(np.max(np.abs(good_r), where=w.mask, initial=0.0))
+        s_t = float(np.max(np.abs(good_t), where=w.mask, initial=0.0))
+        per_index[idx] = (s_r, s_t)
+        total += s_r + s_t
+    return energies, weighted, {"per_index": per_index, "sum": total}
 
 
 def reference_masked_sups(grid, uh, D, Dp, t):
@@ -238,6 +301,57 @@ class TestEnergies:
         assert all(len(v) == 2 for v in out["per_index"].values())
         orders = {idx.order for idx in out["per_index"]}
         assert max(orders) <= family.k_max - 1
+
+
+class TestSamplePass:
+    # one pass over the family gives every sample functional; it must
+    # equal the three loops of reference_sample_functionals bit for bit
+
+    @pytest.fixture(scope="class")
+    def state64(self, small_state):
+        return evolve(small_state, 1.0)
+
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("mu", [0.0, 1e-2])
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    def test_matches_reference(self, state64, k_max, mu, residual):
+        fam = derived_family(replace(state64, mu=mu), k_max,
+                             residual=residual)
+        energies, weighted, good = reference_sample_functionals(fam)
+        assert dg.energies(fam) == energies
+        assert dg.weighted_norms(fam) == weighted
+        assert dg.good_unknown_norms(fam) == good
+        vals = dg.sample_record(fam).values
+        for key, val in {**energies, **weighted}.items():
+            assert vals[key] == val, key
+        assert vals["good_sup"] == good["sum"]
+
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    def test_one_stack_read_per_member(self, state64, k_max):
+        # each member of order < k_max once, and the root once more for
+        # the constraint and the identities: 7 at k_max = 2, where three
+        # loops over the members took 19
+        fam = derived_family(state64, k_max, residual=False)
+        reads = []
+        stack = fam.stack
+        fam.stack = lambda idx: reads.append(idx) or stack(idx)
+        dg.sample_record(fam)
+        assert len(reads) <= sum(idx.order < k_max for idx in fam.indices) + 1
+        # only the root is read twice
+        assert {idx for idx in reads if reads.count(idx) > 1} <= {
+            fam.indices[0]}
+
+    def test_empty_cone_raises_for_the_sups_only(self, grid32):
+        # at t = 30 no point of the L = 16 box has r >= <t>/2
+        st = make_initial_data(grid32, InitialDataParams(amplitude=0.01))
+        fam = derived_family(replace(st, t=30.0), 1, residual=False)
+        assert not np.any(dg.geometry_weights(grid32, 30.0).mask)
+        assert np.isfinite(dg.energies(fam)["calE1"])
+        assert np.isfinite(dg.weighted_norms(fam)["G1"])
+        with pytest.raises(ValueError, match="light-cone mask is empty"):
+            dg.good_unknown_norms(fam)
+        with pytest.raises(ValueError, match="light-cone mask is empty"):
+            dg.sample_record(fam)
 
 
 class TestIdentityChecks:

@@ -215,6 +215,27 @@ class TestConvergence:
         with pytest.raises(ConfigError):
             convergence_study(cfg)
 
+    def test_runs_sample_lean_families(self, monkeypatch):
+        # the table reads the final states and the blow-up ceiling E1, so
+        # no run builds a family deeper than k_max = 1
+        cfg = RunConfig(**{**SMALL, "t_final": 0.5, "k_max": 2,
+                           "mu_list": (0.0, 0.1, 0.01, 0.001)})
+        depths = []
+
+        def family(state, k_max, *args, **kwargs):
+            depths.append(k_max)
+            return derived_family(state, k_max, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "derived_family", family)
+        out = convergence_study(cfg)
+        assert depths and max(depths) <= 1
+        monkeypatch.undo()
+        base = run_simulation(cfg, mu=0.0, write=False).final_state
+        for mu in (0.1, 0.01, 0.001):
+            final = run_simulation(cfg, mu=mu, write=False).final_state
+            assert out["table"][mu] == state_l2_distance(final, base)
+        assert out["table"][0.0] == 0.0
+
     def test_distance_metric(self, small_run):
         st = small_run.final_state
         assert state_l2_distance(st, st) == 0.0

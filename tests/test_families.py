@@ -205,7 +205,8 @@ class TestTransformBudget:
     # d_1 and d_2 cost none, and each parent of a rot~ or scale~ child
     # transforms the gradients of the levels they read once, which also
     # gives its kept stack.  A sample reads the kept stacks and the
-    # coefficients and makes no forward transform.  Each quadratic form is
+    # coefficients and makes no forward transform: its 12 fields are the
+    # root's second derivatives.  Each quadratic form is
     # summed over its Leibniz sum or splittings and transformed once;
     # dealiasing each product on its own exceeds these.
     @pytest.fixture
@@ -223,7 +224,7 @@ class TestTransformBudget:
         fam = derived_family(state, 2)
         transforms.clear()
         sample_record(fam)
-        assert sum(transforms.values()) <= 14
+        assert sum(transforms.values()) <= 12
         assert set(transforms) == {"irfft2"}
 
     def test_derived_family_k_max_3(self, state, transforms):
@@ -251,7 +252,7 @@ class TestTransformBudget:
         fam = derived_family(state, 3)
         transforms.clear()
         sample_record(fam)
-        assert sum(transforms.values()) <= 14
+        assert sum(transforms.values()) <= 12
         assert set(transforms) == {"irfft2"}
 
     def test_nonlinearity_f_all_indices(self, state, transforms):
