@@ -23,6 +23,12 @@ recorded identities, so a sample transforms only the root's second
 derivatives (12 inverse fields) and nothing forward.  energies,
 weighted_norms and good_unknown_norms each read the same pass.
 
+The light-cone weights of GeometryWeights are an argument, not shared
+state: each public entry point (sample_record, energies, weighted_norms,
+good_unknown_norms, identity_checks, weighted_sobolev_ratios and
+nonlinearity_decay_ratios) builds them once, with geometry_weights at its
+(grid, t), and passes them to the helpers that read them.
+
 The inequality ratios are evaluated at the base state only, as the audit
 and the acceptance gate report them.  nonlinearity_decay_ratios reads the
 root's products and stack and the fields of the members U^(0,a) with
@@ -30,7 +36,6 @@ root's products and stack and the fields of the members U^(0,a) with
 length <= 2 built from its one forward transform.
 """
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,35 +61,20 @@ class GeometryWeights:
     interior: np.ndarray   # away from the regularized origin, r >= spacing
 
 
-# weights in use, by (grid, t): a sample's functionals share one build.
-# Entries are a function of the key alone and read-only, so callers can
-# share them, and they are freed with their last holder.
-_WEIGHTS = weakref.WeakValueDictionary()
-
-
 def geometry_weights(grid: Grid, t: float) -> GeometryWeights:
-    """The weights at (grid, t).  They are built once while any caller
-    holds them, so their arrays are read-only."""
-    w = _WEIGHTS.get((grid, t))
-    if w is not None:
-        return w
+    """The weights at (grid, t)."""
     r_true = grid.r
     r = np.maximum(r_true, grid.spacing)
     omega = np.stack([grid.x1 / r, grid.x2 / r])
     omega_perp = np.stack([-omega[1], omega[0]])
     sigma = r_true - t
-    w = GeometryWeights(
+    return GeometryWeights(
         grid=grid, t=t, r=r, omega=omega, omega_perp=omega_perp,
         sigma_bracket=np.sqrt(1.0 + sigma ** 2),
         eq=np.exp(np.arctan(sigma)),
         mask=r_true >= np.sqrt(1.0 + t * t) / 2.0,
         interior=r_true >= grid.spacing,
     )
-    for a in vars(w).values():
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
-    _WEIGHTS[grid, t] = w
-    return w
 
 
 def _radial(w: GeometryWeights, grads: np.ndarray) -> np.ndarray:
@@ -129,11 +119,12 @@ def _member_terms(fam: DerivedFamily, w: GeometryWeights,
     return terms
 
 
-def _sample_pass(fam: DerivedFamily) -> tuple[dict[str, float], dict]:
-    """One pass over the family: the functionals E_k .. G_k, each summed
-    per order in the family's order and then over the orders, and the
-    good-unknown sups of each member of order < k_max."""
-    w = geometry_weights(fam.state.grid, fam.state.t)
+def _sample_pass(fam: DerivedFamily, w: GeometryWeights
+                 ) -> tuple[dict[str, float], dict]:
+    """One pass over the family with the weights w at its (grid, t): the
+    functionals E_k .. G_k, each summed per order in the family's order
+    and then over the orders, and the good-unknown sups of each member of
+    order < k_max."""
     by_order, sups = {}, {}
     for idx in fam.indices:
         terms = _member_terms(fam, w, idx)
@@ -166,13 +157,13 @@ def energies(fam: DerivedFamily) -> dict[str, float]:
     E_k reads each member's level-0 coefficients by Parseval, with no
     transform; calE_k reads the kept stacks.
     """
-    out = _sample_pass(fam)[0]
+    out = _sample_pass(fam, geometry_weights(fam.state.grid, fam.state.t))[0]
     return {k: v for k, v in out.items() if k.startswith(("E", "calE"))}
 
 
 def weighted_norms(fam: DerivedFamily) -> dict[str, float]:
     """X_k, Y_k, G_k for 1 <= k <= k_max."""
-    out = _sample_pass(fam)[0]
+    out = _sample_pass(fam, geometry_weights(fam.state.grid, fam.state.t))[0]
     return {k: v for k, v in out.items() if k.startswith(("X", "Y", "G"))}
 
 
@@ -182,9 +173,8 @@ def good_unknown_norms(fam: DerivedFamily) -> dict:
 
     Returns per-index (radial, tangential) sups and their overall sum.
     """
-    # held across the pass, which reads the same weights
     w = geometry_weights(fam.state.grid, fam.state.t)
-    sups = _sample_pass(fam)[1]
+    sups = _sample_pass(fam, w)[1]
     return {"per_index": sups, "sum": _good_sup(w, sups)}
 
 
@@ -207,14 +197,12 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
     All are exact away from the regularized origin; the first two are
     evaluated on r >= spacing, grad_split on r >= 4 spacing.
     """
-    if Vp is None:
-        Vp = V
-    if Hp is None:
-        Hp = H
+    Vp = V if Vp is None else Vp
+    Hp = H if Hp is None else Hp
     uh = sp.fft(np.concatenate((V[None], H)))
     D = sp.gradient_from_hat(grid, uh)
     Dp = D if Vp is V and Hp is H else sp.derivative_stack(grid, Vp, Hp)
-    out = _identity_checks(grid, uh, D, Dp, t)
+    out = _identity_checks(geometry_weights(grid, t), uh, D, Dp)
     # antisymmetry cancellation
     gV = D[0]
     gpV = sp.perp(gV)
@@ -225,14 +213,14 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
     return out
 
 
-def _null_split(grid: Grid, w: GeometryWeights, uh: np.ndarray,
-                Dp: np.ndarray) -> float:
+def _null_split(w: GeometryWeights, uh: np.ndarray, Dp: np.ndarray
+                ) -> float:
     """null_split over all (i, j, k), from the coefficients uh of
     (V, H1, H2) and the derivative stack Dp of (V', H').  Its 12 second
     derivatives are freed on return, before the other identities."""
     gVp, gHp = Dp[0], Dp[1:]
     # dd[f, j, k] = d_k d_j of field f of (V, H1, H2)
-    dd = sp.ifft(grid.ik[:, None] * grid.ik * uh[:, None, None])
+    dd = sp.ifft(w.grid.ik[:, None] * w.grid.ik * uh[:, None, None])
     ggV, ggH = dd[0], dd[1:]                   # [j, k], [m, j, k]
     res = 0.0
     goodV, goodT = _good_unknown_grads(w, Dp)
@@ -253,15 +241,15 @@ def _null_split(grid: Grid, w: GeometryWeights, uh: np.ndarray,
     return res
 
 
-def _identity_checks(grid: Grid, uh: np.ndarray, D: np.ndarray,
-                     Dp: np.ndarray, t: float) -> dict[str, float]:
+def _identity_checks(w: GeometryWeights, uh: np.ndarray, D: np.ndarray,
+                     Dp: np.ndarray) -> dict[str, float]:
     """null_split, f2_split and grad_split, the identities a sample
-    records, from the coefficients uh of (V, H1, H2), their derivative
-    stack D and the derivative stack Dp of (V', H'): 12 inverse fields of
-    second derivatives."""
-    w = geometry_weights(grid, t)
+    records, with the weights w, from the coefficients uh of (V, H1, H2),
+    their derivative stack D and the derivative stack Dp of (V', H'): 12
+    inverse fields of second derivatives."""
+    grid = w.grid
     gV, gH = D[0], D[1:]
-    out = {"null_split": _null_split(grid, w, uh, Dp)}
+    out = {"null_split": _null_split(w, uh, Dp)}
 
     # f2_split: sum_l d_l^perp H_m d_l V decomposed along (omega, omega_perp)
     gpH = sp.perp(gH)                          # [j, l]
@@ -443,9 +431,8 @@ def sample_record(fam: DerivedFamily) -> DiagnosticsRecord:
     """Evaluate the full diagnostics suite on one family, in one pass over
     its members."""
     st = fam.state
-    # held for the whole sample, so every functional reads the same weights
     w = geometry_weights(st.grid, st.t)
-    vals, sups = _sample_pass(fam)
+    vals, sups = _sample_pass(fam, w)
     # families built with k_max < 2 leave the deeper columns empty
     for col in CSV_HEADER.split(",")[2:]:
         vals.setdefault(col, float("nan"))
@@ -457,7 +444,7 @@ def sample_record(fam: DerivedFamily) -> DiagnosticsRecord:
     res = _constraint_of_gradients(D[1:])
     vals["constraint_L2"] = sp.l2_norm(st.grid, res)
     vals["constraint_Linf"] = sp.linf_norm(res)
-    ids = _identity_checks(st.grid, fam.jet(root).hat[0], D, D, st.t)
+    ids = _identity_checks(w, fam.jet(root).hat[0], D, D)
     vals["id45_res"] = ids["null_split"]
     vals["id417_res"] = ids["f2_split"]
     vals["id218_res"] = ids["grad_split"]

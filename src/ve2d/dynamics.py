@@ -18,12 +18,12 @@ Each stage of the potential kernel, _rhs_hat, costs 11 real-field
 transforms: the 6 gradients of (V, H1, H2) back to physical space (the
 perp-gradients are relabelled gradients), and the 5 quadratic products
 f11, f12, f22, f2_1, f2_2 forward.  The 2/3 mask is one multiply of the
-product spectra, and the four Riesz symbols of f1 are fused into three, one
-per product (Grid.f1_riesz).  Each stage of the primitive kernel,
-_rhs_primitive_hat, costs 27: v, G and their 12 gradients back, and 9
-products forward (v.grad v, the 3 entries of the symmetric G G^T, and
-(grad v) G - v.grad G), masked once; the pressure is removed by the Leray
-projection of the coefficients.
+product spectra (spectral._fft_masked), and the four Riesz symbols of f1
+are fused into three, one per product (Grid.f1_riesz).  Each stage of the
+primitive kernel, _rhs_primitive_hat, costs 27: v, G and their 12
+gradients back, and 9 products forward (v.grad v, the 3 entries of the
+symmetric G G^T, and (grad v) G - v.grad G), masked once; the pressure is
+removed by the Leray projection of the coefficients.
 
 _products and _quadratic_hat are the one set of quadratic forms: the
 perp-form sources f1, f2 (and, on request, f3) summed over a Leibniz sum
@@ -114,9 +114,7 @@ def _quadratic_hat(grid: Grid, pairs, dealias: bool, f3: bool = False
     once to the sums) and the fused Riesz symbols of f1.  ph holds the
     masked spectra in the rows of _products: ph[3:5] is f2 and ph[5]
     f3."""
-    ph = sp.fft(_products(pairs, f3))
-    if dealias:
-        ph *= grid.keep_mask
+    ph = sp._fft_masked(grid, _products(pairs, f3), dealias)
     return np.einsum("rxy,rxy->xy", grid.f1_riesz, ph[:3]), ph
 
 
@@ -157,14 +155,13 @@ def _rhs_primitive_hat(grid: Grid, uh: np.ndarray, cfg: StepperConfig
         v, G = f[:2], f[2:6].reshape(2, 2, n, n)
         gv = f[6:10].reshape(2, 2, n, n)            # gv[i, j] = d_j v_i
         gG = f[10:].reshape(2, 2, 2, n, n)          # gG[i, j, l] = d_l G_ij
-        ph = sp.fft(np.concatenate((
+        ph = sp._fft_masked(grid, np.concatenate((
             np.einsum("lxy,ilxy->ixy", v, gv),      # v.grad v
             # G G^T is symmetric: its entries 11, 12, 22
             np.einsum("rkxy,rkxy->rxy", G[[0, 0, 1]], G[[0, 1, 1]]),
             (np.einsum("ikxy,kjxy->ijxy", gv, G)
-             - np.einsum("lxy,ijlxy->ijxy", v, gG)).reshape(4, n, n))))
-        if cfg.dealias:
-            ph *= grid.keep_mask
+             - np.einsum("lxy,ijlxy->ijxy", v, gG)).reshape(4, n, n))),
+            cfg.dealias)
         # div(G G^T) - v.grad v
         GGt = ph[[2, 3, 3, 4]].reshape(2, 2, *shape)
         duh[:2] = duh[:2] - ph[:2] + np.einsum("jxy,ijxy->ixy", grid.ik, GGt)
@@ -282,8 +279,11 @@ def evolve(state: PotentialState, t_final: float,
     """Advance to t_final, choosing dt from the CFL rule unless given.
 
     callback(state) is invoked after every step.  The final step is
-    shortened to land exactly on t_final.
+    shortened to land exactly on t_final.  A given dt must be positive and
+    finite.
     """
+    if dt is not None and not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     s = state
     while s.t < t_final - 1e-12:
         h = dt if dt is not None else choose_dt(s, cfg)

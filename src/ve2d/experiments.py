@@ -59,9 +59,11 @@ class RunConfig:
             raise ConfigError("t_final must lie in [0, box_len/4]")
         if self.dt is not None and not 0.0 < self.dt < np.inf:
             raise ConfigError("dt must be positive and finite")
-        for mu in self.mu_list:
+        for i, mu in enumerate(self.mu_list):
             if not 0.0 <= mu <= 1.0:
                 raise ConfigError(f"viscosity {mu} outside [0, 1]")
+            if mu in self.mu_list[:i]:
+                raise ConfigError(f"viscosity {mu} repeated")
         if not 0.0 < self.sample_interval < np.inf:
             raise ConfigError("sample_interval must be positive and finite")
         samples = self.t_final / self.sample_interval
@@ -181,6 +183,12 @@ def _trajectory(cfg: RunConfig, mu: float):
         yield state
 
 
+def _energy_column(k_max: int) -> str:
+    """The energy a run's growth is read from: E1, or E0 where k_max = 0
+    leaves E1 empty."""
+    return "E1" if k_max >= 1 else "E0"
+
+
 def run_simulation(cfg: RunConfig, mu: float | None = None,
                    write: bool | None = None) -> RunResult:
     """Evolve from the configured initial data, sampling diagnostics.
@@ -191,8 +199,7 @@ def run_simulation(cfg: RunConfig, mu: float | None = None,
     """
     if mu is None:
         mu = cfg.mu_list[0]
-    # the blow-up ceiling reads E1, or E0 where k_max = 0 leaves E1 empty
-    energy = "E1" if cfg.k_max >= 1 else "E0"
+    energy = _energy_column(cfg.k_max)  # the blow-up ceiling reads it
     ceiling = None
     records = []
     blowup_t = None
@@ -275,7 +282,9 @@ def sweep_viscosity(cfg: RunConfig) -> dict:
     """Run every mu in cfg.mu_list from identical initial data.
 
     Returns per-mu energy-ratio maxima, the overall maximum, and fitted
-    calE2 growth exponents where the fit window allows it.
+    calE2 growth exponents where the fit window allows it.  The ratios
+    keep the name max_E1_ratio but read E0 at k_max = 0, as the blow-up
+    ceiling does.
     """
     if len(cfg.mu_list) < 1:
         raise ConfigError("sweep needs at least one viscosity value")
@@ -293,8 +302,8 @@ def sweep_viscosity(cfg: RunConfig) -> dict:
     for res in results:
         if res.blowup_t is not None:
             raise BlowUpError(res.blowup_t)
-        ts, e1 = res.series("E1")
-        ratio = float(np.max(e1) / e1[0]) if e1[0] > 0 else 0.0
+        ts, e = res.series(_energy_column(cfg.k_max))
+        ratio = float(np.max(e) / e[0]) if e[0] > 0 else 0.0
         entry = {"max_E1_ratio": ratio}
         ts, ce2 = res.series("calE2")
         window = ts >= 1.0

@@ -84,10 +84,19 @@ def inverse_laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     return ifft(-grid.inv_k_sq * fft(f))
 
 
+def _fft_masked(grid: Grid, f: np.ndarray, dealias: bool) -> np.ndarray:
+    """fft of f with, when dealias is set, the 2/3 rule applied: the modes
+    with max(|m1|,|m2|) > n/3 zeroed.  The one home of the rule, for
+    dealias and for the product spectra of the steppers and the jets."""
+    fh = fft(f)
+    if dealias:
+        fh *= grid.keep_mask
+    return fh
+
+
 def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """2/3-rule projection of a physical field: zero the modes with
-    max(|m1|,|m2|) > n/3."""
-    return ifft(fft(f) * grid.keep_mask)
+    """2/3-rule projection of a physical field."""
+    return ifft(_fft_masked(grid, f, True))
 
 
 def leray_hat(grid: Grid, vh: np.ndarray) -> np.ndarray:

@@ -211,10 +211,12 @@ def read_snapshot(path) -> PotentialState:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
-        version, n = struct.unpack("<II", fh.read(8))
+        header = fh.read(32)
+        if len(header) < 32:
+            raise ValueError("truncated snapshot")
+        version, n, box_len, t, mu = struct.unpack("<IIddd", header)
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        box_len, t, mu = struct.unpack("<ddd", fh.read(24))
         data = np.frombuffer(fh.read(3 * n * n * 8), dtype="<f8")
     if data.size != 3 * n * n:
         raise ValueError("truncated snapshot")

@@ -92,13 +92,14 @@ class TestSimulate:
          "amplitude = 0.01\nprofile = spectral\nseed = -1", {}),
         ("simulate", "sample_interval = 0.5", "sample_interval = inf", {}),
         ("simulate", "box_len = 32.0", "box_len = inf", {}),
+        ("sweep-mu", "mu = 0", "mu = 0 0", {}),
     ], ids=["odd_n", "k_max_5", "threads_not_int", "threads_0", "threads_-1",
             "unknown_key", "unknown_stepper_key", "unknown_section",
             "t_final_off_samples",
             "empty_mu", "support_too_wide", "negative_t_final", "zero_dt",
             "nan_amplitude", "inf_amplitude", "nan_support_radius", "nan_dt",
             "inf_dt", "negative_seed", "inf_sample_interval",
-            "inf_box_len"])
+            "inf_box_len", "repeated_mu"])
     def test_bad_config_exits_3_with_one_line(self, tmp_path, capsys,
                                               monkeypatch, command, old, new,
                                               env):

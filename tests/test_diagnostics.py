@@ -243,19 +243,25 @@ class TestGeometryWeights:
         late = dg.geometry_weights(grid64, t=20.0)
         assert np.count_nonzero(late.mask) < np.count_nonzero(near.mask)
 
-    def test_built_once_per_sample(self, family, monkeypatch):
+    @pytest.mark.parametrize("entry", [
+        dg.sample_record, dg.energies, dg.weighted_norms,
+        dg.good_unknown_norms,
+        lambda fam: dg.identity_checks(fam.state.grid, fam.state.V,
+                                       fam.state.H, t=fam.state.t),
+        lambda fam: dg.weighted_sobolev_ratios(fam.state.grid, fam.state.V,
+                                               t=fam.state.t),
+        dg.nonlinearity_decay_ratios,
+    ], ids=["sample_record", "energies", "weighted_norms",
+            "good_unknown_norms", "identity_checks",
+            "weighted_sobolev_ratios", "nonlinearity_decay_ratios"])
+    def test_built_once_per_sample(self, family, monkeypatch, entry):
+        # each entry point builds the weights once and passes them down
         built = []
         real = dg.GeometryWeights
         monkeypatch.setattr(dg, "GeometryWeights",
                             lambda **kw: built.append(kw["t"]) or real(**kw))
-        dg.sample_record(family)
+        entry(family)
         assert built == [family.state.t]
-
-    def test_shared_arrays_read_only(self, grid64):
-        w = dg.geometry_weights(grid64, t=3.0)
-        assert dg.geometry_weights(grid64, t=3.0) is w
-        for a in (w.r, w.omega, w.sigma_bracket, w.eq, w.mask):
-            assert not a.flags.writeable
 
 
 class TestEnergies:

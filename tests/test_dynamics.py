@@ -329,6 +329,20 @@ class TestStep:
         out = evolve(small_state, 0.5, CFG, dt=0.03)
         assert out.t == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
+    def test_evolve_rejects_bad_dt(self, small_state, dt):
+        # a dt <= 0 never reaches t_final: stop after 3 steps, not hang
+        steps = []
+
+        def stop_after_3(state):
+            steps.append(state.t)
+            if len(steps) >= 3:
+                raise RuntimeError(f"evolve stepped with dt = {dt}")
+
+        with pytest.raises(ValueError, match="dt must be positive"):
+            evolve(small_state, 0.1, CFG, dt=dt, callback=stop_after_3)
+        assert steps == []
+
 
 def reference_rhs_primitive(state, cfg=CFG, include_viscosity=True):
     """The seed rhs_primitive: field by field in physical space, each

@@ -42,6 +42,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(sample_interval=0.0)
 
+    def test_repeated_viscosity_rejected(self):
+        # a sweep keys its report and its CSV names by mu
+        with pytest.raises(ConfigError, match="repeated"):
+            RunConfig(mu_list=(0.0, 0.1, 0.0))
+
 
 class TestIniParsing:
     def test_full_config(self, tmp_path):
@@ -202,6 +207,19 @@ class TestSweep:
         report = sweep_viscosity(cfg)
         assert sizes == [2]
         assert set(report["per_mu"]) == {0.0, 0.1}
+
+    def test_k_max_0_ratio_reads_e0(self):
+        # k_max = 0 leaves E1 empty (NaN); the ratio reads E0 there, as
+        # the blow-up ceiling of run_simulation does
+        cfg = RunConfig(n=32, box_len=16.0, t_final=1.0, sample_interval=0.5,
+                        k_max=0, mu_list=(0.0, 0.1))
+        report = sweep_viscosity(cfg)
+        for res in report["runs"]:
+            _, e0 = res.series("E0")
+            assert report["per_mu"][res.mu]["max_E1_ratio"] == (
+                float(np.max(e0) / e0[0]))
+            assert report["per_mu"][res.mu]["max_E1_ratio"] >= 1.0
+        assert report["max_E1_ratio"] >= 1.0
 
     def test_empty_sweep_rejected(self):
         cfg = RunConfig(**{**SMALL, "mu_list": ()})

@@ -164,6 +164,16 @@ class TestDealias:
         f = np.cos(w * m * g.x1)
         assert sp.linf_norm(sp.dealias(g, f)) < 1e-13
 
+    def test_one_masked_forward(self):
+        # dealias and the product spectra of both steppers apply the rule
+        # through _fft_masked
+        g = GRID
+        f = np.random.default_rng(1).standard_normal((3, g.n, g.n))
+        assert np.array_equal(sp._fft_masked(g, f, False), sp.fft(f))
+        fh = sp._fft_masked(g, f, True)
+        assert np.array_equal(fh, sp.fft(f) * g.keep_mask)
+        assert np.array_equal(sp.dealias(g, f[0]), sp.ifft(fh[0]))
+
 
 class TestLeray:
     def test_output_divergence_free(self):

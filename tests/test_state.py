@@ -173,3 +173,14 @@ class TestSnapshots:
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(ValueError):
             read_snapshot(path)
+
+    @pytest.mark.parametrize("size", [6, 20])
+    def test_truncated_header_rejected(self, evolved_state_viscous, tmp_path,
+                                       size):
+        # cut inside the 36-byte header: after the magic, within version
+        # and n (6) or within box_len, t and mu (20)
+        path = tmp_path / "state.snap"
+        write_snapshot(path, evolved_state_viscous)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match="truncated snapshot"):
+            read_snapshot(path)
