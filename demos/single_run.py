@@ -23,7 +23,7 @@ cfg = RunConfig(
     k_max=1,
 )
 
-result = run_simulation(cfg, mu=0.0, write=False)
+result = run_simulation(cfg, mu=0.0)
 
 print(f"{'t':>5} {'E1':>12} {'good_sup':>12} {'constraint':>12}")
 for rec in result.records:

@@ -3,9 +3,11 @@
 Subcommands: simulate, sweep-mu, converge, audit, fit.  Exit codes:
 0 success, 2 blow-up, 3 configuration error.
 
-audit evolves to one state without sampling diagnostics, so it exits 2
-only when the fields turn non-finite; simulate also stops at its E1
-ceiling.
+converge and audit evolve to their last states without sampling
+diagnostics, so they exit 2 only when the fields turn non-finite, and
+converge does not read k_max; simulate and sweep-mu also stop at the E1
+ceiling of their samples.  VE2D_THREADS sizes the pool of sweep-mu and
+converge.
 """
 
 import argparse

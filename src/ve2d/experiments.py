@@ -2,10 +2,15 @@
 vanishing-viscosity convergence, and identity/inequality audits.
 
 Configs are INI files (UTF-8, '#' comments) with sections [grid],
-[initial], [run], [stepper]; see RunConfig.from_ini.  Sweep members run in
-a process pool whose size is controlled by the VE2D_THREADS environment
-variable (a positive integer, default 1: fully deterministic artifacts),
-capped at one worker per viscosity.
+[initial], [run], [stepper]; see RunConfig.from_ini.  The viscosities of a
+sweep or a convergence study run in a process pool whose size is controlled
+by the VE2D_THREADS environment variable (a positive integer, default 1:
+fully deterministic artifacts), capped at one worker per viscosity.
+
+Each driver computes only what it reports: a run samples diagnostics at
+every sample time, a convergence study and an audit evolve to their last
+state without sampling, so only the step's finite check stops them.
+Only cfg.output_dir decides whether artifacts are written.
 """
 
 import configparser
@@ -13,6 +18,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +65,8 @@ class RunConfig:
             raise ConfigError("t_final must lie in [0, box_len/4]")
         if self.dt is not None and not 0.0 < self.dt < np.inf:
             raise ConfigError("dt must be positive and finite")
+        if not self.mu_list:
+            raise ConfigError("mu needs at least one value")
         for i, mu in enumerate(self.mu_list):
             if not 0.0 <= mu <= 1.0:
                 raise ConfigError(f"viscosity {mu} outside [0, 1]")
@@ -103,8 +111,6 @@ class RunConfig:
                 dealias=_parse_bool(s.get("dealias", "true")),
             )
             mu_raw = r.get("mu", "0").replace(",", " ").split()
-            if not mu_raw:
-                raise ConfigError("mu needs at least one value")
             return cls(
                 n=int(g.get("n", 256)),
                 box_len=float(g.get("box_len", 64.0)),
@@ -183,14 +189,20 @@ def _trajectory(cfg: RunConfig, mu: float):
         yield state
 
 
+def _final_state(cfg: RunConfig, mu: float) -> PotentialState:
+    """The state at t_final, reached through the steps of a sampled run."""
+    for state in _trajectory(cfg, mu):
+        pass
+    return state
+
+
 def _energy_column(k_max: int) -> str:
     """The energy a run's growth is read from: E1, or E0 where k_max = 0
     leaves E1 empty."""
     return "E1" if k_max >= 1 else "E0"
 
 
-def run_simulation(cfg: RunConfig, mu: float | None = None,
-                   write: bool | None = None) -> RunResult:
+def run_simulation(cfg: RunConfig, mu: float | None = None) -> RunResult:
     """Evolve from the configured initial data, sampling diagnostics.
 
     Artifacts (CSV, final snapshot, summary JSON, SVG plots) are written
@@ -221,9 +233,7 @@ def run_simulation(cfg: RunConfig, mu: float | None = None,
 
     result = RunResult(mu=mu, records=records, final_state=state,
                        blowup_t=blowup_t)
-    if write is None:
-        write = cfg.output_dir is not None
-    if write:
+    if cfg.output_dir is not None:
         _write_run_artifacts(cfg, result)
     return result
 
@@ -273,9 +283,16 @@ def _write_run_artifacts(cfg: RunConfig, result: RunResult) -> None:
                       xlabel="t", ylabel="sup", logx=True, logy=True)
 
 
-def _sweep_worker(args) -> RunResult:
-    cfg, mu = args
-    return run_simulation(cfg, mu=mu)
+def _map_viscosities(fn, cfg: RunConfig, mus) -> list:
+    """[fn(cfg, mu) for mu in mus] with output_dir cleared, in a pool of
+    worker_count() processes, at most one per mu (serial at one)."""
+    run = partial(fn, replace(cfg, output_dir=None))
+    # the pool starts all its workers up front: no more than the jobs
+    workers = min(worker_count(), len(mus))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, mus))
+    return [run(mu) for mu in mus]
 
 
 def sweep_viscosity(cfg: RunConfig) -> dict:
@@ -286,17 +303,7 @@ def sweep_viscosity(cfg: RunConfig) -> dict:
     keep the name max_E1_ratio but read E0 at k_max = 0, as the blow-up
     ceiling does.
     """
-    if len(cfg.mu_list) < 1:
-        raise ConfigError("sweep needs at least one viscosity value")
-    jobs = [(replace(cfg, output_dir=None), mu) for mu in cfg.mu_list]
-    # the pool starts all its workers up front: no more than the jobs
-    workers = min(worker_count(), len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
-    else:
-        results = [_sweep_worker(job) for job in jobs]
-
+    results = _map_viscosities(run_simulation, cfg, cfg.mu_list)
     report = {"mu": list(cfg.mu_list), "runs": results, "per_mu": {}}
     overall = 0.0
     for res in results:
@@ -336,28 +343,20 @@ def convergence_study(cfg: RunConfig) -> dict:
     """Vanishing-viscosity table: ||U_mu(T) - U_0(T)||_L2 and fitted order.
 
     Requires mu_list to contain 0 and at least three positive values in
-    decreasing geometric progression.  The table reads only the final
-    states, and the blow-up ceiling E1 (E0 at k_max = 0) needs no family
-    deeper than k_max = 1, so the runs sample families of k_max <= 1 and
-    their records leave the k >= 2 columns NaN.
+    decreasing geometric progression.  Each viscosity evolves to t_final
+    without sampling, so k_max is not read and only the step's finite
+    check reports a blow-up (a BlowUpError).
     """
-    mus = sorted(cfg.mu_list, reverse=True)
-    positive = [m for m in mus if m > 0]
+    positive = sorted((m for m in cfg.mu_list if m > 0), reverse=True)
     if 0.0 not in cfg.mu_list or len(positive) < 3:
         raise ConfigError("convergence study needs mu = 0 plus >= 3 "
                           "positive viscosities")
-    report = sweep_viscosity(replace(cfg, mu_list=tuple([0.0] + positive),
-                                     k_max=min(cfg.k_max, 1),
-                                     output_dir=None))
-    by_mu = {res.mu: res for res in report["runs"]}
-    base = by_mu[0.0].final_state
-    table = {mu: state_l2_distance(by_mu[mu].final_state, base)
-             for mu in positive}
+    base, *finals = _map_viscosities(_final_state, cfg, [0.0] + positive)
+    dists = np.array([state_l2_distance(final, base) for final in finals])
+    table = dict(zip(positive, dists.tolist()))
     table[0.0] = 0.0
-    logs = np.log(np.array(positive))
-    vals = np.log(np.array([table[mu] for mu in positive]))
-    order = float(np.polyfit(logs, vals, 1)[0])
-    out = {"table": table, "fitted_order": order, "runs": report["runs"]}
+    order = float(np.polyfit(np.log(positive), np.log(dists), 1)[0])
+    out = {"table": table, "fitted_order": order}
     if cfg.output_dir:
         outdir = Path(cfg.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -365,16 +364,15 @@ def convergence_study(cfg: RunConfig) -> dict:
                      "fitted_order": order}
         with open(outdir / "convergence.json", "w", encoding="utf-8") as fh:
             json.dump(printable, fh, indent=2)
-        xs = np.array(positive)
-        ys = np.array([table[mu] for mu in positive])
-        svg.line_plot(outdir / "convergence.svg", [(xs, ys, "L2 diff")],
+        svg.line_plot(outdir / "convergence.svg",
+                      [(np.array(positive), dists, "L2 diff")],
                       title="vanishing-viscosity convergence",
                       xlabel="mu", ylabel="||U_mu(T) - U_0(T)||",
                       logx=True, logy=True)
     return out
 
 
-def audit(cfg: RunConfig, n_random: int = 20, seed: int = 0) -> dict:
+def audit(cfg: RunConfig, n_random: int = 20) -> dict:
     """Identity checks on random fields and on a (short) evolved state.
 
     The short run evolves to the sample time nearest min(T, 4) without
@@ -384,11 +382,11 @@ def audit(cfg: RunConfig, n_random: int = 20, seed: int = 0) -> dict:
     grid = Grid(min(cfg.n, 128), cfg.box_len)
     worst = {}
     for trial in range(n_random):
-        V = sp.random_band_limited(grid, seed + 7 * trial)
-        H = np.stack([sp.random_band_limited(grid, seed + 7 * trial + i)
+        V = sp.random_band_limited(grid, 7 * trial)
+        H = np.stack([sp.random_band_limited(grid, 7 * trial + i)
                       for i in (1, 2)])
-        Vp = sp.random_band_limited(grid, seed + 7 * trial + 3)
-        Hp = np.stack([sp.random_band_limited(grid, seed + 7 * trial + i)
+        Vp = sp.random_band_limited(grid, 7 * trial + 3)
+        Hp = np.stack([sp.random_band_limited(grid, 7 * trial + i)
                        for i in (4, 5)])
         res = dg.identity_checks(grid, V, H, Vp, Hp,
                                  t=float(trial % 5))
@@ -396,9 +394,8 @@ def audit(cfg: RunConfig, n_random: int = 20, seed: int = 0) -> dict:
             worst[name] = max(worst.get(name, 0.0), val)
 
     k = round(min(cfg.t_final, 4.0) / cfg.sample_interval)
-    short = replace(cfg, t_final=k * cfg.sample_interval, output_dir=None)
-    for state in _trajectory(short, cfg.mu_list[0]):
-        pass
+    state = _final_state(replace(cfg, t_final=k * cfg.sample_interval),
+                         cfg.mu_list[0])
     fam = derived_family(state, cfg.k_max, cfg.stepper.dealias)
     commutators = {}
     for idx in fam.indices:

@@ -18,8 +18,9 @@ class Grid:
     def __init__(self, n: int, box_len: float):
         if n < 8 or n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 8, got {n}")
-        if box_len <= 0:
-            raise ValueError(f"box length must be positive, got {box_len}")
+        if not 0 < box_len < np.inf:  # a NaN fails the check too
+            raise ValueError(
+                f"box length must be positive and finite, got {box_len}")
         self.n = int(n)
         self.box_len = float(box_len)
         self.spacing = self.box_len / self.n

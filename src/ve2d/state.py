@@ -12,6 +12,7 @@ construction.  Potentials are normalized to zero mean, being defined only
 up to constants.
 """
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -217,9 +218,11 @@ def read_snapshot(path) -> PotentialState:
         version, n, box_len, t, mu = struct.unpack("<IIddd", header)
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        data = np.frombuffer(fh.read(3 * n * n * 8), dtype="<f8")
-    if data.size != 3 * n * n:
-        raise ValueError("truncated snapshot")
+        size = 3 * n * n * 8
+        # checked before reading: the header's n may claim any size
+        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+            raise ValueError("truncated snapshot")
+        data = np.frombuffer(fh.read(size), dtype="<f8")
     V, H1, H2 = (data[i * n * n:(i + 1) * n * n].reshape(n, n).copy()
                  for i in range(3))
     grid = Grid(n, box_len)

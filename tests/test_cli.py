@@ -25,7 +25,7 @@ k_max = 1
 
 
 # on data this large, steps of dt = 0.5 trip simulate's E1 ceiling at the
-# t = 0.5 sample and leave non-finite fields at t = 1.5
+# t = 0.5 sample and leave non-finite fields at t = 1.5 (at mu = 0)
 BLOWUP_INI = """\
 [grid]
 n = 32
@@ -93,13 +93,14 @@ class TestSimulate:
         ("simulate", "sample_interval = 0.5", "sample_interval = inf", {}),
         ("simulate", "box_len = 32.0", "box_len = inf", {}),
         ("sweep-mu", "mu = 0", "mu = 0 0", {}),
+        ("simulate", "k_max = 1", "k_max = 1\n[stepper]\nscheme = rk3", {}),
     ], ids=["odd_n", "k_max_5", "threads_not_int", "threads_0", "threads_-1",
             "unknown_key", "unknown_stepper_key", "unknown_section",
             "t_final_off_samples",
             "empty_mu", "support_too_wide", "negative_t_final", "zero_dt",
             "nan_amplitude", "inf_amplitude", "nan_support_radius", "nan_dt",
             "inf_dt", "negative_seed", "inf_sample_interval",
-            "inf_box_len", "repeated_mu"])
+            "inf_box_len", "repeated_mu", "unknown_scheme"])
     def test_bad_config_exits_3_with_one_line(self, tmp_path, capsys,
                                               monkeypatch, command, old, new,
                                               env):
@@ -161,6 +162,18 @@ class TestSweepAndConverge:
     def test_converge_requires_baseline(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mu="0.1 0.01 0.001")
         assert cli.main(["converge", "--config", cfg]) == cli.EXIT_CONFIG
+
+    def test_converge_blow_up_exits_2_with_one_line(self, tmp_path, capsys):
+        # converge takes no samples, so it has no E1 ceiling: the step's
+        # finite check stops the mu = 0 run at t = 1.5
+        path = tmp_path / "blowup.ini"
+        path.write_text(BLOWUP_INI.replace("mu = 0", "mu = 0 0.1 0.01 0.001"),
+                        encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["converge", "--config", str(path)])
+        assert rc == cli.EXIT_BLOWUP
+        assert capsys.readouterr().err == "solution blew up at t = 1.5\n"
 
     def test_converge_reports_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mu="0 0.1 0.01 0.001")

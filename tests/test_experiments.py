@@ -7,7 +7,7 @@ import pytest
 import ve2d.diagnostics as dg
 import ve2d.experiments as experiments
 from ve2d.dynamics import StepperConfig
-from ve2d.experiments import (ConfigError, RunConfig, audit,
+from ve2d.experiments import (INI_KEYS, ConfigError, RunConfig, audit,
                               convergence_study, run_simulation,
                               state_l2_distance, sweep_viscosity,
                               worker_count, write_csv)
@@ -20,7 +20,7 @@ SMALL = dict(n=64, box_len=32.0, t_final=2.0, sample_interval=0.5, k_max=1,
 
 @pytest.fixture(scope="module")
 def small_run():
-    return run_simulation(RunConfig(**SMALL), mu=0.0, write=False)
+    return run_simulation(RunConfig(**SMALL), mu=0.0)
 
 
 class TestRunConfig:
@@ -46,6 +46,30 @@ class TestRunConfig:
         # a sweep keys its report and its CSV names by mu
         with pytest.raises(ConfigError, match="repeated"):
             RunConfig(mu_list=(0.0, 0.1, 0.0))
+
+    def test_empty_viscosity_list_rejected(self):
+        with pytest.raises(ConfigError, match="mu needs at least one value"):
+            RunConfig(mu_list=())
+
+
+# a legal value other than the default for every INI key but scheme, which
+# has one legal value (tests/test_cli.py checks that any other exits 3)
+NON_DEFAULT = {
+    ("grid", "n"): "128",
+    ("grid", "box_len"): "128",
+    ("initial", "amplitude"): "0.02",
+    ("initial", "profile"): "ring",
+    ("initial", "support_radius"): "6",
+    ("initial", "seed"): "7",
+    ("run", "mu"): "0 0.1",
+    ("run", "t_final"): "8",
+    ("run", "sample_interval"): "0.5",
+    ("run", "k_max"): "1",
+    ("run", "output_dir"): "out",
+    ("stepper", "cfl_factor"): "0.2",
+    ("stepper", "dealias"): "no",
+    ("stepper", "dt"): "0.1",
+}
 
 
 class TestIniParsing:
@@ -92,6 +116,17 @@ class TestIniParsing:
         path.write_text("[grid]\nn = many\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             RunConfig.from_ini(path)
+
+    @pytest.mark.parametrize("section, key", sorted(
+        (section, key) for section, keys in INI_KEYS.items() for key in keys
+        if key != "scheme"))
+    def test_no_key_silently_ignored(self, tmp_path, section, key):
+        default = tmp_path / "default.ini"
+        default.write_text("", encoding="utf-8")
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = {NON_DEFAULT[section, key]}\n",
+                        encoding="utf-8")
+        assert RunConfig.from_ini(path) != RunConfig.from_ini(default)
 
     def test_bad_boolean(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -144,7 +179,7 @@ class TestRunSimulation:
         # run without dealiasing samples a family built without it
         cfg = RunConfig(**{**SMALL, "t_final": 0.5, "k_max": 2,
                            "stepper": StepperConfig(dealias=False)})
-        run = run_simulation(cfg, mu=0.0, write=False)
+        run = run_simulation(cfg, mu=0.0)
         fam = derived_family(run.final_state, 2, dealias=False)
         assert run.records[-1].values == dg.sample_record(fam).values
 
@@ -159,11 +194,16 @@ class TestRunSimulation:
             return fam
 
         monkeypatch.setattr(experiments, "derived_family", family)
-        run_simulation(RunConfig(**SMALL), mu=0.0, write=False)
+        run_simulation(RunConfig(**SMALL), mu=0.0)
         assert depths == [False] * 5
         depths.clear()
         audit(RunConfig(**SMALL), n_random=0)
         assert depths == [True]
+
+    def test_empty_viscosity_list_is_a_config_error(self):
+        # not an IndexError from reading mu_list[0]
+        with pytest.raises(ConfigError, match="mu needs at least one value"):
+            run_simulation(RunConfig(**{**SMALL, "mu_list": ()}))
 
     def test_deterministic_rerun(self, tmp_path):
         outs = []
@@ -183,7 +223,11 @@ class TestSweep:
         for entry in report["per_mu"].values():
             assert entry["max_E1_ratio"] > 0
 
-    def test_pool_capped_at_job_count(self, monkeypatch):
+    @pytest.mark.parametrize("driver, key, mus", [
+        (sweep_viscosity, "per_mu", (0.0, 0.1)),
+        (convergence_study, "table", (0.0, 0.1, 0.01, 0.001)),
+    ], ids=["sweep_viscosity", "convergence_study"])
+    def test_pool_capped_at_job_count(self, monkeypatch, driver, key, mus):
         # a stand-in pool that records its size and maps serially, so no
         # process starts
         sizes = []
@@ -203,10 +247,10 @@ class TestSweep:
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setenv("VE2D_THREADS", "64")
-        cfg = RunConfig(**{**SMALL, "t_final": 0.5, "mu_list": (0.0, 0.1)})
-        report = sweep_viscosity(cfg)
-        assert sizes == [2]
-        assert set(report["per_mu"]) == {0.0, 0.1}
+        cfg = RunConfig(**{**SMALL, "t_final": 0.5, "mu_list": mus})
+        report = driver(cfg)
+        assert sizes == [len(mus)]
+        assert set(report[key]) == set(mus)
 
     def test_k_max_0_ratio_reads_e0(self):
         # k_max = 0 leaves E1 empty (NaN); the ratio reads E0 there, as
@@ -222,9 +266,8 @@ class TestSweep:
         assert report["max_E1_ratio"] >= 1.0
 
     def test_empty_sweep_rejected(self):
-        cfg = RunConfig(**{**SMALL, "mu_list": ()})
         with pytest.raises(ConfigError):
-            sweep_viscosity(cfg)
+            sweep_viscosity(RunConfig(**{**SMALL, "mu_list": ()}))
 
 
 class TestConvergence:
@@ -233,24 +276,29 @@ class TestConvergence:
         with pytest.raises(ConfigError):
             convergence_study(cfg)
 
-    def test_runs_sample_lean_families(self, monkeypatch):
-        # the table reads the final states and the blow-up ceiling E1, so
-        # no run builds a family deeper than k_max = 1
+    def test_reads_only_final_states(self, monkeypatch):
+        # the table reads the final states alone: no run builds a family
+        # or takes a sample, yet each state is the one a sampled run ends on
         cfg = RunConfig(**{**SMALL, "t_final": 0.5, "k_max": 2,
                            "mu_list": (0.0, 0.1, 0.01, 0.001)})
-        depths = []
+        calls = []
 
-        def family(state, k_max, *args, **kwargs):
-            depths.append(k_max)
-            return derived_family(state, k_max, *args, **kwargs)
+        def count(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(experiments, "derived_family", family)
+        monkeypatch.setattr(experiments, "derived_family",
+                            count("family", derived_family))
+        monkeypatch.setattr(dg, "sample_record",
+                            count("sample", dg.sample_record))
         out = convergence_study(cfg)
-        assert depths and max(depths) <= 1
+        assert calls == []
         monkeypatch.undo()
-        base = run_simulation(cfg, mu=0.0, write=False).final_state
+        base = run_simulation(cfg, mu=0.0).final_state
         for mu in (0.1, 0.01, 0.001):
-            final = run_simulation(cfg, mu=mu, write=False).final_state
+            final = run_simulation(cfg, mu=mu).final_state
             assert out["table"][mu] == state_l2_distance(final, base)
         assert out["table"][0.0] == 0.0
 

@@ -46,6 +46,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(32, -1.0)
 
+    @pytest.mark.parametrize("box_len", [float("nan"), float("inf")])
+    def test_non_finite_box_rejected(self, box_len):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid(8, box_len)
+
     def test_equality_and_hash(self):
         assert Grid(32, 16.0) == Grid(32, 16.0)
         assert Grid(32, 16.0) != Grid(64, 16.0)

@@ -1,10 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 import ve2d.spectral as sp
 from ve2d.grid import Grid
-from ve2d.state import (InitialDataParams, PotentialState, PrimitiveState,
-                        constraint_norms, constraint_residual, deformation_of,
+from ve2d.state import (SNAPSHOT_MAGIC, SNAPSHOT_VERSION, InitialDataParams,
+                        PotentialState, PrimitiveState, constraint_norms,
+                        constraint_residual, deformation_of,
                         make_initial_data, potentials_of, primitive_of,
                         read_snapshot, velocity_of, write_snapshot)
 from spectral_ops import derivative
@@ -182,5 +185,14 @@ class TestSnapshots:
         path = tmp_path / "state.snap"
         write_snapshot(path, evolved_state_viscous)
         path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match="truncated snapshot"):
+            read_snapshot(path)
+
+    def test_header_size_checked_before_reading(self, tmp_path):
+        # a bare 36-byte header claiming n = 2^31: the data it announces
+        # is not read (its byte count overflows a read)
+        path = tmp_path / "state.snap"
+        path.write_bytes(SNAPSHOT_MAGIC + struct.pack(
+            "<IIddd", SNAPSHOT_VERSION, 2 ** 31, 64.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="truncated snapshot"):
             read_snapshot(path)
