@@ -213,31 +213,40 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
     return out
 
 
+def _second_derivatives(grid: Grid, fh: np.ndarray) -> np.ndarray:
+    """d_j d_k of the fields with coefficients fh for the pairs
+    (j, k) = (1, 1), (1, 2), (2, 2), stacked along a new axis -3; one
+    inverse batch.  The symbols ik_j ik_k commute exactly, so d_2 d_1 is
+    d_1 d_2 bit for bit and is not formed."""
+    ik = grid.ik
+    return sp.ifft(np.stack([ik[0] * ik[0], ik[0] * ik[1], ik[1] * ik[1]])
+                   * fh[..., None, :, :])
+
+
 def _null_split(w: GeometryWeights, uh: np.ndarray, Dp: np.ndarray
                 ) -> float:
     """null_split over all (i, j, k), from the coefficients uh of
-    (V, H1, H2) and the derivative stack Dp of (V', H').  Its 12 second
-    derivatives are freed on return, before the other identities."""
+    (V, H1, H2) and the derivative stack Dp of (V', H').  Its 9 second
+    derivatives are freed on return, before the other identities.  The
+    terms of (j, k) = (2, 1) are those of (1, 2) bit for bit, so the sup
+    skips them."""
     gVp, gHp = Dp[0], Dp[1:]
-    # dd[f, j, k] = d_k d_j of field f of (V, H1, H2)
-    dd = sp.ifft(w.grid.ik[:, None] * w.grid.ik * uh[:, None, None])
-    ggV, ggH = dd[0], dd[1:]                   # [j, k], [m, j, k]
+    dd = _second_derivatives(w.grid, uh)
+    ggV, ggH = dd[0], dd[1:]                   # [jk], [m, jk]
     res = 0.0
     goodV, goodT = _good_unknown_grads(w, Dp)
     for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                lhs = (gHp[0, i] * ggH[0, j, k] + gHp[1, i] * ggH[1, j, k]
-                       - gVp[i] * ggV[j, k])
-                dH_jk_r = (ggH[0, j, k] * w.omega[0]
-                           + ggH[1, j, k] * w.omega[1])
-                dH_jk_t = (ggH[0, j, k] * w.omega_perp[0]
-                           + ggH[1, j, k] * w.omega_perp[1])
-                rhs = (goodV[i] * dH_jk_r
-                       - gVp[i] * (ggV[j, k] + dH_jk_r)
-                       + goodT[i] * dH_jk_t)
-                res = max(res, float(np.max(np.abs(lhs - rhs),
-                                            where=w.interior, initial=0.0)))
+        for jk in range(3):
+            lhs = (gHp[0, i] * ggH[0, jk] + gHp[1, i] * ggH[1, jk]
+                   - gVp[i] * ggV[jk])
+            dH_jk_r = ggH[0, jk] * w.omega[0] + ggH[1, jk] * w.omega[1]
+            dH_jk_t = (ggH[0, jk] * w.omega_perp[0]
+                       + ggH[1, jk] * w.omega_perp[1])
+            rhs = (goodV[i] * dH_jk_r
+                   - gVp[i] * (ggV[jk] + dH_jk_r)
+                   + goodT[i] * dH_jk_t)
+            res = max(res, float(np.max(np.abs(lhs - rhs),
+                                        where=w.interior, initial=0.0)))
     return res
 
 
@@ -245,7 +254,7 @@ def _identity_checks(w: GeometryWeights, uh: np.ndarray, D: np.ndarray,
                      Dp: np.ndarray) -> dict[str, float]:
     """null_split, f2_split and grad_split, the identities a sample
     records, with the weights w, from the coefficients uh of (V, H1, H2),
-    their derivative stack D and the derivative stack Dp of (V', H'): 12
+    their derivative stack D and the derivative stack Dp of (V', H'): 9
     inverse fields of second derivatives."""
     grid = w.grid
     gV, gH = D[0], D[1:]
@@ -300,9 +309,10 @@ def weighted_sobolev_ratios(grid: Grid, f: np.ndarray,
     sob_int:     <t> sup_{r<=t/2}|f| vs sum_{|a|<=2} ||<t-r> d^a f||
 
     rot^a runs over a <= 1.  sob_int sums the 7 words d^a of length <= 2
-    (f, d1 f, d2 f, d1d1 f, d1d2 f, d2d1 f, d2d2 f; the mixed word counts
-    twice).  The gradient, the rotation and the second-order words all
-    come from one forward transform of f; the rotation costs one more.
+    (f, d1 f, d2 f, d1d1 f, d1d2 f, d2d1 f, d2d2 f; the mixed word is
+    transformed once and its norm counts twice).  The gradient, the
+    rotation and the second-order words all come from one forward
+    transform of f; the rotation costs one more.
     """
     w = geometry_weights(grid, t)
     fh = sp.fft(f)
@@ -320,9 +330,9 @@ def weighted_sobolev_ratios(grid: Grid, f: np.ndarray,
     inner = grid.r <= t / 2.0
     if np.any(inner):
         lhs = np.sqrt(1.0 + t * t) * float(np.max(np.abs(f[inner])))
-        dd = sp.ifft(grid.ik[:, None] * grid.ik * fh)    # [i, j] = d_i d_j f
+        dd = _second_derivatives(grid, fh)     # d1d1 f, d1d2 f, d2d2 f
         rhs = 0.0
-        for h in (f, gf[0], gf[1], dd[0, 0], dd[0, 1], dd[1, 0], dd[1, 1]):
+        for h in (f, gf[0], gf[1], dd[0], dd[1], dd[1], dd[2]):
             rhs += sp.l2_norm(grid, w.sigma_bracket * h)
         out["sob_int"] = lhs / max(rhs, 1e-30)
     return out

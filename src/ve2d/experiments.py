@@ -10,7 +10,8 @@ fully deterministic artifacts), capped at one worker per viscosity.
 Each driver computes only what it reports: a run samples diagnostics at
 every sample time, a convergence study and an audit evolve to their last
 state without sampling, so only the step's finite check stops them.
-Only cfg.output_dir decides whether artifacts are written.
+Only cfg.output_dir decides whether artifacts are written: they are
+written when it is set and not empty.
 """
 
 import configparser
@@ -206,8 +207,8 @@ def run_simulation(cfg: RunConfig, mu: float | None = None) -> RunResult:
     """Evolve from the configured initial data, sampling diagnostics.
 
     Artifacts (CSV, final snapshot, summary JSON, SVG plots) are written
-    when cfg.output_dir is set; a blow-up leaves a partial CSV plus a
-    failure marker carrying the blow-up time.
+    when cfg.output_dir is set and not empty; a blow-up leaves a partial
+    CSV plus a failure marker carrying the blow-up time.
     """
     if mu is None:
         mu = cfg.mu_list[0]
@@ -233,7 +234,7 @@ def run_simulation(cfg: RunConfig, mu: float | None = None) -> RunResult:
 
     result = RunResult(mu=mu, records=records, final_state=state,
                        blowup_t=blowup_t)
-    if cfg.output_dir is not None:
+    if cfg.output_dir:
         _write_run_artifacts(cfg, result)
     return result
 

@@ -12,7 +12,8 @@ class Grid:
     k1_perp, k2_perp, k_sq, inv_k_sq, keep_mask, the ik stack and the Riesz
     symbols) is built once, in the rfft2 half-spectrum layout of shape
     (n, n//2 + 1): m_1 in [-n/2, n/2) along axis 0, m_2 in [0, n/2] along
-    axis 1.
+    axis 1.  dealias_cutoff = n // 3 is the largest |m_j| the 2/3 rule
+    keeps; keep_mask is derived from it.
     """
 
     def __init__(self, n: int, box_len: float):
@@ -50,8 +51,11 @@ class Grid:
         m1, m2 = np.meshgrid(np.rint(np.fft.fftfreq(self.n) * self.n),
                              np.rint(np.fft.rfftfreq(self.n) * self.n),
                              indexing="ij")
-        # 2/3 rule: keep modes with max(|m1|, |m2|) <= n/3
-        self.keep_mask = (np.abs(m1) <= self.n / 3.0) & (np.abs(m2) <= self.n / 3.0)
+        # 2/3 rule: keep modes with max(|m1|, |m2|) <= n/3, that is
+        # <= dealias_cutoff, since the m_j are integers
+        self.dealias_cutoff = self.n // 3
+        self.keep_mask = ((np.abs(m1) <= self.dealias_cutoff)
+                          & (np.abs(m2) <= self.dealias_cutoff))
 
         # riesz[i, j]: symbol k_i^perp k_j / |k|^2 of riesz_pp(i+1, j+1).
         # For a symmetric f_ij, f1 = sum_ij riesz_pp(i, j, f_ij) needs only

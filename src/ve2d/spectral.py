@@ -3,12 +3,14 @@
 Operators act on real fields sampled on a :class:`~ve2d.grid.Grid` and
 return real fields; the *_hat helpers act on coefficients instead, for
 callers that keep their fields spectral (the stepper and the derived
-family).  The one transform pair is fft/ifft: rfft2 and irfft2 over the
-last two axes, whose coefficients share the half-spectrum layout of the
-Grid multipliers.  An operator on a stack of fields makes one forward and
-one inverse call for the whole stack.  The nonlocal inverse Laplacian
-adopts the zero-mean convention: the k=0 coefficient of the output is set
-to zero.
+family).  The one transform pair is fft/ifft: rfft2 and its inverse
+(irfftn over the last two axes) field by field, whose coefficients share
+the half-spectrum layout of the Grid multipliers.  Both write into an out
+buffer when one is given and make no copy of their own, so a caller that
+keeps buffers (the stepper's stages) transforms into them.  An operator
+on a stack of fields makes one forward and one inverse call for the whole
+stack.  The nonlocal inverse Laplacian adopts the zero-mean convention:
+the k=0 coefficient of the output is set to zero.
 """
 
 import numpy as np
@@ -16,26 +18,31 @@ import numpy as np
 from .grid import Grid
 
 
-def fft(f: np.ndarray) -> np.ndarray:
+def fft(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """rfft2 coefficients of real fields over the last two axes, in the
-    layout of the Grid multipliers.
+    layout of the Grid multipliers, written into out when it is given and
+    returned.
 
-    A stack of fields is transformed field by field into one output: a
-    batched numpy call keeps an intermediate the size of the whole stack,
-    which at n = 256 no longer fits in cache and raises the peak memory.
+    A stack of fields is transformed field by field, each straight into
+    its slice of the output: a batched numpy call keeps an intermediate
+    the size of the whole stack, which at n = 256 no longer fits in cache
+    and raises the peak memory.
     """
-    out = np.empty(f.shape[:-1] + (f.shape[-1] // 2 + 1,), dtype=complex)
+    if out is None:
+        out = np.empty(f.shape[:-1] + (f.shape[-1] // 2 + 1,), dtype=complex)
     for i in np.ndindex(f.shape[:-2]):
-        out[i] = np.fft.rfft2(f[i])
+        np.fft.rfft2(f[i], out=out[i])
     return out
 
 
-def ifft(fh: np.ndarray) -> np.ndarray:
-    """Real fields from rfft2 coefficients, field by field as in fft;
-    inverse of fft (n is even)."""
-    out = np.empty(fh.shape[:-1] + (2 * (fh.shape[-1] - 1),))
+def ifft(fh: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real fields from rfft2 coefficients, field by field into out as in
+    fft; inverse of fft (n is even).  irfftn over the last two axes is the
+    transform irfft2 makes, and unlike irfft2 it writes into out."""
+    if out is None:
+        out = np.empty(fh.shape[:-1] + (2 * (fh.shape[-1] - 1),))
     for i in np.ndindex(fh.shape[:-2]):
-        out[i] = np.fft.irfft2(fh[i])
+        np.fft.irfftn(fh[i], axes=(-2, -1), out=out[i])
     return out
 
 
@@ -84,13 +91,18 @@ def inverse_laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     return ifft(-grid.inv_k_sq * fft(f))
 
 
-def _fft_masked(grid: Grid, f: np.ndarray, dealias: bool) -> np.ndarray:
-    """fft of f with, when dealias is set, the 2/3 rule applied: the modes
-    with max(|m1|,|m2|) > n/3 zeroed.  The one home of the rule, for
-    dealias and for the product spectra of the steppers and the jets."""
-    fh = fft(f)
+def _fft_masked(grid: Grid, f: np.ndarray, dealias: bool,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """fft of f (into out when given) with, when dealias is set, the 2/3
+    rule applied: the modes with max(|m1|,|m2|) > n/3 zeroed, as two slice
+    assignments (the rows of m1 and the columns of m2 past
+    Grid.dealias_cutoff).  The one home of the rule, for dealias and for
+    the product spectra of the steppers and the jets."""
+    fh = fft(f, out)
     if dealias:
-        fh *= grid.keep_mask
+        c = grid.dealias_cutoff
+        fh[..., c + 1:grid.n - c, :] = 0.0
+        fh[..., c + 1:] = 0.0
     return fh
 
 

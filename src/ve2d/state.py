@@ -207,7 +207,8 @@ def write_snapshot(path, state: PotentialState) -> None:
 
 
 def read_snapshot(path) -> PotentialState:
-    """Read a snapshot written by write_snapshot."""
+    """Read a snapshot written by write_snapshot; a file shorter or longer
+    than its header announces raises ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
@@ -220,8 +221,12 @@ def read_snapshot(path) -> PotentialState:
             raise ValueError(f"unsupported snapshot version {version}")
         size = 3 * n * n * 8
         # checked before reading: the header's n may claim any size
-        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < size:
             raise ValueError("truncated snapshot")
+        if left > size:
+            raise ValueError(f"snapshot has {left - size} bytes after its "
+                             f"data")
         data = np.frombuffer(fh.read(size), dtype="<f8")
     V, H1, H2 = (data[i * n * n:(i + 1) * n * n].reshape(n, n).copy()
                  for i in range(3))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import ve2d.spectral as sp
-from ve2d.dynamics import (BlowUpError, StepperConfig, choose_dt, evolve,
-                           rhs_potential, rhs_primitive, step, step_primitive)
+from ve2d.dynamics import (BlowUpError, StepperConfig, _products, choose_dt,
+                           evolve, rhs_potential, rhs_primitive, step,
+                           step_primitive)
 from ve2d.families import base_jet
 from ve2d.grid import Grid
 from ve2d.state import (InitialDataParams, PotentialState, PrimitiveState,
@@ -114,6 +115,42 @@ def quadratic_source(grid, V, H, dealias=True):
     st = PotentialState(grid, V, H)
     return rhs_potential(st, StepperConfig(coupling=False, dealias=dealias),
                          include_viscosity=False)
+
+
+# signs of the fields (V, H1, H2) in f_ij = -d_i^perp V d_j^perp V
+#                                          + d_i^perp H . d_j^perp H
+F1_SIGNS = np.array([-1.0, 1.0, 1.0])
+
+
+def reference_products(pairs, f3=False):
+    """The products f11, f12, f22, f2_1, f2_2 (and f3) of a Leibniz sum
+    [(coef, Da, Db), ...] of derivative stacks, summed by einsum over a
+    zero-filled accumulator with a perp stack of each Da: the reference
+    for the in-place dynamics._products."""
+    prods = np.zeros((5 + f3,) + pairs[0][1].shape[-2:])
+    for coef, Da, Db in pairs:
+        for r, (i, j, s) in enumerate(((1, 1, 1), (1, 0, -1), (0, 0, 1))):
+            prods[r] += np.einsum("f,fxy,fxy->xy", s * coef * F1_SIGNS,
+                                  Da[:, i], Db[:, j])
+        Pa = sp.perp(Da)                            # P[f, i] = d_i^perp f
+        prods[3:5] += coef * np.einsum("jlxy,lxy->jxy", Pa[1:], Db[0])
+        if f3:
+            prods[5] += coef * np.einsum("lxy,lxy->xy", Pa[2], Db[1])
+    return prods
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("f3", [False, True])
+@pytest.mark.parametrize("n_pairs", [1, 2, 3, 4])
+def test_products_match_einsum_reference(n, f3, n_pairs):
+    # bit for bit: the same products, summed in the same order
+    rng = np.random.default_rng(100 * n + 10 * n_pairs + f3)
+    pairs = [(int(rng.choice([1, 2, 6])),
+              rng.standard_normal((3, 2, n, n)),
+              rng.standard_normal((3, 2, n, n))) for _ in range(n_pairs)]
+    out = np.empty((5 + f3, n, n))
+    assert _products(pairs, out, np.empty((2, n, n))) is out
+    assert np.array_equal(out, reference_products(pairs, f3))
 
 
 def random_pair(grid, seed):
@@ -244,7 +281,7 @@ def test_step_transform_budget(grid32, transforms):
     transforms.clear()
     step(st, 0.01, CFG)
     assert sum(transforms.values()) <= 50
-    assert set(transforms) == {"rfft2", "irfft2"}
+    assert set(transforms) == {"rfft2", "irfftn"}
 
 
 def test_step_primitive_transform_budget(grid32, transforms):
@@ -256,7 +293,7 @@ def test_step_primitive_transform_budget(grid32, transforms):
     transforms.clear()
     step_primitive(prim, 0.01, CFG)
     assert sum(transforms.values()) <= 120
-    assert set(transforms) == {"rfft2", "irfft2"}
+    assert set(transforms) == {"rfft2", "irfftn"}
 
 
 def energy(state):

@@ -174,6 +174,14 @@ class TestRunSimulation:
         header = (out / "run_mu0.csv").read_text().splitlines()[0]
         assert header == dg.CSV_HEADER
 
+    def test_empty_output_dir_writes_nothing(self, tmp_path, monkeypatch):
+        # an empty output_dir means no artifacts, as for a sweep, not
+        # the working directory
+        monkeypatch.chdir(tmp_path)
+        run_simulation(RunConfig(**{**SMALL, "t_final": 0.5, "k_max": 0},
+                                 output_dir=""), mu=0.0)
+        assert list(tmp_path.iterdir()) == []
+
     def test_family_follows_the_dealias_setting(self):
         # the family takes d_t from the equation the run integrates, so a
         # run without dealiasing samples a family built without it

@@ -205,10 +205,10 @@ class TestTransformBudget:
     # d_1 and d_2 cost none, and each parent of a rot~ or scale~ child
     # transforms the gradients of the levels they read once, which also
     # gives its kept stack.  A sample reads the kept stacks and the
-    # coefficients and makes no forward transform: its 12 fields are the
-    # root's second derivatives.  Each quadratic form is
-    # summed over its Leibniz sum or splittings and transformed once;
-    # dealiasing each product on its own exceeds these.
+    # coefficients and makes no forward transform: its 9 fields are the
+    # root's second derivatives (d1d2 = d2d1 is formed once).  Each
+    # quadratic form is summed over its Leibniz sum or splittings and
+    # transformed once; dealiasing each product on its own exceeds these.
     @pytest.fixture
     def state(self, grid32):
         return make_initial_data(grid32, InitialDataParams(amplitude=0.01,
@@ -218,20 +218,20 @@ class TestTransformBudget:
         transforms.clear()
         derived_family(state, 2)
         assert sum(transforms.values()) <= 168
-        assert set(transforms) == {"rfft2", "irfft2"}
+        assert set(transforms) == {"rfft2", "irfftn"}
 
     def test_sample_record(self, state, transforms):
         fam = derived_family(state, 2)
         transforms.clear()
         sample_record(fam)
-        assert sum(transforms.values()) <= 12
-        assert set(transforms) == {"irfft2"}
+        assert sum(transforms.values()) <= 9
+        assert set(transforms) == {"irfftn"}
 
     def test_derived_family_k_max_3(self, state, transforms):
         transforms.clear()
         derived_family(state, 3)
         assert sum(transforms.values()) <= 515
-        assert set(transforms) == {"rfft2", "irfft2"}
+        assert set(transforms) == {"rfft2", "irfftn"}
 
     def test_lean_derived_family(self, state, transforms):
         # without the residual level: base_jet one level shorter, each
@@ -240,20 +240,20 @@ class TestTransformBudget:
         transforms.clear()
         derived_family(state, 2, residual=False)
         assert sum(transforms.values()) <= 97
-        assert set(transforms) == {"rfft2", "irfft2"}
+        assert set(transforms) == {"rfft2", "irfftn"}
 
     def test_lean_derived_family_k_max_3(self, state, transforms):
         transforms.clear()
         derived_family(state, 3, residual=False)
         assert sum(transforms.values()) <= 306
-        assert set(transforms) == {"rfft2", "irfft2"}
+        assert set(transforms) == {"rfft2", "irfftn"}
 
     def test_sample_record_k_max_3(self, state, transforms):
         fam = derived_family(state, 3)
         transforms.clear()
         sample_record(fam)
-        assert sum(transforms.values()) <= 12
-        assert set(transforms) == {"irfft2"}
+        assert sum(transforms.values()) <= 9
+        assert set(transforms) == {"irfftn"}
 
     def test_nonlinearity_f_all_indices(self, state, transforms):
         # per index one forward batch of the 6 summed products and one
@@ -264,7 +264,7 @@ class TestTransformBudget:
         for idx in fam.indices:
             nonlinearity_f(fam, idx)
         assert sum(transforms.values()) <= 363
-        assert set(transforms) == {"rfft2", "irfft2"}
+        assert set(transforms) == {"rfft2", "irfftn"}
 
     def test_commutator_residuals_all_indices(self, state, transforms):
         # the 6 products forward, then the residuals formed in
@@ -274,7 +274,7 @@ class TestTransformBudget:
         for idx in fam.indices:
             commutator_residuals(fam, idx)
         assert sum(transforms.values()) <= 300
-        assert set(transforms) == {"rfft2", "irfft2"}
+        assert set(transforms) == {"rfft2", "irfftn"}
 
     def test_nonlinearity_decay_ratios(self, state, transforms):
         # the fields of the 14 members U^(0,a) with |a| = 1 or 2 (3 each),
@@ -284,15 +284,15 @@ class TestTransformBudget:
         transforms.clear()
         nonlinearity_decay_ratios(fam)
         assert sum(transforms.values()) <= 55
-        assert set(transforms) == {"rfft2", "irfft2"}
+        assert set(transforms) == {"rfft2", "irfftn"}
 
     def test_weighted_sobolev_ratios(self, state, transforms):
-        # f and its rotation forward, their gradients (2 each) and the 4
-        # second derivatives of f back
+        # f and its rotation forward, their gradients (2 each) and the 3
+        # second derivatives of f back (d1d2 f = d2d1 f)
         transforms.clear()
         weighted_sobolev_ratios(state.grid, state.V, t=state.t)
-        assert sum(transforms.values()) <= 10
-        assert set(transforms) == {"rfft2", "irfft2"}
+        assert sum(transforms.values()) <= 9
+        assert set(transforms) == {"rfft2", "irfftn"}
 
     def test_audit(self, transforms):
         # the steps to t = 0.5, one family (168), the 21 commutator
@@ -303,7 +303,7 @@ class TestTransformBudget:
         transforms.clear()
         audit(cfg, n_random=0)
         assert sum(transforms.values()) <= 747
-        assert set(transforms) == {"rfft2", "irfft2"}
+        assert set(transforms) == {"rfft2", "irfftn"}
 
 
 class TestApplyField:

@@ -57,6 +57,22 @@ class TestGrid:
         assert hash(Grid(32, 16.0)) == hash(Grid(32, 16.0))
 
 
+class TestTransformPair:
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_out_is_written_and_returned(self, lead):
+        g = GRID
+        f = np.random.default_rng(2).standard_normal(lead + (g.n, g.n))
+        fh = sp.fft(f)
+        out = np.empty_like(fh)
+        assert sp.fft(f, out=out) is out
+        assert np.array_equal(out, fh)
+        back = np.empty_like(f)
+        assert sp.ifft(fh, out=back) is back
+        assert np.array_equal(back, sp.ifft(fh))
+        # the inverse is the transform numpy's irfft2 makes
+        assert np.array_equal(back, np.fft.irfft2(fh))
+
+
 class TestDerivatives:
     def test_derivative_matches_analytic(self):
         g = GRID
@@ -169,10 +185,15 @@ class TestDealias:
         f = np.cos(w * m * g.x1)
         assert sp.linf_norm(sp.dealias(g, f)) < 1e-13
 
-    def test_one_masked_forward(self):
+    # n/3 is an integer for 12 and 48, not for 8, 32 and 96
+    @pytest.mark.parametrize("n", [8, 12, 32, 48, 96])
+    def test_one_masked_forward(self, n):
         # dealias and the product spectra of both steppers apply the rule
-        # through _fft_masked
-        g = GRID
+        # through _fft_masked, whose slices zero what keep_mask zeroes
+        g = Grid(n, 16.0)
+        m1 = np.abs(np.fft.fftfreq(n) * n)[:, None]
+        m2 = np.abs(np.fft.rfftfreq(n) * n)
+        assert np.array_equal(g.keep_mask, np.maximum(m1, m2) <= n / 3.0)
         f = np.random.default_rng(1).standard_normal((3, g.n, g.n))
         assert np.array_equal(sp._fft_masked(g, f, False), sp.fft(f))
         fh = sp._fft_masked(g, f, True)

@@ -177,6 +177,13 @@ class TestSnapshots:
         with pytest.raises(ValueError):
             read_snapshot(path)
 
+    def test_trailing_bytes_rejected(self, evolved_state_viscous, tmp_path):
+        path = tmp_path / "state.snap"
+        write_snapshot(path, evolved_state_viscous)
+        path.write_bytes(path.read_bytes() + bytes(700))
+        with pytest.raises(ValueError, match="700 bytes after its data"):
+            read_snapshot(path)
+
     @pytest.mark.parametrize("size", [6, 20])
     def test_truncated_header_rejected(self, evolved_state_viscous, tmp_path,
                                        size):
