@@ -33,6 +33,6 @@ for rec in result.records:
 
 write_csv(here / "single_run.csv", result.records)
 ts, e1 = result.series("E1")
-svg.line_plot(here / "single_run_energy.svg", [(ts, e1, "E1")],
+svg.line_plot(here / "single_run_energy.svg", ts, e1, "E1",
               title="first-order energy history", xlabel="t", ylabel="E1")
 print(f"\nwrote {here / 'single_run.csv'} and the energy plot")

@@ -398,8 +398,8 @@ def nonlinearity_decay_ratios(fam: DerivedFamily) -> dict[str, float]:
 def fit_decay(ts, values, t0: float, t1: float) -> tuple[float, float]:
     """Least-squares exponent of value ~ t^p over the window [t0, t1].
 
-    Returns (p, stderr).  Requires at least 8 strictly positive samples in
-    the window.
+    Returns (p, stderr).  Requires at least 8 samples in the window, all
+    of them positive (a NaN is not).
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -407,7 +407,7 @@ def fit_decay(ts, values, t0: float, t1: float) -> tuple[float, float]:
     ts, values = ts[sel], values[sel]
     if ts.size < 8:
         raise ValueError(f"need >= 8 samples in window, got {ts.size}")
-    if np.any(values <= 0) or np.any(ts <= 0):
+    if not (np.all(values > 0) and np.all(ts > 0)):
         raise ValueError("decay fit requires positive times and values")
     x, y = np.log(ts), np.log(values)
     (slope, _), cov = np.polyfit(x, y, 1, cov=True)

@@ -2,7 +2,8 @@
 vanishing-viscosity convergence, and identity/inequality audits.
 
 Configs are INI files (UTF-8, '#' comments) with sections [grid],
-[initial], [run], [stepper]; see RunConfig.from_ini.  The viscosities of a
+[initial], [run], [stepper]; _INI_TABLE lists their keys and what each
+sets.  The viscosities of a
 sweep or a convergence study run in a process pool whose size is controlled
 by the VE2D_THREADS environment variable (a positive integer, default 1:
 fully deterministic artifacts), capped at one worker per viscosity.
@@ -95,47 +96,24 @@ class RunConfig:
             for key in parser[name]:
                 if key not in INI_KEYS[name]:
                     raise ConfigError(f"unknown key {key!r} in [{name}]")
+
+        def fields(target):
+            """The fields of target that the file gives, parsed."""
+            return {name: parse(parser[section][key])
+                    for (section, key), (owner, name, parse)
+                    in _INI_TABLE.items()
+                    if owner is target and parser.has_option(section, key)}
+
         try:
-            g, i, r, s = (parser[name] if name in parser else {}
-                          for name in ("grid", "initial", "run", "stepper"))
-            initial = InitialDataParams(
-                amplitude=float(i.get("amplitude", 0.01)),
-                profile=i.get("profile", "gaussian-bump"),
-                support_radius=(float(i["support_radius"])
-                                if "support_radius" in i else None),
-                seed=int(i.get("seed", 0)),
-                mu=0.0,
-            )
-            stepper = StepperConfig(
-                cfl_factor=float(s.get("cfl_factor", 0.3)),
-                scheme=s.get("scheme", "if-rk4"),
-                dealias=_parse_bool(s.get("dealias", "true")),
-            )
-            mu_raw = r.get("mu", "0").replace(",", " ").split()
-            return cls(
-                n=int(g.get("n", 256)),
-                box_len=float(g.get("box_len", 64.0)),
-                initial=initial,
-                mu_list=tuple(float(m) for m in mu_raw),
-                t_final=float(r.get("t_final", 16.0)),
-                sample_interval=float(r.get("sample_interval", 1.0)),
-                k_max=int(r.get("k_max", 2)),
-                stepper=stepper,
-                dt=float(s["dt"]) if "dt" in s else None,
-                output_dir=r.get("output_dir") or None,
-            )
+            # arguments are evaluated in order: each dataclass is built as
+            # soon as its values are parsed
+            return cls(initial=InitialDataParams(**fields(InitialDataParams)),
+                       stepper=StepperConfig(**fields(StepperConfig)),
+                       **fields(cls))
         except (KeyError, ValueError, TypeError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad config value: {exc}") from exc
-
-
-INI_KEYS = {
-    "grid": {"n", "box_len"},
-    "initial": {"amplitude", "profile", "support_radius", "seed"},
-    "run": {"mu", "t_final", "sample_interval", "k_max", "output_dir"},
-    "stepper": {"cfl_factor", "scheme", "dealias", "dt"},
-}
 
 
 def _parse_bool(text: str) -> bool:
@@ -145,6 +123,38 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"not a boolean: {text!r}")
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(m) for m in text.replace(",", " ").split())
+
+
+# Each [section] key of a config: the dataclass it sets, the field it sets
+# there and that field's parser.  Within a dataclass the values are parsed
+# in this order.  from_ini passes only the keys a file gives, so the
+# dataclasses hold the only defaults; an empty output_dir means none.
+_INI_TABLE = {
+    ("initial", "amplitude"): (InitialDataParams, "amplitude", float),
+    ("initial", "profile"): (InitialDataParams, "profile", str),
+    ("initial", "support_radius"): (InitialDataParams, "support_radius",
+                                    float),
+    ("initial", "seed"): (InitialDataParams, "seed", int),
+    ("stepper", "cfl_factor"): (StepperConfig, "cfl_factor", float),
+    ("stepper", "scheme"): (StepperConfig, "scheme", str),
+    ("stepper", "dealias"): (StepperConfig, "dealias", _parse_bool),
+    ("grid", "n"): (RunConfig, "n", int),
+    ("grid", "box_len"): (RunConfig, "box_len", float),
+    ("run", "mu"): (RunConfig, "mu_list", _parse_floats),
+    ("run", "t_final"): (RunConfig, "t_final", float),
+    ("run", "sample_interval"): (RunConfig, "sample_interval", float),
+    ("run", "k_max"): (RunConfig, "k_max", int),
+    ("stepper", "dt"): (RunConfig, "dt", float),
+    ("run", "output_dir"): (RunConfig, "output_dir",
+                            lambda text: text or None),
+}
+
+INI_KEYS = {section: {k for s, k in _INI_TABLE if s == section}
+            for section, _ in _INI_TABLE}
 
 
 def worker_count() -> int:
@@ -246,6 +256,12 @@ def write_csv(path, records) -> None:
             fh.write(rec.to_csv_row() + "\n")
 
 
+def _write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+
+
 def _write_run_artifacts(cfg: RunConfig, result: RunResult) -> None:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -254,8 +270,8 @@ def _write_run_artifacts(cfg: RunConfig, result: RunResult) -> None:
     write_snapshot(out / f"final_{tag}.snap", result.final_state)
     summary = {"mu": result.mu, "t_final": result.final_state.t,
                "blowup_t": result.blowup_t}
+    ts, good = result.series("good_sup")
     if result.blowup_t is None and len(result.records) >= 8:
-        ts, good = result.series("good_sup")
         t0 = max(5.0, ts[0] + 1e-9)
         if np.all(good[ts >= t0] > 0) and np.sum(ts >= t0) >= 8:
             p, err = dg.fit_decay(ts, good, t0, ts[-1])
@@ -264,22 +280,18 @@ def _write_run_artifacts(cfg: RunConfig, result: RunResult) -> None:
         for col in ("id45_res", "id417_res", "id218_res"):
             _, vals = result.series(col)
             summary[f"max_{col}"] = float(np.max(vals))
-    with open(out / f"summary_{tag}.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+    _write_json(out / f"summary_{tag}.json", summary)
     if result.blowup_t is not None:
         (out / f"BLOWUP_{tag}").write_text(
             f"blow-up at t = {result.blowup_t}\n", encoding="utf-8")
         return
-    ts, e1 = result.series("E1")
+    _, e1 = result.series("E1")
     if np.any(np.isfinite(e1)):  # k_max = 0 leaves E1 empty
-        svg.line_plot(out / f"energy_{tag}.svg", [(ts, e1, "E1")],
+        svg.line_plot(out / f"energy_{tag}.svg", ts, e1, "E1",
                       title=f"E1 history, mu = {result.mu:g}",
                       xlabel="t", ylabel="E1")
-    ts, good = result.series("good_sup")
-    pos = good > 0
-    if np.count_nonzero(pos & (ts > 0)) >= 2:
-        svg.line_plot(out / f"decay_{tag}.svg",
-                      [(ts[pos & (ts > 0)], good[pos & (ts > 0)], "good_sup")],
+    if np.count_nonzero((good > 0) & (ts > 0)) >= 2:
+        svg.line_plot(out / f"decay_{tag}.svg", ts, good, "good_sup",
                       title=f"good-unknown decay, mu = {result.mu:g}",
                       xlabel="t", ylabel="sup", logx=True, logy=True)
 
@@ -326,9 +338,8 @@ def sweep_viscosity(cfg: RunConfig) -> dict:
         out.mkdir(parents=True, exist_ok=True)
         for res in results:
             write_csv(out / f"run_mu{res.mu:g}.csv", res.records)
-        printable = {k: v for k, v in report.items() if k != "runs"}
-        with open(out / "sweep_summary.json", "w", encoding="utf-8") as fh:
-            json.dump(printable, fh, indent=2)
+        _write_json(out / "sweep_summary.json",
+                    {k: v for k, v in report.items() if k != "runs"})
     return report
 
 
@@ -343,10 +354,11 @@ def state_l2_distance(a: PotentialState, b: PotentialState) -> float:
 def convergence_study(cfg: RunConfig) -> dict:
     """Vanishing-viscosity table: ||U_mu(T) - U_0(T)||_L2 and fitted order.
 
-    Requires mu_list to contain 0 and at least three positive values in
-    decreasing geometric progression.  Each viscosity evolves to t_final
-    without sampling, so k_max is not read and only the step's finite
-    check reports a blow-up (a BlowUpError).
+    Requires mu_list to contain 0 and at least three positive values, each
+    of whose final states differs from the mu = 0 one (a ConfigError
+    otherwise, raised before anything is written).  Each viscosity evolves
+    to t_final without sampling, so k_max is not read and only the step's
+    finite check reports a blow-up (a BlowUpError).
     """
     positive = sorted((m for m in cfg.mu_list if m > 0), reverse=True)
     if 0.0 not in cfg.mu_list or len(positive) < 3:
@@ -354,19 +366,19 @@ def convergence_study(cfg: RunConfig) -> dict:
                           "positive viscosities")
     base, *finals = _map_viscosities(_final_state, cfg, [0.0] + positive)
     dists = np.array([state_l2_distance(final, base) for final in finals])
+    if not np.all(dists > 0):
+        raise ConfigError("convergence study needs every positive viscosity "
+                          "to end away from the mu = 0 state")
     table = dict(zip(positive, dists.tolist()))
     table[0.0] = 0.0
     order = float(np.polyfit(np.log(positive), np.log(dists), 1)[0])
     out = {"table": table, "fitted_order": order}
     if cfg.output_dir:
         outdir = Path(cfg.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        printable = {"table": {f"{k:g}": v for k, v in table.items()},
-                     "fitted_order": order}
-        with open(outdir / "convergence.json", "w", encoding="utf-8") as fh:
-            json.dump(printable, fh, indent=2)
-        svg.line_plot(outdir / "convergence.svg",
-                      [(np.array(positive), dists, "L2 diff")],
+        _write_json(outdir / "convergence.json",
+                    {"table": {f"{k:g}": v for k, v in table.items()},
+                     "fitted_order": order})
+        svg.line_plot(outdir / "convergence.svg", positive, dists, "L2 diff",
                       title="vanishing-viscosity convergence",
                       xlabel="mu", ylabel="||U_mu(T) - U_0(T)||",
                       logx=True, logy=True)
@@ -408,8 +420,5 @@ def audit(cfg: RunConfig, n_random: int = 20) -> dict:
     report = {"identity_residuals": worst, "commutator_residuals": commutators,
               "inequality_ratios": ratios}
     if cfg.output_dir:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "audit.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+        _write_json(Path(cfg.output_dir) / "audit.json", report)
     return report

@@ -1,7 +1,7 @@
 """A minimal SVG line-plot writer.
 
-Only what the experiment drivers need: one panel, several polylines, linear
-or log axes, a handful of tick labels.  CSV files remain the ground truth;
+Only what the experiment drivers need: one panel, one polyline, linear or
+log axes, a handful of tick labels.  CSV files remain the ground truth;
 these plots are just quick visual artifacts.
 """
 
@@ -11,7 +11,7 @@ import numpy as np
 
 WIDTH, HEIGHT = 640, 440
 MARGIN = 60
-COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+COLOR = "#1f77b4"
 
 
 def _transform(vals, lo, hi, out_lo, out_hi, log):
@@ -49,27 +49,24 @@ def _fmt(x):
     return f"{x:g}"
 
 
-def line_plot(path, series, title="", xlabel="", ylabel="",
+def line_plot(path, xs, ys, label="", title="", xlabel="", ylabel="",
               logx=False, logy=False):
-    """Write a line plot; series is a list of (xs, ys, label) triples."""
-    cleaned = []
-    for xs, ys, label in series:
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        keep = np.isfinite(xs) & np.isfinite(ys)
-        if logx:
-            keep &= xs > 0
-        if logy:
-            keep &= ys > 0
-        if np.any(keep):
-            cleaned.append((xs[keep], ys[keep], label))
-    if not cleaned:
+    """Write a line plot of the series ys over xs.  Non-finite points, and
+    non-positive ones on a log axis, are dropped; nothing left is a
+    ValueError."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    if logx:
+        keep &= xs > 0
+    if logy:
+        keep &= ys > 0
+    if not np.any(keep):
         raise ValueError("nothing plottable in the given series")
+    xs, ys = xs[keep], ys[keep]
 
-    x_lo = min(float(np.min(xs)) for xs, _, _ in cleaned)
-    x_hi = max(float(np.max(xs)) for xs, _, _ in cleaned)
-    y_lo = min(float(np.min(ys)) for _, ys, _ in cleaned)
-    y_hi = max(float(np.max(ys)) for _, ys, _ in cleaned)
+    x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
+    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
     if not logy and y_lo > 0 and y_lo / max(y_hi, 1e-300) > 0.5:
         y_lo = 0.0
 
@@ -93,7 +90,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="",
             parts.append(f'<text x="{px:.1f}" y="{y0 + 20}" '
                          f'text-anchor="middle" font-size="11">'
                          f'{_fmt(tick)}</text>')
-    for tick in _ticks(y_lo if not logy else max(y_lo, 1e-300), y_hi, logy):
+    for tick in _ticks(y_lo, y_hi, logy):
         py = float(_transform([tick], y_lo, y_hi, y0, y1p, logy)[0])
         if y1p - 1 <= py <= y0 + 1:
             parts.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" '
@@ -107,18 +104,14 @@ def line_plot(path, series, title="", xlabel="", ylabel="",
                  f'font-size="13" transform="rotate(-90 16 '
                  f'{(y0 + y1p) // 2})">{ylabel}</text>')
 
-    for k, (xs, ys, label) in enumerate(cleaned):
-        color = COLORS[k % len(COLORS)]
-        pxs = _transform(xs, x_lo, x_hi, x0, x1p, logx)
-        pys = _transform(ys, y_lo if not logy else max(y_lo, 1e-300), y_hi,
-                         y0, y1p, logy)
-        points = " ".join(f"{px:.1f},{py:.1f}" for px, py in zip(pxs, pys))
-        parts.append(f'<polyline points="{points}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
-        if label:
-            parts.append(f'<text x="{x1p - 8}" y="{y1p + 16 + 14 * k}" '
-                         f'text-anchor="end" font-size="12" '
-                         f'fill="{color}">{label}</text>')
+    pxs = _transform(xs, x_lo, x_hi, x0, x1p, logx)
+    pys = _transform(ys, y_lo, y_hi, y0, y1p, logy)
+    points = " ".join(f"{px:.1f},{py:.1f}" for px, py in zip(pxs, pys))
+    parts.append(f'<polyline points="{points}" fill="none" '
+                 f'stroke="{COLOR}" stroke-width="1.5"/>')
+    if label:
+        parts.append(f'<text x="{x1p - 8}" y="{y1p + 16}" text-anchor="end" '
+                     f'font-size="12" fill="{COLOR}">{label}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

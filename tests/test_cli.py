@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -39,6 +42,21 @@ sample_interval = 0.5
 k_max = 1
 [stepper]
 dt = 0.5
+"""
+
+
+# no initial perturbation: every state is zero, so every distance of a
+# convergence study is 0 and no decay can be fitted
+ZERO_INI = """\
+[grid]
+n = 32
+[initial]
+amplitude = 0
+[run]
+mu = 0 0.1 0.01 0.001
+t_final = 1
+sample_interval = 0.25
+output_dir = {out}
 """
 
 
@@ -175,6 +193,24 @@ class TestSweepAndConverge:
         assert rc == cli.EXIT_BLOWUP
         assert capsys.readouterr().err == "solution blew up at t = 1.5\n"
 
+    def test_converge_zero_distances_exit_3_with_one_line(self, tmp_path,
+                                                          capsys):
+        # a fitted order of log 0 is no number: nothing is written
+        out = tmp_path / "out"
+        path = tmp_path / "zero.ini"
+        path.write_text(ZERO_INI.format(out=out), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["converge", "--config", str(path)])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not (out / "convergence.json").exists()
+        assert not (out / "convergence.svg").exists()
+
     def test_converge_reports_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mu="0 0.1 0.01 0.001")
         assert cli.main(["converge", "--config", cfg]) == cli.EXIT_OK
@@ -214,6 +250,26 @@ class TestAuditAndFit:
         assert rc == cli.EXIT_OK
         assert "exponent -1.5000" in capsys.readouterr().out
 
+    def test_fit_of_an_empty_column_exits_3_with_one_line(self, tmp_path,
+                                                          capsys):
+        # k_max = 0 writes E1 as NaN, which has no decay exponent
+        out = tmp_path / "out"
+        path = tmp_path / "k0.ini"
+        path.write_text(
+            "[grid]\nn = 16\nbox_len = 8\n[run]\nt_final = 2\n"
+            f"sample_interval = 0.25\nk_max = 0\noutput_dir = {out}\n",
+            encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+        capsys.readouterr()
+        csv_path = out / "run_mu0.csv"
+        rc = cli.main(["fit", "--csv", str(csv_path), "--column", "E1",
+                       "--t0", "0.25", "--t1", "2"])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(csv_path) in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_fit_unknown_column_exits_3(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
         path.write_text("t,value\n1,1\n", encoding="utf-8")
@@ -242,3 +298,22 @@ class TestAuditAndFit:
         err = capsys.readouterr().err
         assert str(path) in err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command",
+                         ["simulate", "sweep-mu", "converge", "audit"])
+def test_zero_amplitude_ends_cleanly(tmp_path, command):
+    # zero data are legal: each command succeeds or names a config error in
+    # one line, and none ends in a traceback
+    path = tmp_path / "zero.ini"
+    path.write_text(ZERO_INI.format(out=tmp_path / "out"), encoding="utf-8")
+    src = str(Path(ve2d.experiments.__file__).parents[1])
+    env = {**os.environ, "VE2D_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ve2d.cli", command, "--config", str(path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode in (cli.EXIT_OK, cli.EXIT_CONFIG), proc.stderr
+    assert proc.stderr.count("\n") <= 1, proc.stderr
+    assert "Traceback" not in proc.stderr

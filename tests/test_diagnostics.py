@@ -528,6 +528,12 @@ class TestDecayFit:
         with pytest.raises(ValueError):
             dg.fit_decay(ts, vals, 1.0, 16.0)
 
+    def test_nan_values_rejected(self):
+        # a k_max = 0 run leaves E1 NaN, which is not a positive value
+        ts = np.linspace(1.0, 16.0, 31)
+        with pytest.raises(ValueError, match="positive"):
+            dg.fit_decay(ts, np.full_like(ts, np.nan), 1.0, 16.0)
+
 
 class TestCsvRecords:
     def test_header_is_frozen(self):

@@ -107,6 +107,11 @@ class TestIniParsing:
         assert cfg.n == 256
         assert cfg.t_final == 8.0
 
+    def test_empty_file_gives_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("", encoding="utf-8")
+        assert RunConfig.from_ini(path) == RunConfig()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             RunConfig.from_ini(tmp_path / "absent.ini")
