@@ -14,14 +14,19 @@ d_i H . omega_perp, which decay faster near the light cone r ~ t.
 Each of these is a sum over members of a per-member term, and one home,
 _member_terms, computes every term one member adds: E by Parseval of its
 rfft2 coefficients, and, for the members of order < k_max, calE, X, Y,
-G and the good-unknown sups from DerivedFamily.stack, which the family
-keeps for them.  A sample is one pass over the family (_sample_pass):
-the terms are summed per order in the family's order, then over the
-orders, and every kept stack is read once.  sample_record also reads the
-root's kept stack and coefficients for the constraint and the three
-recorded identities, so a sample transforms only the root's second
-derivatives (12 inverse fields) and nothing forward.  energies,
-weighted_norms and good_unknown_norms each read the same pass.
+G and the good-unknown sups from the member's stack.  A sample is one
+pass over the members (_sample_pass), any iterable of (idx, jet, stack):
+a stored family's (DerivedFamily.members, for sample_record) or the
+depth-first walk's (families._members, for sample_state).  The pass
+keeps each member's scalars alone and sums them per order in index
+order, then over the orders, so the two give equal values, and every
+stack is read once.  run_simulation samples with sample_state and holds
+no family: each member is dropped as the walk moves on (see families for
+the peaks).  A sample also reads the root's stack and coefficients for
+the constraint and the three recorded identities, before the walk goes
+on, so it transforms only the root's second derivatives (9 inverse
+fields) and nothing forward.  energies, weighted_norms and
+good_unknown_norms each read the same pass.
 
 The light-cone weights of GeometryWeights are an argument, not shared
 state: each public entry point (sample_record, energies, weighted_norms,
@@ -37,13 +42,15 @@ length <= 2 built from its one forward transform.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import spectral as sp
-from .families import DerivedFamily, MultiIndex, _nonlinearity_hat
+from .families import (DerivedFamily, MultiIndex, _members,
+                       _nonlinearity_hat, admissible_indices)
 from .grid import Grid
-from .state import _constraint_of_gradients
+from .state import PotentialState, _constraint_of_gradients
 
 
 @dataclass(frozen=True)
@@ -92,17 +99,15 @@ def _good_unknown_grads(w: GeometryWeights, D: np.ndarray):
             dH[0] * w.omega_perp[0] + dH[1] * w.omega_perp[1])
 
 
-def _member_terms(fam: DerivedFamily, w: GeometryWeights,
-                  idx: MultiIndex) -> dict:
-    """What the member idx adds to the sample functionals: E by Parseval
-    of its level-0 coefficients, and, for an order below k_max, calE, X,
-    Y, G and the masked (radial, tangential) sups of its good unknowns,
-    from its kept stack."""
-    g = fam.state.grid
-    terms = {"E": sp.l2_norm_sq_hat(g, fam.jet(idx).hat[0])}
-    if idx.order >= fam.k_max:  # calE_k .. G_k sum orders <= k - 1 only
+def _member_terms(w: GeometryWeights, jet, D) -> dict:
+    """What one member adds to the sample functionals: E by Parseval of
+    its level-0 coefficients, and, when it has a stack D (an order below
+    k_max), calE, X, Y, G and the masked (radial, tangential) sups of its
+    good unknowns."""
+    g = w.grid
+    terms = {"E": sp.l2_norm_sq_hat(g, jet.hat[0])}
+    if D is None:  # calE_k .. G_k sum orders <= k - 1 only
         return terms
-    D = fam.stack(idx)
     gV, gH = D[0], D[1:]
     terms["calE"] = sp.l2_norm_sq(g, gV) + sp.l2_norm_sq(g, gH)
     terms["X"] = (sp.l2_norm_sq(g, w.sigma_bracket * gV)
@@ -119,28 +124,37 @@ def _member_terms(fam: DerivedFamily, w: GeometryWeights,
     return terms
 
 
-def _sample_pass(fam: DerivedFamily, w: GeometryWeights
+def _sample_pass(members, k_max: int, w: GeometryWeights
                  ) -> tuple[dict[str, float], dict]:
-    """One pass over the family with the weights w at its (grid, t): the
-    functionals E_k .. G_k, each summed per order in the family's order
-    and then over the orders, and the good-unknown sups of each member of
-    order < k_max."""
+    """One pass over the (idx, jet, stack) of a family of order k_max, in
+    any order, with the weights w at its (grid, t): the functionals
+    E_k .. G_k, and the good-unknown sups of each member of order <
+    k_max.  Only each member's scalars are kept, and they are summed per
+    order in index order and then over the orders, so the values do not
+    depend on the order of the walk."""
+    per_member = {idx: _member_terms(w, jet, D) for idx, jet, D in members}
     by_order, sups = {}, {}
-    for idx in fam.indices:
-        terms = _member_terms(fam, w, idx)
+    for idx in admissible_indices(k_max):
+        terms = per_member[idx]
         if "sup" in terms:
             sups[idx] = terms.pop("sup")
         for name, term in terms.items():
             key = name, idx.order
             by_order[key] = by_order.get(key, 0.0) + term
     out = {}
-    for k in range(fam.k_max + 1):
+    for k in range(k_max + 1):
         out[f"E{k}"] = sum(by_order.get(("E", m), 0.0) for m in range(k + 1))
         if k >= 1:
             for name in ("calE", "X", "Y", "G"):
                 out[f"{name}{k}"] = sum(by_order.get((name, m), 0.0)
                                         for m in range(k))
     return out, sups
+
+
+def _family_pass(fam: DerivedFamily) -> tuple[GeometryWeights, dict, dict]:
+    """The weights at the family's (grid, t) and _sample_pass of it."""
+    w = geometry_weights(fam.state.grid, fam.state.t)
+    return (w, *_sample_pass(fam.members(), fam.k_max, w))
 
 
 def _good_sup(w: GeometryWeights, sups: dict) -> float:
@@ -157,13 +171,13 @@ def energies(fam: DerivedFamily) -> dict[str, float]:
     E_k reads each member's level-0 coefficients by Parseval, with no
     transform; calE_k reads the kept stacks.
     """
-    out = _sample_pass(fam, geometry_weights(fam.state.grid, fam.state.t))[0]
+    out = _family_pass(fam)[1]
     return {k: v for k, v in out.items() if k.startswith(("E", "calE"))}
 
 
 def weighted_norms(fam: DerivedFamily) -> dict[str, float]:
     """X_k, Y_k, G_k for 1 <= k <= k_max."""
-    out = _sample_pass(fam, geometry_weights(fam.state.grid, fam.state.t))[0]
+    out = _family_pass(fam)[1]
     return {k: v for k, v in out.items() if k.startswith(("X", "Y", "G"))}
 
 
@@ -173,8 +187,7 @@ def good_unknown_norms(fam: DerivedFamily) -> dict:
 
     Returns per-index (radial, tangential) sups and their overall sum.
     """
-    w = geometry_weights(fam.state.grid, fam.state.t)
-    sups = _sample_pass(fam, w)[1]
+    w, _, sups = _family_pass(fam)
     return {"per_index": sups, "sum": _good_sup(w, sups)}
 
 
@@ -440,24 +453,49 @@ class DiagnosticsRecord:
 def sample_record(fam: DerivedFamily) -> DiagnosticsRecord:
     """Evaluate the full diagnostics suite on one family, in one pass over
     its members."""
-    st = fam.state
-    w = geometry_weights(st.grid, st.t)
-    vals, sups = _sample_pass(fam, w)
+    return _record(fam.state, fam.k_max, fam.members())
+
+
+def sample_state(state: PotentialState, k_max: int = 2,
+                 dealias: bool = True) -> DiagnosticsRecord:
+    """sample_record(derived_family(state, k_max, dealias,
+    residual=False)), equal to it value for value, streamed: each member
+    is read as the walk builds it and dropped after its last child, so no
+    family is held."""
+    return _record(state, k_max,
+                   _members(state, k_max, dealias, residual=False))
+
+
+def _record(state: PotentialState, k_max: int, members) -> DiagnosticsRecord:
+    """The record of one pass over members, (idx, jet, stack) with the
+    root first: the root's values are read before the walk goes on."""
+    w = geometry_weights(state.grid, state.t)
+    rest = iter(members)
+    root = next(rest)
+    extras = _root_values(w, *root[1:])
+    members = chain([root], rest)
+    del root  # the walk frees the root's jet and stack after its children
+    vals, sups = _sample_pass(members, k_max, w)
     # families built with k_max < 2 leave the deeper columns empty
     for col in CSV_HEADER.split(",")[2:]:
         vals.setdefault(col, float("nan"))
     vals["good_sup"] = _good_sup(w, sups)
-    # the root's kept stack and coefficients serve the constraint, the
-    # identities and grad_sup
-    root = MultiIndex(0, (0, 0, 0, 0))
-    D = fam.stack(root)
+    vals.update(extras)
+    return DiagnosticsRecord(t=state.t, mu=state.mu, values=vals)
+
+
+def _root_values(w: GeometryWeights, jet, D) -> dict[str, float]:
+    """The constraint, the identities and grad_sup, from the root's stack
+    D and level-0 coefficients; at k_max = 0 the root has no stack and D
+    is built here."""
+    if D is None:
+        D = sp.gradient_from_hat(w.grid, jet.hat[0])
     res = _constraint_of_gradients(D[1:])
-    vals["constraint_L2"] = sp.l2_norm(st.grid, res)
-    vals["constraint_Linf"] = sp.linf_norm(res)
-    ids = _identity_checks(w, fam.jet(root).hat[0], D, D)
-    vals["id45_res"] = ids["null_split"]
-    vals["id417_res"] = ids["f2_split"]
-    vals["id218_res"] = ids["grad_split"]
-    # not part of the CSV schema, but useful for decay studies
-    vals["grad_sup"] = max(sp.linf_norm(D[0]), sp.linf_norm(D[1:]))
-    return DiagnosticsRecord(t=st.t, mu=st.mu, values=vals)
+    ids = _identity_checks(w, jet.hat[0], D, D)
+    return {"constraint_L2": sp.l2_norm(w.grid, res),
+            "constraint_Linf": sp.linf_norm(res),
+            "id45_res": ids["null_split"],
+            "id417_res": ids["f2_split"],
+            "id218_res": ids["grad_split"],
+            # not part of the CSV schema, but useful for decay studies
+            "grad_sup": max(sp.linf_norm(D[0]), sp.linf_norm(D[1:]))}

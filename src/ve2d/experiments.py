@@ -82,7 +82,9 @@ class RunConfig:
 
     @classmethod
     def from_ini(cls, path) -> "RunConfig":
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        # values are read literally: a '%' is a character, not a reference
+        parser = configparser.ConfigParser(interpolation=None,
+                                           inline_comment_prefixes=("#",))
         try:
             read = parser.read(path, encoding="utf-8")
         except configparser.Error as exc:
@@ -228,11 +230,9 @@ def run_simulation(cfg: RunConfig, mu: float | None = None) -> RunResult:
     blowup_t = None
     try:
         for state in _trajectory(cfg, mu):
-            # the family is dropped before the next evolve, so the two
-            # never hold memory at the same time; a sample reads level 0
-            # of each member, so the residual level is not built
-            rec = dg.sample_record(derived_family(
-                state, cfg.k_max, cfg.stepper.dealias, residual=False))
+            # the sample streams the family and holds none of it past
+            # the call, so a sample and a step never hold memory at once
+            rec = dg.sample_state(state, cfg.k_max, cfg.stepper.dealias)
             records.append(rec)
             e = rec.values[energy]
             if ceiling is None:
@@ -280,6 +280,11 @@ def _write_run_artifacts(cfg: RunConfig, result: RunResult) -> None:
         for col in ("id45_res", "id417_res", "id218_res"):
             _, vals = result.series(col)
             summary[f"max_{col}"] = float(np.max(vals))
+    if cfg.k_max == 3:
+        # the order-3 functionals, which the frozen CSV header leaves out
+        summary["sample_t"] = ts.tolist()
+        for col in ("E3", "calE3", "X3", "Y3", "G3"):
+            summary[col] = result.series(col)[1].tolist()
     _write_json(out / f"summary_{tag}.json", summary)
     if result.blowup_t is not None:
         (out / f"BLOWUP_{tag}").write_text(

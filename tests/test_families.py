@@ -1,14 +1,18 @@
 from math import comb
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import ve2d.spectral as sp
 from ve2d.dynamics import StepperConfig, evolve, rhs_potential
+from ve2d.grid import Grid
 from ve2d.experiments import RunConfig, audit
 from ve2d.diagnostics import (nonlinearity_decay_ratios, sample_record,
-                             weighted_sobolev_ratios)
-from ve2d.families import (Jet, MultiIndex, _parent, _splittings,
+                             sample_state, weighted_sobolev_ratios)
+from ve2d.families import (Jet, MultiIndex, _members, _parent, _splittings,
                            admissible_indices, apply_field, base_jet,
                            commutator_residuals, derived_family,
                            nonlinearity_f, time_derivative)
@@ -255,6 +259,15 @@ class TestTransformBudget:
         assert sum(transforms.values()) <= 9
         assert set(transforms) == {"irfftn"}
 
+    @pytest.mark.parametrize("k_max, budget", [(2, 97 + 9), (3, 306 + 9)])
+    def test_sample_state(self, state, transforms, k_max, budget):
+        # the streamed sample builds the lean family's members and makes
+        # the sample's transforms, nothing more
+        transforms.clear()
+        sample_state(state, k_max)
+        assert sum(transforms.values()) <= budget
+        assert set(transforms) == {"rfft2", "irfftn"}
+
     def test_nonlinearity_f_all_indices(self, state, transforms):
         # per index one forward batch of the 6 summed products and one
         # inverse batch of 7 fields; each order-2 member's stack is built
@@ -446,6 +459,52 @@ class TestDerivedFamily:
             assert (lean.values[key] == value
                     or (np.isnan(value) and np.isnan(lean.values[key]))), key
 
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_walk_yields_the_stored_family(self, grid64, k_max, residual):
+        # each index once, parents before children, with the stored jets
+        # and stacks; order-k_max members carry no stack
+        st = random_state(grid64, 5)
+        fam = derived_family(st, k_max, residual=residual)
+        seen = []
+        for idx, jet, stack in _members(st, k_max, residual=residual):
+            assert idx.order == 0 or _parent(idx)[1] in seen, idx
+            seen.append(idx)
+            assert np.array_equal(jet.hat, fam.jet(idx).hat), idx
+            if idx.order < k_max:
+                assert np.array_equal(stack, fam.stack(idx)), idx
+            else:
+                assert stack is None, idx
+        assert sorted(seen) == sorted(fam.indices)
+
+    @pytest.mark.parametrize("k_max", [1, 2, 3])
+    def test_walk_holds_only_the_path(self, grid32, k_max):
+        # a member's jet is freed once its last child is built, so no
+        # more jets live at once than there are members on a path from
+        # the root; a stored family holds every one
+        live = []
+        for _, jet, _ in _members(random_state(grid32, 3), k_max,
+                                  residual=False):
+            live.append(weakref.ref(jet))
+            del jet
+            assert sum(ref() is not None for ref in live) <= k_max + 1
+        assert len(live) == len(admissible_indices(k_max))
+
+    def test_walk_leaves_no_cycle(self):
+        # a finished walk is freed by reference counting alone: a cycle
+        # would hold the grid's arrays until the cyclic collector runs
+        gc.disable()
+        try:
+            grid = Grid(32, 16.0)
+            alive = weakref.ref(grid)
+            st = random_state(grid, 3)
+            sample_state(st, 2)
+            derived_family(st, 2)
+            del grid, st
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_lean_family_refuses_residuals(self, grid64):
         fam = derived_family(random_state(grid64, 3), 2, residual=False)
         with pytest.raises(ValueError) as err:
@@ -462,6 +521,41 @@ class TestDerivedFamily:
     def test_k_max_guard(self, evolved_state):
         with pytest.raises(ValueError):
             derived_family(evolved_state, 4)
+
+
+class TestKMax3:
+    # the 56 members a k_max = 3 family holds, checked as the k_max = 2
+    # family is: the bilinear forms against the seed forms, and the
+    # commuted equations under refinement (the pattern of criterion 4)
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_nonlinearity_f_matches_seed_formula(self, grid64, dealias):
+        fam = derived_family(random_state(grid64, 3), 3, dealias)
+        assert len(fam.indices) == 56
+        for idx in fam.indices:
+            got = nonlinearity_f(fam, idx)
+            ref = reference_nonlinearity_f(fam, idx)
+            for a, b in zip(got[:3], ref[:3]):
+                assert rel_err(a, b) <= 1e-13, idx
+            for ij, b in ref[3].items():
+                assert rel_err(got[3][ij], b) <= 1e-13, (idx, ij)
+
+    def test_residuals_fall_under_refinement(self, evolved_state,
+                                             resolved_params):
+        # the same data and time on the n = 128 grid and one of n = 64;
+        # every residual falls at least twofold, the worst at n = 128 is
+        # below 1e-6
+        coarse_state = evolve(make_initial_data(Grid(64, 32.0),
+                                                resolved_params),
+                              2.0, StepperConfig())
+        fine = derived_family(evolved_state, 3)
+        coarse = derived_family(coarse_state, 3)
+        worst = 0.0
+        for idx in fine.indices:
+            r_fine = max(commutator_residuals(fine, idx))
+            assert r_fine <= 0.5 * max(commutator_residuals(coarse, idx)), idx
+            worst = max(worst, r_fine)
+        assert worst <= 1e-6
 
 
 class TestCommutedEquations:
