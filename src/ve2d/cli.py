@@ -11,6 +11,10 @@ diagnostics, so they exit 2 only when the fields turn non-finite, and
 converge does not read k_max; simulate and sweep-mu also stop at the E1
 ceiling of their samples.  VE2D_THREADS sizes the pool of sweep-mu and
 converge.
+
+simulate and audit run only the first viscosity of [run] mu and do not
+read the others: with mu = 0 0.1, simulate writes run_mu0.csv alone.
+sweep-mu and converge run every listed viscosity.
 """
 
 import argparse

@@ -10,7 +10,11 @@ fully deterministic artifacts), capped at one worker per viscosity.
 
 Each driver computes only what it reports: a run samples diagnostics at
 every sample time, a convergence study and an audit evolve to their last
-state without sampling, so only the step's finite check stops them.
+state without sampling, so only the step's finite check stops them.  No
+driver stores a family: a run streams each sample's walk
+(diagnostics.sample_state), and the audit forms each commutator residual
+as its one walk yields the member (_family_checks).  simulate and audit
+read only the first value of [run] mu; sweep-mu and converge read all.
 Only cfg.output_dir decides whether artifacts are written: they are
 written when it is set and not empty.
 """
@@ -29,7 +33,7 @@ from . import diagnostics as dg
 from . import spectral as sp
 from . import svg
 from .dynamics import BlowUpError, StepperConfig, evolve
-from .families import commutator_residuals, derived_family
+from .families import _StreamedFamily, commutator_residuals
 from .grid import Grid
 from .state import (InitialDataParams, PotentialState, make_initial_data,
                     write_snapshot)
@@ -390,12 +394,29 @@ def convergence_study(cfg: RunConfig) -> dict:
     return out
 
 
+def _family_checks(state: PotentialState, k_max: int, dealias: bool
+                   ) -> tuple[dict, dict[str, float]]:
+    """The audit's reads of the family of state: the commutator residuals
+    of every index, keyed and ordered by index, and the nonlinearity decay
+    ratios.  One walk, no stored family: each residual is formed as the
+    walk yields its member, which is then dropped unless a later residual
+    or the ratios read it."""
+    fam = _StreamedFamily(state, k_max, dealias)
+    residuals = {idx: commutator_residuals(fam, idx) for idx in fam.walk()}
+    commutators = {str(idx): dict(zip(("r1", "r2", "r3"), residuals[idx]))
+                   for idx in fam.indices}
+    return commutators, dg.nonlinearity_decay_ratios(fam)
+
+
 def audit(cfg: RunConfig, n_random: int = 20) -> dict:
     """Identity checks on random fields and on a (short) evolved state.
 
-    The short run evolves to the sample time nearest min(T, 4) without
-    sampling: no diagnostics are recorded, so only the step's finite check
-    stops it, and its BlowUpError propagates.
+    The short run evolves to the sample time nearest min(T, 4) at the
+    first viscosity of cfg.mu_list, without sampling: no diagnostics are
+    recorded, so only the step's finite check stops it, and its
+    BlowUpError propagates.  The commutator residuals and the
+    nonlinearity decay ratios come from one streamed walk of the family
+    there (_family_checks).
     """
     grid = Grid(min(cfg.n, 128), cfg.box_len)
     worst = {}
@@ -414,14 +435,9 @@ def audit(cfg: RunConfig, n_random: int = 20) -> dict:
     k = round(min(cfg.t_final, 4.0) / cfg.sample_interval)
     state = _final_state(replace(cfg, t_final=k * cfg.sample_interval),
                          cfg.mu_list[0])
-    fam = derived_family(state, cfg.k_max, cfg.stepper.dealias)
-    commutators = {}
-    for idx in fam.indices:
-        r1, r2, r3 = commutator_residuals(fam, idx)
-        commutators[str(idx)] = {"r1": r1, "r2": r2, "r3": r3}
-    ratios = {}
-    ratios.update(dg.weighted_sobolev_ratios(state.grid, state.V, t=state.t))
-    ratios.update(dg.nonlinearity_decay_ratios(fam))
+    commutators, decay = _family_checks(state, cfg.k_max, cfg.stepper.dealias)
+    ratios = dg.weighted_sobolev_ratios(state.grid, state.V, t=state.t)
+    ratios.update(decay)
     report = {"identity_residuals": worst, "commutator_residuals": commutators,
               "inequality_ratios": ratios}
     if cfg.output_dir:

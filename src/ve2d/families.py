@@ -29,13 +29,20 @@ d_t^{a1} d_1^{a2} d_2^{a3} rot~^{a4}, scaling powers outermost.
 
 A family is one depth-first walk over these words (_members): each member
 is built from its parent and yielded with its stack, and a parent's jet
-and gradient batch are freed once its last child is built, so the walk
-holds only the members on one path from the root.  DerivedFamily stores
-what the walk yields, for the audit and the public API;
-diagnostics.sample_state streams it and keeps each member's scalars
-alone.  At n = 256 (numpy 2.4.6) the streamed sample peaks at 26.9 MB
-(tracemalloc) for k_max = 2 and 42.7 MB for k_max = 3, where the stored
-lean family plus sample_record peaks at 68.1 and 180.3 MB.
+is freed once its last child is built, so the walk holds only the
+members on one path from the root.  Each parent's children come in
+descending canonical order, scale~, d_t, d_1, d_2, rot~: every member
+then comes after every sub-index of it, so the walk can be read member
+by member by a reader of the Leibniz splittings too.  DerivedFamily
+stores what the walk yields, for the public API; diagnostics.sample_state
+streams it and keeps each member's scalars alone; the audit
+(experiments._family_checks) reads it through _StreamedFamily, forms each
+member's commutator_residuals as it is yielded and keeps only the stacks
+and level-0 coefficients that later readers need.  At n = 256 (numpy
+2.4.6, tracemalloc) the streamed sample peaks at 25.7 MiB for k_max = 2
+and 40.8 MiB for k_max = 3, where the stored lean family alone peaks at
+55.8 and 162.8 MiB; the whole audit peaks at 74.1 and 127.7 MiB, where
+it peaked at 98.9 and 245.0 MiB on a stored family.
 """
 
 from math import comb
@@ -220,21 +227,31 @@ def _parent(idx: MultiIndex) -> tuple[str, MultiIndex] | None:
     return None
 
 
+# the operators of a canonical word, outermost first (_parent)
+_CANONICAL = ("scale", "dt", "d1", "d2", "rot")
+
+
 def _members(state: PotentialState, k_max: int = 2, dealias: bool = True,
              residual: bool = True):
     """Every member of the family of state, as (idx, jet, stack), depth
     first over the canonical words (_parent): the walk DerivedFamily
-    stores and diagnostics.sample_state streams.
+    stores, diagnostics.sample_state streams and the audit reads member by
+    member (_StreamedFamily).
 
-    A member of order k keeps the levels 0..k_max - k + r of its jet, the
+    Each parent's children come in descending canonical order, scale~,
+    d_t, d_1, d_2, rot~, so every member comes after every sub-index of
+    it, all that its Leibniz splittings and its viscous term read.  A
+    member of order k keeps the levels 0..k_max - k + r of its jet, the
     most any descendant reads, with r = 1 when residual is true and 0
     otherwise.  A member of order < k_max has a scale~ child, and its
     stack is the level-0 slice of the one inverse batch of gradients that
     its rot~ and scale~ children read; a member of order k_max yields
-    None and has no children.  The scale~ child is a parent's last, so
-    once it is built the parent's batch and jet are freed: only the
-    members on the path from the root, and their batches, are held at
-    once.  A stack is a view into that batch: a reader that keeps it
+    None and has no children.  A parent frees its batch once its last
+    rot~ or scale~ child is built (the scale~ child, its first, when it
+    has no rot~ child) and its jet once its last child is built, so only
+    the members on the path from the root, and the batches of those of
+    them with a rot~ child (the root and the pure rot~ words), are held
+    at once.  A stack is a view into that batch: a reader that keeps it
     keeps the batch.
     """
     if k_max > 3:
@@ -244,6 +261,8 @@ def _members(state: PotentialState, k_max: int = 2, dealias: bool = True,
     for idx in admissible_indices(k_max)[1:]:
         op, parent = _parent(idx)
         children.setdefault(parent, []).append((op, idx))
+    for kids in children.values():
+        kids.sort(key=lambda kid: _CANONICAL.index(kid[0]))
     return _walk(MultiIndex(0, (0, 0, 0, 0)),
                  base_jet(state, k_max + extra, dealias), children, k_max,
                  extra)
@@ -261,6 +280,8 @@ def _walk(idx: MultiIndex, jet: Jet, children: dict, k_max: int,
     if kids:
         G = sp.gradient_from_hat(g, jet.hat[:k_max - idx.order + extra])
     yield idx, jet, None if G is None else G[0]
+    # the scale~ child comes first and the rot~ child, if any, last
+    batch_read_by = "rot" if kids and kids[-1][0] == "rot" else "scale"
     for op, kid in kids:
         # the child keeps levels 0..k_max - order + extra; dt and scale~
         # read one level more of the parent
@@ -268,46 +289,37 @@ def _walk(idx: MultiIndex, jet: Jet, children: dict, k_max: int,
         sub = _walk(kid, apply_field(
             op, Jet.from_hat(g, jet.hat[:keep], jet.t, jet.mu),
             G if op in ("rot", "scale") else None), children, k_max, extra)
-        if op == "scale":  # the last child
-            del jet, G
+        if op == batch_read_by:
+            G = None
+        if kid == kids[-1][1]:
+            del jet
         yield from sub
 
 
-class DerivedFamily:
-    """All U^(alpha, a) with alpha + |a| <= k_max for one base state, held.
+class _Family:
+    """Members of one walk held by index, read through jet, stack and
+    fields, as commutator_residuals, nonlinearity_f and
+    diagnostics.nonlinearity_decay_ratios read them: every member
+    (DerivedFamily) or only what later readers need (_StreamedFamily).  A
+    kept stack is a copy of the yielded slice, so the batch behind it is
+    freed."""
 
-    The members are what _members yields, each jet kept as built.  The
-    sample functionals (diagnostics.sample_record, the inequality ratios)
-    read level 0 alone, so a family for them may be built with
-    residual=False; run_simulation streams the same walk and holds no
-    family.  commutator_residuals reads d_t of every member without
-    differencing and needs residual=True, the default, which the audit
-    builds.  The levels both depths keep are equal bit for bit.
-    stack(idx) is the one home of a member's gradients: for a member of
-    order < k_max it is a copy of the yielded slice, so the batch behind
-    it is freed.
-    """
-
-    def __init__(self, state: PotentialState, k_max: int = 2,
-                 dealias: bool = True, *, residual: bool = True):
+    def __init__(self, state: PotentialState, k_max: int, dealias: bool,
+                 residual: bool):
         self.state = state
         self.k_max = k_max
         self.dealias = dealias
         self.residual = residual
+        self.indices = admissible_indices(k_max)
         self._jets: dict[MultiIndex, Jet] = {}
         self._stacks: dict[MultiIndex, np.ndarray] = {}
-        for idx, jet, stack in _members(state, k_max, dealias, residual):
-            self._jets[idx] = jet
-            if stack is not None:
-                self._stacks[idx] = stack.copy()
-        self.indices = admissible_indices(k_max)
+        # the root's product spectra, formed once (_nonlinearity_hat)
+        self._root_hat = None
 
-    def members(self):
-        """The triples _members yields, (idx, jet, stack), in index order;
-        the stack is None for the members of order k_max."""
-        for idx in self.indices:
-            yield (idx, self._jets[idx],
-                   self.stack(idx) if idx.order < self.k_max else None)
+    def _hold(self, idx: MultiIndex, jet: Jet, stack) -> None:
+        self._jets[idx] = jet
+        if stack is not None:
+            self._stacks[idx] = stack.copy()
 
     def jet(self, idx: MultiIndex) -> Jet:
         return self._jets[idx]
@@ -331,8 +343,66 @@ class DerivedFamily:
             D = sp.gradient_from_hat(self.state.grid, self._jets[idx].hat[0])
         return D
 
+
+class DerivedFamily(_Family):
+    """All U^(alpha, a) with alpha + |a| <= k_max for one base state, held.
+
+    The members are what _members yields, each jet kept as built.  The
+    sample functionals (diagnostics.sample_record, the inequality ratios)
+    read level 0 alone, so a family for them may be built with
+    residual=False; run_simulation streams the same walk and holds no
+    family.  commutator_residuals reads d_t of every member without
+    differencing and needs residual=True, the default.  The levels both
+    depths keep are equal bit for bit.  stack(idx) is the one home of a
+    member's gradients, kept for the members of order < k_max.
+    """
+
+    def __init__(self, state: PotentialState, k_max: int = 2,
+                 dealias: bool = True, *, residual: bool = True):
+        super().__init__(state, k_max, dealias, residual)
+        for member in _members(state, k_max, dealias, residual):
+            self._hold(*member)
+
+    def members(self):
+        """The triples _members yields, (idx, jet, stack), in index order;
+        the stack is None for the members of order k_max."""
+        for idx in self.indices:
+            yield (idx, self._jets[idx],
+                   self.stack(idx) if idx.order < self.k_max else None)
+
     def __len__(self) -> int:
         return len(self.indices)
+
+
+class _StreamedFamily(_Family):
+    """The family of state with the residual level, read member by member:
+    walk() yields each index once its member is held, after every
+    sub-index of it, so commutator_residuals(fam, idx) can be called as
+    idx is yielded.  When the caller moves on, only what a later reader
+    needs stays: the stacks of the members of order < k_max, which the
+    splittings of later members read, and the level-0 coefficients
+    (copied) of the members U^(l,a) that a later viscous term reads
+    (order < k_max, at mu > 0) and of the U^(0,a) with |a| = 1 or 2,
+    which nonlinearity_decay_ratios reads.  Every other jet is dropped.
+    """
+
+    def __init__(self, state: PotentialState, k_max: int, dealias: bool):
+        super().__init__(state, k_max, dealias, residual=True)
+
+    def walk(self):
+        for idx, jet, stack in _members(self.state, self.k_max,
+                                        self.dealias):
+            self._hold(idx, jet, stack)
+            del jet, stack  # the walk frees its own after the last child
+            yield idx
+            if ((self.state.mu > 0 and idx.order < self.k_max)
+                    or (idx.alpha == 0 and 1 <= idx.order <= 2)):
+                jet = self._jets[idx]
+                self._jets[idx] = Jet.from_hat(
+                    jet.grid, jet.hat[:1].copy(), jet.t, jet.mu, jet._level0)
+                del jet
+            else:
+                del self._jets[idx]
 
 
 def derived_family(state: PotentialState, k_max: int = 2,
@@ -375,11 +445,20 @@ def _nonlinearity_hat(fam: DerivedFamily, idx: MultiIndex
                       ) -> tuple[np.ndarray, np.ndarray]:
     """(f1, ph) of the commuted system at idx as rfft2 coefficients; ph
     holds the masked f11^perp, f12^perp, f22^perp, f2_1, f2_2, f3.  Each
-    distinct member's stack is read once."""
+    distinct member's stack is read once.  The root's are formed once per
+    family and kept, read-only: its residual and
+    diagnostics.nonlinearity_decay_ratios both read them."""
+    if idx.order == 0 and fam._root_hat is not None:
+        return fam._root_hat
     splits = list(_splittings(idx))
     D = {m: fam.stack(m) for m in {m for s in splits for m in s[:2]}}
     pairs = [(coef, D[left], D[right]) for left, right, coef in splits]
-    return _quadratic_hat(fam.state.grid, pairs, fam.dealias, f3=True)
+    out = _quadratic_hat(fam.state.grid, pairs, fam.dealias, f3=True)
+    if idx.order == 0:
+        for a in out:
+            a.flags.writeable = False
+        fam._root_hat = out
+    return out
 
 
 def nonlinearity_f(fam: DerivedFamily, idx: MultiIndex):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -72,3 +73,21 @@ def transforms(monkeypatch):
                 depth[0] -= 1
         monkeypatch.setattr(np.fft, name, counted)
     return fields
+
+
+def _traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak():
+    """_traced_peak: the tracemalloc peak of one call of a function.  Call
+    the function once untraced first, so that lazily built arrays (the
+    grid's) are not counted."""
+    return _traced_peak

@@ -156,6 +156,17 @@ class TestSimulate:
         assert capsys.readouterr().err == ""
         assert (out / "run_mu0.csv").exists()
 
+    def test_reads_only_the_first_viscosity(self, tmp_path, capsys):
+        # simulate runs mu_list[0] alone; the other values of [run] mu are
+        # for sweep-mu and converge
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, mu="0 0.1",
+                           extra=f"output_dir = {out}\n")
+        assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_OK
+        assert "(mu = 0," in capsys.readouterr().out
+        assert sorted(p.name for p in out.glob("run_*.csv")) == [
+            "run_mu0.csv"]
+
     def test_k_max_0_blow_up_caught_by_the_ceiling(self, tmp_path, capsys):
         # k_max = 0 has no E1; the ceiling reads E0, which grows from
         # 1.6e3 to 1.8e18 by t = 0.5, so the run stops there as k_max = 1
@@ -234,6 +245,14 @@ class TestAuditAndFit:
         assert cli.main(["audit", "--config", cfg]) == cli.EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["identity_residuals"]["null_split"] < 1e-11
+
+    def test_audit_reads_only_the_first_viscosity(self, tmp_path, capsys):
+        reports = []
+        for mu in ("0.01 0", "0.01"):
+            cfg = write_config(tmp_path, mu=mu)
+            assert cli.main(["audit", "--config", cfg]) == cli.EXIT_OK
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
     def test_audit_blow_up_exits_2_with_one_line(self, tmp_path, capsys):
         path = tmp_path / "blowup.ini"

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -382,19 +381,11 @@ class TestStreamedSample:
                     or (np.isnan(val) and np.isnan(got.values[key]))), key
 
     @pytest.mark.parametrize("k_max, share", [(2, 0.5), (3, 0.3)])
-    def test_peak_memory(self, state64, k_max, share):
+    def test_peak_memory(self, state64, k_max, share, peak):
         # tracemalloc peaks of the sample alone: the streamed sample
         # measured 0.43 (k_max = 2) and 0.25 (k_max = 3) of the stored
         # family plus sample_record at n = 64, and 0.39 and 0.24 at
         # n = 128
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         def stored():
             dg.sample_record(derived_family(state64, k_max, residual=False))
 

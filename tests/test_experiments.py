@@ -12,7 +12,7 @@ from ve2d.experiments import (INI_KEYS, ConfigError, RunConfig, audit,
                               convergence_study, run_simulation,
                               state_l2_distance, sweep_viscosity,
                               worker_count, write_csv)
-from ve2d.families import derived_family
+from ve2d.families import commutator_residuals, derived_family
 from ve2d.state import InitialDataParams
 
 SMALL = dict(n=64, box_len=32.0, t_final=2.0, sample_interval=0.5, k_max=1,
@@ -220,28 +220,28 @@ class TestRunSimulation:
     def test_sampling_builds_lean_families(self, monkeypatch):
         # a sample reads level 0 of each member, so the run streams each
         # sample's family without the residual level and holds no family;
-        # the audit's one family carries it
-        depths, built = [], []
+        # the audit's one walk carries it, and stores no family either
+        depths, stored = [], []
         walk = families._members
+        store = families.DerivedFamily.__init__
 
-        def members(state, k_max, dealias, residual):
+        def members(state, k_max, dealias=True, residual=True):
             depths.append(residual)
             return walk(state, k_max, dealias, residual)
 
-        def family(*args, **kwargs):
-            built.append(args)
-            return derived_family(*args, **kwargs)
+        def family(self, *args, **kwargs):
+            stored.append(args)
+            store(self, *args, **kwargs)
 
         monkeypatch.setattr(dg, "_members", members)
         monkeypatch.setattr(families, "_members", members)
-        monkeypatch.setattr(experiments, "derived_family", family)
+        monkeypatch.setattr(families.DerivedFamily, "__init__", family)
         run_simulation(RunConfig(**SMALL), mu=0.0)
         assert depths == [False] * 5
-        assert built == []
         depths.clear()
         audit(RunConfig(**SMALL), n_random=0)
         assert depths == [True]
-        assert len(built) == 1
+        assert stored == []
 
     def test_empty_viscosity_list_is_a_config_error(self):
         # not an IndexError from reading mu_list[0]
@@ -333,8 +333,9 @@ class TestConvergence:
                 return fn(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(experiments, "derived_family",
-                            count("family", derived_family))
+        # every family, stored or streamed, is a _Family
+        monkeypatch.setattr(families._Family, "__init__",
+                            count("family", families._Family.__init__))
         monkeypatch.setattr(families, "_members",
                             count("walk", families._members))
         monkeypatch.setattr(dg, "_members", count("walk", dg._members))
@@ -375,26 +376,74 @@ class TestAudit:
 
     def test_one_family_on_the_run_final_state(self, small_run, monkeypatch):
         # the audit evolves to the run's last sample time (4 intervals) and
-        # builds its one family there, sampling nothing on the way
-        built, sampled = [], []
-        record = dg.sample_record
+        # walks its one family there, with the residual level, storing no
+        # family and sampling nothing on the way
+        walks, stored, sampled = [], [], []
+        walk = families._members
 
-        def family(state, *args):
-            built.append(state)
-            return derived_family(state, *args)
+        def members(state, k_max, dealias=True, residual=True):
+            walks.append((state, residual))
+            return walk(state, k_max, dealias, residual)
 
-        def sample(fam):
-            sampled.append(fam)
-            return record(fam)
+        def record(name):
+            return lambda *args, **kwargs: sampled.append(name)
 
-        monkeypatch.setattr(experiments, "derived_family", family)
-        monkeypatch.setattr(dg, "sample_record", sample)
+        monkeypatch.setattr(families, "_members", members)
+        monkeypatch.setattr(families.DerivedFamily, "__init__",
+                            lambda self, *args, **kwargs: stored.append(args))
+        monkeypatch.setattr(dg, "sample_record", record("sample_record"))
+        monkeypatch.setattr(dg, "sample_state", record("sample_state"))
         audit(RunConfig(**SMALL), n_random=0)
         final = small_run.final_state
-        assert built[0].t == final.t
-        assert np.array_equal(built[0].V, final.V)
-        assert np.array_equal(built[0].H, final.H)
-        assert len(built) == 1 and sampled == []
+        assert [residual for _, residual in walks] == [True]
+        state = walks[0][0]
+        assert state.t == final.t
+        assert np.array_equal(state.V, final.V)
+        assert np.array_equal(state.H, final.H)
+        assert stored == [] and sampled == []
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("mu", [0.0, 1e-2])
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    def test_streamed_report_equals_the_stored_family(self, k_max, mu,
+                                                      dealias):
+        # the audit forms each residual as the walk yields its member and
+        # keeps only what later readers need; a stored family read in
+        # index order gives the same report, value for value and in the
+        # same key order
+        cfg = RunConfig(**{**SMALL, "t_final": 0.5, "k_max": k_max,
+                           "mu_list": (mu,),
+                           "stepper": StepperConfig(dealias=dealias)})
+        report = audit(cfg, n_random=0)
+        state = experiments._final_state(cfg, mu)
+        fam = derived_family(state, k_max, dealias)
+        commutators = {str(idx): dict(zip(("r1", "r2", "r3"),
+                                          commutator_residuals(fam, idx)))
+                       for idx in fam.indices}
+        ratios = dg.weighted_sobolev_ratios(state.grid, state.V, t=state.t)
+        ratios.update(dg.nonlinearity_decay_ratios(fam))
+        assert list(report["commutator_residuals"].items()) == list(
+            commutators.items())
+        assert list(report["inequality_ratios"].items()) == list(
+            ratios.items())
+
+    @pytest.mark.parametrize("k_max, share", [(2, 0.8), (3, 0.6)])
+    def test_peak_memory(self, evolved_state, k_max, share, peak):
+        # tracemalloc peaks of the audit's reads of one family: the
+        # streamed walk measured 0.70-0.74 (k_max = 2) and 0.50-0.55
+        # (k_max = 3) of the stored family read the same way, at n = 64
+        # and 128 and mu in {0, 1e-2}
+        def stored():
+            fam = derived_family(evolved_state, k_max)
+            for idx in fam.indices:
+                commutator_residuals(fam, idx)
+            dg.nonlinearity_decay_ratios(fam)
+
+        def streamed():
+            experiments._family_checks(evolved_state, k_max, True)
+
+        stored(), streamed()  # the grid's lazy arrays, built untraced
+        assert peak(streamed) <= share * peak(stored)
 
 
 class TestCsvWriter:

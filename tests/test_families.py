@@ -299,6 +299,20 @@ class TestTransformBudget:
         assert sum(transforms.values()) <= 55
         assert set(transforms) == {"rfft2", "irfftn"}
 
+    def test_root_products_formed_once(self, state, transforms):
+        # the root's residual and the decay ratios share the root's
+        # product spectra: the ratios then skip its 6 forward fields, and
+        # read the same values as on a fresh family
+        fam = derived_family(state, 2)
+        commutator_residuals(fam, ROOT)
+        transforms.clear()
+        shared = nonlinearity_decay_ratios(fam)
+        assert sum(transforms.values()) <= 55 - 6
+        assert set(transforms) == {"irfftn"}
+        assert shared == nonlinearity_decay_ratios(derived_family(state, 2))
+        for spectra in fam._root_hat:
+            assert not spectra.flags.writeable
+
     def test_weighted_sobolev_ratios(self, state, transforms):
         # f and its rotation forward, their gradients (2 each) and the 3
         # second derivatives of f back (d1d2 f = d2d1 f)
@@ -308,14 +322,15 @@ class TestTransformBudget:
         assert set(transforms) == {"rfft2", "irfftn"}
 
     def test_audit(self, transforms):
-        # the steps to t = 0.5, one family (168), the 21 commutator
-        # residuals (300) and the ratios; a family and a sample at each of
-        # the 3 sample times on the way, then a fourth family, took 1322
+        # the steps to t = 0.5, one walk (168), the 21 commutator
+        # residuals (300) and the ratios, which reuse the root's product
+        # spectra (6 forward fields fewer); a family and a sample at each
+        # of the 3 sample times on the way, then a fourth family, took 1322
         cfg = RunConfig(n=32, box_len=16.0, t_final=0.5, sample_interval=0.25,
                         k_max=2)
         transforms.clear()
         audit(cfg, n_random=0)
-        assert sum(transforms.values()) <= 747
+        assert sum(transforms.values()) <= 740
         assert set(transforms) == {"rfft2", "irfftn"}
 
 
@@ -477,6 +492,20 @@ class TestDerivedFamily:
                 assert stack is None, idx
         assert sorted(seen) == sorted(fam.indices)
 
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    def test_walk_yields_sub_indices_first(self, grid32, k_max):
+        # each parent's children in descending canonical order (scale~,
+        # d_t, d_1, d_2, rot~) put every member after all the members its
+        # Leibniz splittings read, so a streamed reader can form each
+        # member's residual as soon as it is yielded
+        seen = set()
+        for idx, _, _ in _members(random_state(grid32, 3), k_max):
+            reads = {m for left, right, _ in _splittings(idx)
+                     for m in (left, right)}
+            assert reads - {idx} <= seen, idx
+            seen.add(idx)
+        assert len(seen) == len(admissible_indices(k_max))
+
     @pytest.mark.parametrize("k_max", [1, 2, 3])
     def test_walk_holds_only_the_path(self, grid32, k_max):
         # a member's jet is freed once its last child is built, so no
@@ -489,6 +518,23 @@ class TestDerivedFamily:
             del jet
             assert sum(ref() is not None for ref in live) <= k_max + 1
         assert len(live) == len(admissible_indices(k_max))
+
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("k_max", [1, 2, 3])
+    def test_walk_frees_each_batch_after_its_last_reader(self, grid32,
+                                                         k_max, residual):
+        # a parent's gradient batch is read by its scale~ child, the
+        # first, and its rot~ child, the last, when it has one: so besides
+        # the yielded member's batch only that of the one ancestor still
+        # waiting for its rot~ child is alive (3 at k_max = 3 when every
+        # batch lived until the last child)
+        live = []
+        for _, jet, stack in _members(random_state(grid32, 3), k_max,
+                                      residual=residual):
+            if stack is not None:
+                live.append(weakref.ref(stack.base))
+            del jet, stack
+            assert sum(ref() is not None for ref in live) <= min(k_max, 2)
 
     def test_walk_leaves_no_cycle(self):
         # a finished walk is freed by reference counting alone: a cycle
