@@ -16,7 +16,9 @@ driver stores a family: a run streams each sample's walk
 as its one walk yields the member (_family_checks).  simulate and audit
 read only the first value of [run] mu; sweep-mu and converge read all.
 Only cfg.output_dir decides whether artifacts are written: they are
-written when it is set and not empty.
+written when it is set and not empty.  A driver creates it before it
+runs, so a path that cannot be a directory is a ConfigError, not a
+failure after the run.
 """
 
 import configparser
@@ -55,6 +57,8 @@ class RunConfig:
     stepper: StepperConfig = field(default_factory=StepperConfig)
     dt: float | None = None
     output_dir: str | None = None
+    # t_final / sample_interval, set once by __post_init__
+    _samples: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
@@ -64,6 +68,9 @@ class RunConfig:
             raise ConfigError("box_len must be positive and finite")
         if not 0 <= self.k_max <= 3:
             raise ConfigError(f"k_max must lie in [0, 3], got {self.k_max}")
+        if self.initial.mu != 0.0:
+            raise ConfigError(f"initial.mu = {self.initial.mu} is not read: "
+                              "a run's viscosity comes from mu_list")
         radius = self.initial.support_radius
         if radius is not None and radius >= self.box_len / 4.0:
             raise ConfigError("support_radius must be below box_len/4")
@@ -81,8 +88,12 @@ class RunConfig:
         if not 0.0 < self.sample_interval < np.inf:
             raise ConfigError("sample_interval must be positive and finite")
         samples = self.t_final / self.sample_interval
+        if not samples < np.inf:
+            raise ConfigError("t_final / sample_interval is not a finite "
+                              "sample count")
         if abs(samples - round(samples)) > 1e-9:
             raise ConfigError("t_final must be a multiple of sample_interval")
+        object.__setattr__(self, "_samples", round(samples))
 
     @classmethod
     def from_ini(cls, path) -> "RunConfig":
@@ -198,8 +209,7 @@ def _trajectory(cfg: RunConfig, mu: float):
     """
     grid = Grid(cfg.n, cfg.box_len)
     state = make_initial_data(grid, replace(cfg.initial, mu=mu))
-    n_samples = int(round(cfg.t_final / cfg.sample_interval))
-    for k in range(n_samples + 1):
+    for k in range(cfg._samples + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             state = evolve(state, k * cfg.sample_interval, cfg.stepper,
                            cfg.dt)
@@ -228,6 +238,7 @@ def run_simulation(cfg: RunConfig, mu: float | None = None) -> RunResult:
     """
     if mu is None:
         mu = cfg.mu_list[0]
+    out = _output_dir(cfg)
     energy = _energy_column(cfg.k_max)  # the blow-up ceiling reads it
     ceiling = None
     records = []
@@ -248,8 +259,8 @@ def run_simulation(cfg: RunConfig, mu: float | None = None) -> RunResult:
 
     result = RunResult(mu=mu, records=records, final_state=state,
                        blowup_t=blowup_t)
-    if cfg.output_dir:
-        _write_run_artifacts(cfg, result)
+    if out is not None:
+        _write_run_artifacts(out, cfg.k_max, result)
     return result
 
 
@@ -260,15 +271,27 @@ def write_csv(path, records) -> None:
             fh.write(rec.to_csv_row() + "\n")
 
 
+def _output_dir(cfg: RunConfig) -> Path | None:
+    """cfg.output_dir, created, or None when it is not set or empty.  Each
+    driver calls it before it runs, so a path that cannot be a directory
+    fails as a ConfigError before any work."""
+    if not cfg.output_dir:
+        return None
+    out = Path(cfg.output_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {cfg.output_dir!r}: "
+                          f"{exc.strerror}") from None
+    return out
+
+
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
 
 
-def _write_run_artifacts(cfg: RunConfig, result: RunResult) -> None:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _write_run_artifacts(out: Path, k_max: int, result: RunResult) -> None:
     tag = f"mu{result.mu:g}"
     write_csv(out / f"run_{tag}.csv", result.records)
     write_snapshot(out / f"final_{tag}.snap", result.final_state)
@@ -284,7 +307,7 @@ def _write_run_artifacts(cfg: RunConfig, result: RunResult) -> None:
         for col in ("id45_res", "id417_res", "id218_res"):
             _, vals = result.series(col)
             summary[f"max_{col}"] = float(np.max(vals))
-    if cfg.k_max == 3:
+    if k_max == 3:
         # the order-3 functionals, which the frozen CSV header leaves out
         summary["sample_t"] = ts.tolist()
         for col in ("E3", "calE3", "X3", "Y3", "G3"):
@@ -325,6 +348,7 @@ def sweep_viscosity(cfg: RunConfig) -> dict:
     keep the name max_E1_ratio but read E0 at k_max = 0, as the blow-up
     ceiling does.
     """
+    out = _output_dir(cfg)
     results = _map_viscosities(run_simulation, cfg, cfg.mu_list)
     report = {"mu": list(cfg.mu_list), "runs": results, "per_mu": {}}
     overall = 0.0
@@ -342,9 +366,7 @@ def sweep_viscosity(cfg: RunConfig) -> dict:
         report["per_mu"][res.mu] = entry
         overall = max(overall, ratio)
     report["max_E1_ratio"] = overall
-    if cfg.output_dir:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         for res in results:
             write_csv(out / f"run_mu{res.mu:g}.csv", res.records)
         _write_json(out / "sweep_summary.json",
@@ -365,7 +387,7 @@ def convergence_study(cfg: RunConfig) -> dict:
 
     Requires mu_list to contain 0 and at least three positive values, each
     of whose final states differs from the mu = 0 one (a ConfigError
-    otherwise, raised before anything is written).  Each viscosity evolves
+    otherwise, raised before any artifact is written).  Each viscosity evolves
     to t_final without sampling, so k_max is not read and only the step's
     finite check reports a blow-up (a BlowUpError).
     """
@@ -373,6 +395,7 @@ def convergence_study(cfg: RunConfig) -> dict:
     if 0.0 not in cfg.mu_list or len(positive) < 3:
         raise ConfigError("convergence study needs mu = 0 plus >= 3 "
                           "positive viscosities")
+    outdir = _output_dir(cfg)
     base, *finals = _map_viscosities(_final_state, cfg, [0.0] + positive)
     dists = np.array([state_l2_distance(final, base) for final in finals])
     if not np.all(dists > 0):
@@ -382,8 +405,7 @@ def convergence_study(cfg: RunConfig) -> dict:
     table[0.0] = 0.0
     order = float(np.polyfit(np.log(positive), np.log(dists), 1)[0])
     out = {"table": table, "fitted_order": order}
-    if cfg.output_dir:
-        outdir = Path(cfg.output_dir)
+    if outdir is not None:
         _write_json(outdir / "convergence.json",
                     {"table": {f"{k:g}": v for k, v in table.items()},
                      "fitted_order": order})
@@ -418,6 +440,7 @@ def audit(cfg: RunConfig, n_random: int = 20) -> dict:
     nonlinearity decay ratios come from one streamed walk of the family
     there (_family_checks).
     """
+    out = _output_dir(cfg)
     grid = Grid(min(cfg.n, 128), cfg.box_len)
     worst = {}
     for trial in range(n_random):
@@ -440,6 +463,6 @@ def audit(cfg: RunConfig, n_random: int = 20) -> dict:
     ratios.update(decay)
     report = {"identity_residuals": worst, "commutator_residuals": commutators,
               "inequality_ratios": ratios}
-    if cfg.output_dir:
-        _write_json(Path(cfg.output_dir) / "audit.json", report)
+    if out is not None:
+        _write_json(out / "audit.json", report)
     return report

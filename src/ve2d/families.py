@@ -24,28 +24,34 @@ functional reads level 0 of each member, so a family built for sampling
 that.  commutator_residuals also reads d_t of each member, one level
 more, which only a family built with residual=True (the default) holds.
 
-The canonical operator word for the multi-index (alpha, a) is scale~^alpha
-d_t^{a1} d_1^{a2} d_2^{a3} rot~^{a4}, scaling powers outermost.
+The canonical operator word for the multi-index (alpha, a) is
+
+    scale~^alpha d_t^{a1} d_1^{a2} d_2^{a3} rot~^{a4},
+
+outermost first; _CANONICAL is its one statement, and admissible_indices,
+the walk's children and the Leibniz splittings (_splittings) read a
+member's degrees (alpha, a1, a2, a3, a4) in that order.
 
 A family is one depth-first walk over these words (_members): each member
-is built from its parent and yielded with its stack, and a parent's jet
-is freed once its last child is built, so the walk holds only the
-members on one path from the root.  Each parent's children come in
-descending canonical order, scale~, d_t, d_1, d_2, rot~: every member
-then comes after every sub-index of it, so the walk can be read member
-by member by a reader of the Leibniz splittings too.  DerivedFamily
-stores what the walk yields, for the public API; diagnostics.sample_state
-streams it and keeps each member's scalars alone; the audit
-(experiments._family_checks) reads it through _StreamedFamily, forms each
-member's commutator_residuals as it is yielded and keeps only the stacks
-and level-0 coefficients that later readers need.  At n = 256 (numpy
-2.4.6, tracemalloc) the streamed sample peaks at 25.7 MiB for k_max = 2
-and 40.8 MiB for k_max = 3, where the stored lean family alone peaks at
-55.8 and 162.8 MiB; the whole audit peaks at 74.1 and 127.7 MiB, where
-it peaked at 98.9 and 245.0 MiB on a stored family.
+is built from its parent, the word with its outermost operator removed,
+and yielded with its stack, and a parent's jet is freed once its last
+child is built, so the walk holds only the members on one path from the
+root.  A member's children are the operators at or outside its outermost
+one, in canonical order (_children): every member then comes after every
+sub-index of it, so the walk can be read member by member by a reader of
+the Leibniz splittings too.  DerivedFamily stores what the walk yields,
+for the public API; diagnostics.sample_state streams it and keeps each
+member's scalars alone; the audit (experiments._family_checks) reads it
+through _StreamedFamily, forms each member's commutator_residuals as it
+is yielded and keeps only the stacks and level-0 coefficients that later
+readers need.  At n = 256 (numpy 2.4.6, tracemalloc) the streamed sample
+peaks at 25.7 MiB for k_max = 2 and 40.8 MiB for k_max = 3, where the
+stored lean family alone peaks at 55.8 and 162.8 MiB; the whole audit
+peaks at 74.1 and 127.7 MiB.
 """
 
-from math import comb
+from itertools import product
+from math import comb, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -66,18 +72,20 @@ class MultiIndex(NamedTuple):
         return self.alpha + sum(self.a)
 
 
+# the operators of a canonical word, outermost first: a member's degrees
+# (alpha, a1, a2, a3, a4) are its powers of each, in this order
+_CANONICAL = ("scale", "dt", "d1", "d2", "rot")
+
+
+def _index(degrees) -> MultiIndex:
+    """The multi-index of the degrees (alpha, a1, a2, a3, a4)."""
+    return MultiIndex(degrees[0], tuple(degrees[1:]))
+
+
 def admissible_indices(k_max: int) -> list[MultiIndex]:
     """All multi-indices with total order <= k_max, ordered by degree."""
-    out = []
-    for total in range(k_max + 1):
-        for alpha in range(total + 1):
-            rest = total - alpha
-            for a1 in range(rest + 1):
-                for a2 in range(rest - a1 + 1):
-                    for a3 in range(rest - a1 - a2 + 1):
-                        a4 = rest - a1 - a2 - a3
-                        out.append(MultiIndex(alpha, (a1, a2, a3, a4)))
-    return out
+    degrees = product(range(k_max + 1), repeat=len(_CANONICAL))
+    return [_index(d) for d in sorted(degrees, key=sum) if sum(d) <= k_max]
 
 
 # ---------------------------------------------------------------------------
@@ -211,71 +219,55 @@ def apply_field(op: str, jet: Jet, grads: np.ndarray | None = None) -> Jet:
     return Jet.from_hat(g, hat, jet.t, jet.mu)
 
 
-def _parent(idx: MultiIndex) -> tuple[str, MultiIndex] | None:
-    """Outermost operator of the canonical word and the remaining index."""
-    alpha, (a1, a2, a3, a4) = idx
-    if alpha > 0:
-        return "scale", MultiIndex(alpha - 1, (a1, a2, a3, a4))
-    if a1 > 0:
-        return "dt", MultiIndex(0, (a1 - 1, a2, a3, a4))
-    if a2 > 0:
-        return "d1", MultiIndex(0, (a1, a2 - 1, a3, a4))
-    if a3 > 0:
-        return "d2", MultiIndex(0, (a1, a2, a3 - 1, a4))
-    if a4 > 0:
-        return "rot", MultiIndex(0, (a1, a2, a3, a4 - 1))
-    return None
-
-
-# the operators of a canonical word, outermost first (_parent)
-_CANONICAL = ("scale", "dt", "d1", "d2", "rot")
+def _children(idx: MultiIndex, k_max: int) -> list[tuple[str, MultiIndex]]:
+    """(op, child) for each child of idx in the walk: one for each
+    operator at or outside the outermost one of idx (every operator at the
+    root), in _CANONICAL order, and none at order k_max."""
+    if idx.order >= k_max:
+        return []
+    degrees = (idx.alpha, *idx.a)
+    outermost = next((j for j, d in enumerate(degrees) if d),
+                     len(_CANONICAL) - 1)
+    return [(op, _index([d + (i == j) for i, d in enumerate(degrees)]))
+            for j, op in enumerate(_CANONICAL[:outermost + 1])]
 
 
 def _members(state: PotentialState, k_max: int = 2, dealias: bool = True,
              residual: bool = True):
     """Every member of the family of state, as (idx, jet, stack), depth
-    first over the canonical words (_parent): the walk DerivedFamily
+    first over the canonical words (_children): the walk DerivedFamily
     stores, diagnostics.sample_state streams and the audit reads member by
     member (_StreamedFamily).
 
-    Each parent's children come in descending canonical order, scale~,
-    d_t, d_1, d_2, rot~, so every member comes after every sub-index of
-    it, all that its Leibniz splittings and its viscous term read.  A
-    member of order k keeps the levels 0..k_max - k + r of its jet, the
-    most any descendant reads, with r = 1 when residual is true and 0
-    otherwise.  A member of order < k_max has a scale~ child, and its
-    stack is the level-0 slice of the one inverse batch of gradients that
-    its rot~ and scale~ children read; a member of order k_max yields
-    None and has no children.  A parent frees its batch once its last
-    rot~ or scale~ child is built (the scale~ child, its first, when it
-    has no rot~ child) and its jet once its last child is built, so only
-    the members on the path from the root, and the batches of those of
-    them with a rot~ child (the root and the pure rot~ words), are held
-    at once.  A stack is a view into that batch: a reader that keeps it
-    keeps the batch.
+    Each parent's children come in _CANONICAL order, so every member
+    comes after every sub-index of it, all that its Leibniz splittings
+    and its viscous term read.  A member of order k keeps the levels
+    0..k_max - k + r of its jet, the most any descendant reads, with r = 1
+    when residual is true and 0 otherwise.  A member of order < k_max has
+    a scale~ child, and its stack is the level-0 slice of the one inverse
+    batch of gradients that its rot~ and scale~ children read; a member
+    of order k_max yields None and has no children.  A parent frees its
+    batch once its last rot~ or scale~ child is built (the scale~ child,
+    its first, when it has no rot~ child) and its jet once its last child
+    is built, so only the members on the path from the root, and the
+    batches of those of them with a rot~ child (the root and the pure
+    rot~ words), are held at once.  A stack is a view into that batch: a
+    reader that keeps it keeps the batch.
     """
     if k_max > 3:
         raise ValueError("k_max > 3 is outside the supported desk scale")
     extra = int(residual)
-    children: dict[MultiIndex, list] = {}
-    for idx in admissible_indices(k_max)[1:]:
-        op, parent = _parent(idx)
-        children.setdefault(parent, []).append((op, idx))
-    for kids in children.values():
-        kids.sort(key=lambda kid: _CANONICAL.index(kid[0]))
     return _walk(MultiIndex(0, (0, 0, 0, 0)),
-                 base_jet(state, k_max + extra, dealias), children, k_max,
-                 extra)
+                 base_jet(state, k_max + extra, dealias), k_max, extra)
 
 
-def _walk(idx: MultiIndex, jet: Jet, children: dict, k_max: int,
-          extra: int):
+def _walk(idx: MultiIndex, jet: Jet, k_max: int, extra: int):
     """The walk of _members below idx, whose jet is given; extra is 1 when
     the level only commutator_residuals reads is built.  A module-level
     generator, not a closure: a closure that calls itself is a reference
     cycle, which would hold the grid until the cyclic collector runs."""
     g = jet.grid
-    kids = children.get(idx, ())
+    kids = _children(idx, k_max)
     G = None
     if kids:
         G = sp.gradient_from_hat(g, jet.hat[:k_max - idx.order + extra])
@@ -288,7 +280,7 @@ def _walk(idx: MultiIndex, jet: Jet, children: dict, k_max: int,
         keep = k_max - kid.order + extra + 1 + (op in ("dt", "scale"))
         sub = _walk(kid, apply_field(
             op, Jet.from_hat(g, jet.hat[:keep], jet.t, jet.mu),
-            G if op in ("rot", "scale") else None), children, k_max, extra)
+            G if op in ("rot", "scale") else None), k_max, extra)
         if op == batch_read_by:
             G = None
         if kid == kids[-1][1]:
@@ -365,10 +357,9 @@ class DerivedFamily(_Family):
 
     def members(self):
         """The triples _members yields, (idx, jet, stack), in index order;
-        the stack is None for the members of order k_max."""
+        the stack is the one held, None for the members of order k_max."""
         for idx in self.indices:
-            yield (idx, self._jets[idx],
-                   self.stack(idx) if idx.order < self.k_max else None)
+            yield idx, self._jets[idx], self._stacks.get(idx)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -414,19 +405,10 @@ def derived_family(state: PotentialState, k_max: int = 2,
 def _splittings(idx: MultiIndex):
     """All ((beta, b), (gamma, c), coefficient) with beta+gamma = alpha,
     b+c = a and coefficient C(alpha, beta) prod C(a_m, b_m)."""
-    alpha, a = idx
-    for beta in range(alpha + 1):
-        for b1 in range(a[0] + 1):
-            for b2 in range(a[1] + 1):
-                for b3 in range(a[2] + 1):
-                    for b4 in range(a[3] + 1):
-                        b = (b1, b2, b3, b4)
-                        c = tuple(ai - bi for ai, bi in zip(a, b))
-                        coef = comb(alpha, beta)
-                        for ai, bi in zip(a, b):
-                            coef *= comb(ai, bi)
-                        yield (MultiIndex(beta, b),
-                               MultiIndex(alpha - beta, c), coef)
+    degrees = (idx.alpha, *idx.a)
+    for b in product(*(range(d + 1) for d in degrees)):
+        c = [d - e for d, e in zip(degrees, b)]
+        yield _index(b), _index(c), prod(map(comb, degrees, b))
 
 
 # ---------------------------------------------------------------------------

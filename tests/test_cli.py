@@ -109,6 +109,7 @@ class TestSimulate:
         ("simulate", "amplitude = 0.01",
          "amplitude = 0.01\nprofile = spectral\nseed = -1", {}),
         ("simulate", "sample_interval = 0.5", "sample_interval = inf", {}),
+        ("simulate", "sample_interval = 0.5", "sample_interval = 5e-324", {}),
         ("simulate", "box_len = 32.0", "box_len = inf", {}),
         ("sweep-mu", "mu = 0", "mu = 0 0", {}),
         ("simulate", "k_max = 1", "k_max = 1\n[stepper]\nscheme = rk3", {}),
@@ -118,6 +119,7 @@ class TestSimulate:
             "empty_mu", "support_too_wide", "negative_t_final", "zero_dt",
             "nan_amplitude", "inf_amplitude", "nan_support_radius", "nan_dt",
             "inf_dt", "negative_seed", "inf_sample_interval",
+            "overflowing_sample_count",
             "inf_box_len", "repeated_mu", "unknown_scheme"])
     def test_bad_config_exits_3_with_one_line(self, tmp_path, capsys,
                                               monkeypatch, command, old, new,
@@ -131,6 +133,28 @@ class TestSimulate:
         assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below"])
+    @pytest.mark.parametrize("command", ["simulate", "audit"])
+    def test_uncreatable_output_dir_exits_3_with_one_line(
+            self, tmp_path, capsys, monkeypatch, command, below):
+        # a regular file, or a path below one, cannot be the output
+        # directory: refused before the run, with the path named
+        out = tmp_path / "file"
+        out.write_text("", encoding="utf-8")
+        if below:
+            out = out / "sub"
+        cfg = write_config(tmp_path, extra=f"output_dir = {out}\n")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(ve2d.experiments, "evolve", no_run)
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert str(out) in err
         assert err.count("\n") == 1
 
     def test_k_max_0_writes_artifacts_without_energy_plot(self, tmp_path,

@@ -52,6 +52,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="mu needs at least one value"):
             RunConfig(mu_list=())
 
+    def test_initial_viscosity_rejected(self):
+        # a run's viscosity comes from mu_list alone: one set in the
+        # initial data would be replaced without a word
+        with pytest.raises(ConfigError, match="mu_list"):
+            RunConfig(initial=InitialDataParams(mu=0.5))
+
 
 # a legal value other than the default for every INI key but scheme, which
 # has one legal value (tests/test_cli.py checks that any other exits 3)

@@ -12,7 +12,7 @@ from ve2d.grid import Grid
 from ve2d.experiments import RunConfig, audit
 from ve2d.diagnostics import (nonlinearity_decay_ratios, sample_record,
                              sample_state, weighted_sobolev_ratios)
-from ve2d.families import (Jet, MultiIndex, _members, _parent, _splittings,
+from ve2d.families import (Jet, MultiIndex, _children, _members, _splittings,
                            admissible_indices, apply_field, base_jet,
                            commutator_residuals, derived_family,
                            nonlinearity_f, time_derivative)
@@ -109,6 +109,69 @@ def reference_nonlinearity_f(fam, idx):
     return f1, f2, f3, fij
 
 
+# ---------------------------------------------------------------------------
+# the word order scale~, d_t, d_1, d_2, rot~ as nested loops and an
+# if-chain: the references for admissible_indices, _splittings and
+# _children, which read a member's degrees in _CANONICAL order
+
+def reference_admissible_indices(k_max):
+    out = []
+    for total in range(k_max + 1):
+        for alpha in range(total + 1):
+            rest = total - alpha
+            for a1 in range(rest + 1):
+                for a2 in range(rest - a1 + 1):
+                    for a3 in range(rest - a1 - a2 + 1):
+                        a4 = rest - a1 - a2 - a3
+                        out.append(MultiIndex(alpha, (a1, a2, a3, a4)))
+    return out
+
+
+def reference_splittings(idx):
+    alpha, a = idx
+    for beta in range(alpha + 1):
+        for b1 in range(a[0] + 1):
+            for b2 in range(a[1] + 1):
+                for b3 in range(a[2] + 1):
+                    for b4 in range(a[3] + 1):
+                        b = (b1, b2, b3, b4)
+                        c = tuple(ai - bi for ai, bi in zip(a, b))
+                        coef = comb(alpha, beta)
+                        for ai, bi in zip(a, b):
+                            coef *= comb(ai, bi)
+                        yield (MultiIndex(beta, b),
+                               MultiIndex(alpha - beta, c), coef)
+
+
+def reference_parent(idx):
+    """Outermost operator of the canonical word and the remaining index."""
+    alpha, (a1, a2, a3, a4) = idx
+    if alpha > 0:
+        return "scale", MultiIndex(alpha - 1, (a1, a2, a3, a4))
+    if a1 > 0:
+        return "dt", MultiIndex(0, (a1 - 1, a2, a3, a4))
+    if a2 > 0:
+        return "d1", MultiIndex(0, (a1, a2 - 1, a3, a4))
+    if a3 > 0:
+        return "d2", MultiIndex(0, (a1, a2, a3 - 1, a4))
+    if a4 > 0:
+        return "rot", MultiIndex(0, (a1, a2, a3, a4 - 1))
+    return None
+
+
+def reference_children(k_max):
+    """{parent: [(op, child), ...]} by inverting reference_parent, each
+    parent's children sorted outermost operator first."""
+    order = ("scale", "dt", "d1", "d2", "rot")
+    children = {}
+    for idx in reference_admissible_indices(k_max)[1:]:
+        op, parent = reference_parent(idx)
+        children.setdefault(parent, []).append((op, idx))
+    for kids in children.values():
+        kids.sort(key=lambda kid: order.index(kid[0]))
+    return children
+
+
 def random_state(grid, seed, mu=0.0):
     """Small non-radial band-limited data: every member of a derived
     family is a field of its own size, so relative comparisons mean
@@ -133,6 +196,18 @@ class TestIndices:
     def test_orders_bounded(self):
         for idx in admissible_indices(2):
             assert 0 <= idx.order <= 2
+
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    def test_word_order_equals_the_reference(self, k_max):
+        # the same indices, splittings (order and coefficients) and
+        # children, in the same order, as the loops and the if-chain
+        indices = admissible_indices(k_max)
+        assert indices == reference_admissible_indices(k_max)
+        children = reference_children(k_max)
+        for idx in indices:
+            assert (list(_splittings(idx))
+                    == list(reference_splittings(idx))), idx
+            assert _children(idx, k_max) == children.get(idx, []), idx
 
     def test_contains_every_first_order_word(self):
         got = set(admissible_indices(1))
@@ -434,7 +509,7 @@ class TestDerivedFamily:
         fam = derived_family(st, k_max, residual=residual)
         full = {ROOT: base_jet(st, k_max + 1)}
         for idx in fam.indices[1:]:
-            op, parent = _parent(idx)
+            op, parent = reference_parent(idx)
             full[idx] = apply_field(op, full[parent])
         for idx in fam.indices:
             jet = fam.jet(idx)
@@ -483,7 +558,7 @@ class TestDerivedFamily:
         fam = derived_family(st, k_max, residual=residual)
         seen = []
         for idx, jet, stack in _members(st, k_max, residual=residual):
-            assert idx.order == 0 or _parent(idx)[1] in seen, idx
+            assert idx.order == 0 or reference_parent(idx)[1] in seen, idx
             seen.append(idx)
             assert np.array_equal(jet.hat, fam.jet(idx).hat), idx
             if idx.order < k_max:
