@@ -32,7 +32,9 @@ The light-cone weights of GeometryWeights are an argument, not shared
 state: each public entry point (sample_record, energies, weighted_norms,
 good_unknown_norms, identity_checks, weighted_sobolev_ratios and
 nonlinearity_decay_ratios) builds them once, with geometry_weights at its
-(grid, t), and passes them to the helpers that read them.
+(grid, t), and passes them to the helpers that read them.  They hold
+every field the members share, the kernel of G_k among them, so a
+member's terms form no weight of their own.
 
 The inequality ratios are evaluated at the base state only, as the audit
 and the acceptance gate report them.  nonlinearity_decay_ratios reads the
@@ -64,6 +66,7 @@ class GeometryWeights:
     omega_perp: np.ndarray
     sigma_bracket: np.ndarray   # <r - t>, true r
     eq: np.ndarray         # ghost weight e^{arctan(r - t)}
+    kernel: np.ndarray     # e^q <r - t>^-2, the kernel of G_k
     mask: np.ndarray       # light cone region r >= <t>/2
     interior: np.ndarray   # away from the regularized origin, r >= spacing
 
@@ -75,10 +78,12 @@ def geometry_weights(grid: Grid, t: float) -> GeometryWeights:
     omega = np.stack([grid.x1 / r, grid.x2 / r])
     omega_perp = np.stack([-omega[1], omega[0]])
     sigma = r_true - t
+    sigma_bracket = np.sqrt(1.0 + sigma ** 2)
+    eq = np.exp(np.arctan(sigma))
     return GeometryWeights(
         grid=grid, t=t, r=r, omega=omega, omega_perp=omega_perp,
-        sigma_bracket=np.sqrt(1.0 + sigma ** 2),
-        eq=np.exp(np.arctan(sigma)),
+        sigma_bracket=sigma_bracket, eq=eq,
+        kernel=eq / sigma_bracket ** 2,
         mask=r_true >= np.sqrt(1.0 + t * t) / 2.0,
         interior=r_true >= grid.spacing,
     )
@@ -116,8 +121,7 @@ def _member_terms(w: GeometryWeights, jet, D) -> dict:
     terms["Y"] = (sp.l2_norm_sq(g, w.r * good_rad)
                   + sp.l2_norm_sq(g, w.r * good_tan))
     good_r, good_t = _good_unknown_grads(w, D)
-    kern = w.eq / w.sigma_bracket ** 2
-    terms["G"] = float(np.sum((good_r ** 2 + good_t ** 2) * kern)
+    terms["G"] = float(np.sum((good_r ** 2 + good_t ** 2) * w.kernel)
                        * g.spacing ** 2)
     terms["sup"] = (float(np.max(np.abs(good_r), where=w.mask, initial=0.0)),
                     float(np.max(np.abs(good_t), where=w.mask, initial=0.0)))
@@ -242,19 +246,20 @@ def _null_split(w: GeometryWeights, uh: np.ndarray, Dp: np.ndarray
     (V, H1, H2) and the derivative stack Dp of (V', H').  Its 9 second
     derivatives are freed on return, before the other identities.  The
     terms of (j, k) = (2, 1) are those of (1, 2) bit for bit, so the sup
-    skips them."""
+    skips them.  The frame projections of d_j d_k H do not depend on i
+    and are formed once per (j, k)."""
     gVp, gHp = Dp[0], Dp[1:]
     dd = _second_derivatives(w.grid, uh)
     ggV, ggH = dd[0], dd[1:]                   # [jk], [m, jk]
     res = 0.0
     goodV, goodT = _good_unknown_grads(w, Dp)
-    for i in range(2):
-        for jk in range(3):
+    for jk in range(3):
+        dH_jk_r = ggH[0, jk] * w.omega[0] + ggH[1, jk] * w.omega[1]
+        dH_jk_t = (ggH[0, jk] * w.omega_perp[0]
+                   + ggH[1, jk] * w.omega_perp[1])
+        for i in range(2):
             lhs = (gHp[0, i] * ggH[0, jk] + gHp[1, i] * ggH[1, jk]
                    - gVp[i] * ggV[jk])
-            dH_jk_r = ggH[0, jk] * w.omega[0] + ggH[1, jk] * w.omega[1]
-            dH_jk_t = (ggH[0, jk] * w.omega_perp[0]
-                       + ggH[1, jk] * w.omega_perp[1])
             rhs = (goodV[i] * dH_jk_r
                    - gVp[i] * (ggV[jk] + dH_jk_r)
                    + goodT[i] * dH_jk_t)

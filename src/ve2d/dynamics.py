@@ -207,19 +207,19 @@ def _quadratic_hat(grid: Grid, pairs, dealias: bool, f3: bool = False,
 def _rhs_hat(grid: Grid, uh: np.ndarray, cfg: StepperConfig,
              out: np.ndarray, scratch: _Scratch) -> np.ndarray:
     """(dV, dH1, dH2) of the potential form without mu lap V, from the
-    rfft2 coefficients of the stack (V, H1, H2) into out.  The quadratic
-    part costs one batched inverse transform of 6 gradients and one
-    batched forward transform of 5 products, all in scratch."""
+    rfft2 coefficients of the stack (V, H1, H2) into out.  The coupling
+    div H and grad V reads the ik products of the gradients.  The
+    quadratic part costs one batched inverse transform of 6 gradients and
+    one batched forward transform of 5 products, all in scratch."""
     n, shape = grid.n, uh.shape[-2:]
+    dh = scratch.coef.reshape(3, 2, *shape)          # dh[r, l] = d_l row r
+    np.multiply(grid.ik, uh[:, None], out=dh)
     if cfg.coupling:
-        np.multiply(grid.ik[0], uh[1], out=out[0])
-        out[0] += np.multiply(grid.ik[1], uh[2], out=scratch.ctmp[0])
-        np.multiply(grid.ik, uh[0], out=out[1:])
+        np.add(dh[1, 0], dh[2, 1], out=out[0])       # div H
+        out[1:] = dh[0]                              # grad V
     else:
         out[...] = 0.0
     if cfg.nonlinear:
-        dh = scratch.coef.reshape(3, 2, *shape)
-        np.multiply(grid.ik, uh[:, None], out=dh)
         D = sp.ifft(dh, out=scratch.fields.reshape(3, 2, n, n))
         f1h, ph = _quadratic_hat(grid, [(1, D, D)], cfg.dealias,
                                  scratch=scratch)

@@ -16,7 +16,10 @@ Jets hold rfft2 coefficients from end to end (Boyd, Chebyshev and Fourier
 Spectral Methods, 2001): d_t is a slice, d_1 and d_2 are a multiply by ik,
 and only rot~ and scale~, which multiply by x, visit physical space: one
 inverse batch of gradients per parent and one forward batch per child.
-Readers inverse-transform what they need.
+No gradients are transformed twice where sharing them holds no batch
+longer: the root's batch is the stacks base_jet builds its levels from,
+and a d_t child's is its parent's from level 1 on whenever the parent
+holds it until then anyway.  Readers inverse-transform what they need.
 
 Which levels a family builds depends on its reader.  Every sample
 functional reads level 0 of each member, so a family built for sampling
@@ -34,14 +37,15 @@ member's degrees (alpha, a1, a2, a3, a4) in that order.
 
 A family is one depth-first walk over these words (_members): each member
 is built from its parent, the word with its outermost operator removed,
-and yielded with its stack, and a parent's jet is freed once its last
-child is built, so the walk holds only the members on one path from the
-root.  A member's children are the operators at or outside its outermost
-one, in canonical order (_children): every member then comes after every
-sub-index of it, so the walk can be read member by member by a reader of
-the Leibniz splittings too.  DerivedFamily stores what the walk yields,
-for the public API; diagnostics.sample_state streams it and keeps each
-member's scalars alone; the audit (experiments._family_checks) reads it
+and yielded with its stack, a view into its gradient batch, and a
+parent's jet is freed once its last child is built, so the walk holds
+only the members on one path from the root.  A member's children are the
+operators at or outside its outermost one, in canonical order
+(_children): every member then comes after every sub-index of it, so the
+walk can be read member by member by a reader of the Leibniz splittings
+too.  DerivedFamily stores what the walk yields, for the public API;
+diagnostics.sample_state streams it and keeps each member's scalars
+alone; the audit (experiments._family_checks) reads it
 through _StreamedFamily, forms each member's commutator_residuals as it
 is yielded and keeps only the stacks and level-0 coefficients that later
 readers need.  At n = 256 (numpy 2.4.6, tracemalloc) the streamed sample
@@ -159,19 +163,27 @@ def base_jet(state: PotentialState, levels: int, dealias: bool = True) -> Jet:
     (V, H), and each level one batched inverse of its 6 gradients and one
     batched forward of the 5 summed products.
     """
+    return _base_jet(state, levels, dealias)[0]
+
+
+def _base_jet(state: PotentialState, levels: int, dealias: bool
+              ) -> tuple[Jet, np.ndarray]:
+    """base_jet and the derivative stacks it builds, D[m] of level m in one
+    (levels, 3, 2, n, n) array: the gradient batch of the jet's levels
+    0..levels - 1, which the walk's root reads."""
     g = state.grid
     uh = np.empty((levels + 1, 3, g.n, g.n // 2 + 1), dtype=complex)
     uh[0] = sp.fft(np.concatenate((state.V[None], state.H)))
-    D = []  # derivative stack of each level, built once
+    D = np.empty((levels, 3, 2, g.n, g.n))
     for m in range(levels):
-        D.append(sp.gradient_from_hat(g, uh[m]))
+        sp.gradient_from_hat(g, uh[m], out=D[m])
         f1h, ph = _quadratic_hat(
             g, [(comb(m, l), D[l], D[m - l]) for l in range(m + 1)], dealias)
         uh[m + 1, 0] = g.ik[0] * uh[m, 1] + g.ik[1] * uh[m, 2] + f1h
         if state.mu > 0:
             uh[m + 1, 0] -= state.mu * g.k_sq * uh[m, 0]
         uh[m + 1, 1:] = g.ik * uh[m, 0] + ph[3:]
-    return Jet.from_hat(g, uh, state.t, state.mu, (state.V, state.H))
+    return Jet.from_hat(g, uh, state.t, state.mu, (state.V, state.H)), D
 
 
 def time_derivative(state: PotentialState, order: int,
@@ -244,44 +256,63 @@ def _members(state: PotentialState, k_max: int = 2, dealias: bool = True,
     and its viscous term read.  A member of order k keeps the levels
     0..k_max - k + r of its jet, the most any descendant reads, with r = 1
     when residual is true and 0 otherwise.  A member of order < k_max has
-    a scale~ child, and its stack is the level-0 slice of the one inverse
-    batch of gradients that its rot~ and scale~ children read; a member
-    of order k_max yields None and has no children.  A parent frees its
-    batch once its last rot~ or scale~ child is built (the scale~ child,
-    its first, when it has no rot~ child) and its jet once its last child
-    is built, so only the members on the path from the root, and the
-    batches of those of them with a rot~ child (the root and the pure
-    rot~ words), are held at once.  A stack is a view into that batch: a
-    reader that keeps it keeps the batch.
+    a scale~ child, and its stack is the level-0 slice of its one batch
+    of gradients, of the levels its children read; a member of order
+    k_max yields None and has no children.
+
+    The root's batch is the stacks base_jet built its levels from
+    (_base_jet).  A d_t child is its
+    parent's jet one level down, so when it has children its batch is its
+    parent's from level 1 on, a view, if the parent holds its batch until
+    after that child anyway: the root and the pure rot~ words, whose rot~
+    child comes last, and the d_t children that read their parent's.
+    Every other member of order < k_max transforms its own (at k_max = 3,
+    d_t d_1 and d_t d_2: holding the batch of d_1 or d_2 for them would
+    hold three batches at once).  A parent frees its batch once its last
+    reader is built: its scale~ child, the first, its rot~ child, the
+    last, and the d_t child that reads it.  It frees its jet once its
+    last child is built, so only the members on the path from the root
+    are held at once.  A stack is a view into a batch: a reader that
+    keeps it keeps the batch.
     """
     if k_max > 3:
         raise ValueError("k_max > 3 is outside the supported desk scale")
     extra = int(residual)
-    return _walk(MultiIndex(0, (0, 0, 0, 0)),
-                 base_jet(state, k_max + extra, dealias), k_max, extra)
+    jet, D = _base_jet(state, k_max + extra, dealias)
+    return _walk(MultiIndex(0, (0, 0, 0, 0)), jet, k_max, extra, D)
 
 
-def _walk(idx: MultiIndex, jet: Jet, k_max: int, extra: int):
-    """The walk of _members below idx, whose jet is given; extra is 1 when
-    the level only commutator_residuals reads is built.  A module-level
+def _walk(idx: MultiIndex, jet: Jet, k_max: int, extra: int,
+          G: np.ndarray | None = None):
+    """The walk of _members below idx, whose jet is given, and whose
+    gradient batch G is given or transformed here; extra is 1 when the
+    level only commutator_residuals reads is built.  A module-level
     generator, not a closure: a closure that calls itself is a reference
     cycle, which would hold the grid until the cyclic collector runs."""
     g = jet.grid
     kids = _children(idx, k_max)
-    G = None
-    if kids:
+    ops = [op for op, _ in kids]
+    # a given batch (the root's, or a view of an ancestor's) and one that
+    # waits for a rot~ child outlive the d_t child, which reads it when it
+    # has children
+    readers = {"scale", "rot"}
+    if idx.order + 1 < k_max and (G is not None or "rot" in ops):
+        readers.add("dt")
+    last_reader = next((op for op in reversed(ops) if op in readers), None)
+    if not kids:
+        G = None
+    elif G is None:
         G = sp.gradient_from_hat(g, jet.hat[:k_max - idx.order + extra])
     yield idx, jet, None if G is None else G[0]
-    # the scale~ child comes first and the rot~ child, if any, last
-    batch_read_by = "rot" if kids and kids[-1][0] == "rot" else "scale"
     for op, kid in kids:
         # the child keeps levels 0..k_max - order + extra; dt and scale~
         # read one level more of the parent
         keep = k_max - kid.order + extra + 1 + (op in ("dt", "scale"))
         sub = _walk(kid, apply_field(
             op, Jet.from_hat(g, jet.hat[:keep], jet.t, jet.mu),
-            G if op in ("rot", "scale") else None), k_max, extra)
-        if op == batch_read_by:
+            G if op in ("rot", "scale") else None), k_max, extra,
+            G[1:] if op == "dt" and op in readers else None)
+        if op == last_reader:
             G = None
         if kid == kids[-1][1]:
             del jet

@@ -46,10 +46,12 @@ def ifft(fh: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def gradient_from_hat(grid: Grid, fh: np.ndarray) -> np.ndarray:
+def gradient_from_hat(grid: Grid, fh: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Physical gradients of the fields with coefficients fh, stacked along
-    axis -3 as in gradient; one inverse transform."""
-    return ifft(grid.ik * fh[..., None, :, :])
+    axis -3 as in gradient, written into out when it is given; one inverse
+    transform."""
+    return ifft(grid.ik * fh[..., None, :, :], out)
 
 
 def gradient(grid: Grid, f: np.ndarray) -> np.ndarray:

@@ -110,6 +110,7 @@ class TestSimulate:
          "amplitude = 0.01\nprofile = spectral\nseed = -1", {}),
         ("simulate", "sample_interval = 0.5", "sample_interval = inf", {}),
         ("simulate", "sample_interval = 0.5", "sample_interval = 5e-324", {}),
+        ("simulate", "sample_interval = 0.5", "sample_interval = 1e-12", {}),
         ("simulate", "box_len = 32.0", "box_len = inf", {}),
         ("sweep-mu", "mu = 0", "mu = 0 0", {}),
         ("simulate", "k_max = 1", "k_max = 1\n[stepper]\nscheme = rk3", {}),
@@ -119,7 +120,7 @@ class TestSimulate:
             "empty_mu", "support_too_wide", "negative_t_final", "zero_dt",
             "nan_amplitude", "inf_amplitude", "nan_support_radius", "nan_dt",
             "inf_dt", "negative_seed", "inf_sample_interval",
-            "overflowing_sample_count",
+            "overflowing_sample_count", "too_many_samples",
             "inf_box_len", "repeated_mu", "unknown_scheme"])
     def test_bad_config_exits_3_with_one_line(self, tmp_path, capsys,
                                               monkeypatch, command, old, new,

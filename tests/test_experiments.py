@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,16 @@ class TestRunConfig:
     def test_sample_interval_positive(self):
         with pytest.raises(ConfigError):
             RunConfig(sample_interval=0.0)
+
+    def test_sample_count_bounded(self):
+        # a count above the ceiling would append records without end; the
+        # configs are only built, no run starts
+        with pytest.raises(ConfigError, match="exceeds"):
+            RunConfig(t_final=16.0, sample_interval=1e-12)
+        with pytest.raises(ConfigError, match="exceeds"):
+            RunConfig(t_final=16.0, sample_interval=2.0 ** -16)
+        assert RunConfig(t_final=16.0, sample_interval=2.0 ** -15)._samples \
+            == 2 ** 19
 
     def test_repeated_viscosity_rejected(self):
         # a sweep keys its report and its CSV names by mu
@@ -313,6 +324,22 @@ class TestSweep:
                 float(np.max(e0) / e0[0]))
             assert report["per_mu"][res.mu]["max_E1_ratio"] >= 1.0
         assert report["max_E1_ratio"] >= 1.0
+
+    def test_k_max_3_records_cale3_exponent(self):
+        # at k_max = 3 the calE3 growth exponent is fitted beside calE2's,
+        # over the same window; it is recorded, not gated
+        cfg = RunConfig(n=32, box_len=16.0, t_final=4.0,
+                        sample_interval=0.25, k_max=3)
+        report = sweep_viscosity(cfg)
+        res, = report["runs"]
+        for col in ("calE2", "calE3"):
+            ts, ce = res.series(col)
+            assert report["per_mu"][0.0][f"{col}_growth_exponent"] == (
+                dg.fit_decay(ts, ce, 1.0, ts[-1])[0])
+        lower = sweep_viscosity(replace(cfg, k_max=2))
+        assert "calE3_growth_exponent" not in lower["per_mu"][0.0]
+        assert lower["per_mu"][0.0]["calE2_growth_exponent"] == (
+            report["per_mu"][0.0]["calE2_growth_exponent"])
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigError):

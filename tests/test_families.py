@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import ve2d.families as families
 import ve2d.spectral as sp
 from ve2d.dynamics import StepperConfig, evolve, rhs_potential
 from ve2d.grid import Grid
@@ -283,7 +284,11 @@ class TestTransformBudget:
     # rfft2 coefficients: base_jet costs 3 fields in and 11 per level, d_t,
     # d_1 and d_2 cost none, and each parent of a rot~ or scale~ child
     # transforms the gradients of the levels they read once, which also
-    # gives its kept stack.  A sample reads the kept stacks and the
+    # gives its kept stack.  The root reads the gradients base_jet built
+    # its levels from, and a d_t child with children reads its parent's
+    # from level 1 on when the parent holds them anyway (the root and the
+    # pure rot~ words, and the d_t children themselves), so neither
+    # transforms its own.  A sample reads the kept stacks and the
     # coefficients and makes no forward transform: its 9 fields are the
     # root's second derivatives (d1d2 = d2d1 is formed once).  Each
     # quadratic form is summed over its Leibniz sum or splittings and
@@ -296,7 +301,7 @@ class TestTransformBudget:
     def test_derived_family(self, state, transforms):
         transforms.clear()
         derived_family(state, 2)
-        assert sum(transforms.values()) <= 168
+        assert sum(transforms.values()) <= 138
         assert set(transforms) == {"rfft2", "irfftn"}
 
     def test_sample_record(self, state, transforms):
@@ -309,7 +314,7 @@ class TestTransformBudget:
     def test_derived_family_k_max_3(self, state, transforms):
         transforms.clear()
         derived_family(state, 3)
-        assert sum(transforms.values()) <= 515
+        assert sum(transforms.values()) <= 449
         assert set(transforms) == {"rfft2", "irfftn"}
 
     def test_lean_derived_family(self, state, transforms):
@@ -318,13 +323,13 @@ class TestTransformBudget:
         # one level fewer forward
         transforms.clear()
         derived_family(state, 2, residual=False)
-        assert sum(transforms.values()) <= 97
+        assert sum(transforms.values()) <= 79
         assert set(transforms) == {"rfft2", "irfftn"}
 
     def test_lean_derived_family_k_max_3(self, state, transforms):
         transforms.clear()
         derived_family(state, 3, residual=False)
-        assert sum(transforms.values()) <= 306
+        assert sum(transforms.values()) <= 264
         assert set(transforms) == {"rfft2", "irfftn"}
 
     def test_sample_record_k_max_3(self, state, transforms):
@@ -334,7 +339,7 @@ class TestTransformBudget:
         assert sum(transforms.values()) <= 9
         assert set(transforms) == {"irfftn"}
 
-    @pytest.mark.parametrize("k_max, budget", [(2, 97 + 9), (3, 306 + 9)])
+    @pytest.mark.parametrize("k_max, budget", [(2, 79 + 9), (3, 264 + 9)])
     def test_sample_state(self, state, transforms, k_max, budget):
         # the streamed sample builds the lean family's members and makes
         # the sample's transforms, nothing more
@@ -397,7 +402,7 @@ class TestTransformBudget:
         assert set(transforms) == {"rfft2", "irfftn"}
 
     def test_audit(self, transforms):
-        # the steps to t = 0.5, one walk (168), the 21 commutator
+        # the steps to t = 0.5, one walk (138), the 21 commutator
         # residuals (300) and the ratios, which reuse the root's product
         # spectra (6 forward fields fewer); a family and a sample at each
         # of the 3 sample times on the way, then a fourth family, took 1322
@@ -405,7 +410,7 @@ class TestTransformBudget:
                         k_max=2)
         transforms.clear()
         audit(cfg, n_random=0)
-        assert sum(transforms.values()) <= 740
+        assert sum(transforms.values()) <= 710
         assert set(transforms) == {"rfft2", "irfftn"}
 
 
@@ -599,17 +604,56 @@ class TestDerivedFamily:
     def test_walk_frees_each_batch_after_its_last_reader(self, grid32,
                                                          k_max, residual):
         # a parent's gradient batch is read by its scale~ child, the
-        # first, and its rot~ child, the last, when it has one: so besides
-        # the yielded member's batch only that of the one ancestor still
-        # waiting for its rot~ child is alive (3 at k_max = 3 when every
-        # batch lived until the last child)
+        # first, its d_t child when that has children (which reads it from
+        # level 1 on, a view) and its rot~ child, the last, when it has
+        # one: so few distinct batches are alive at once (3 at k_max = 3
+        # when every batch lived until the last child).  A d_t child's
+        # stack shares its parent's batch, so batches count by identity
         live = []
         for _, jet, stack in _members(random_state(grid32, 3), k_max,
                                       residual=residual):
             if stack is not None:
                 live.append(weakref.ref(stack.base))
             del jet, stack
-            assert sum(ref() is not None for ref in live) <= min(k_max, 2)
+            alive = {id(ref()) for ref in live if ref() is not None}
+            assert len(alive) <= min(k_max, 2)
+
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("k_max", [1, 2, 3])
+    def test_walk_transforms_each_batch_once(self, grid32, monkeypatch,
+                                             k_max, residual):
+        # the root's stack is a view of the stacks base_jet built its
+        # levels from, and a d_t child with children reads its parent's
+        # batch when the parent holds it until after that child anyway:
+        # the root and the pure rot~ words, which have a rot~ child last,
+        # and the d_t children that read their parent's.  Any other
+        # parent frees its batch after its scale~ child, so its d_t child
+        # transforms its own (the d_t d_1 and d_t d_2 of k_max = 3)
+        built = []
+
+        def recorded(*args):
+            out = base(*args)
+            built.append(out[1])
+            return out
+        base = families._base_jet
+        monkeypatch.setattr(families, "_base_jet", recorded)
+        stacks, shared = {}, {}
+        for idx, _, stack in _members(random_state(grid32, 3), k_max,
+                                      residual=residual):
+            if stack is None:
+                continue
+            stacks[idx] = stack
+            if idx == ROOT:
+                assert np.shares_memory(stack, built[0])
+                continue
+            op, parent = reference_parent(idx)
+            shared[idx] = op == "dt" and (
+                parent == ROOT or parent.a[:3] == (0, 0, 0)
+                or shared[parent])
+            assert np.shares_memory(stack, stacks[parent].base) == (
+                shared[idx]), idx
+        assert len(built) == 1
+        assert built[0].shape[0] == k_max + residual
 
     def test_walk_leaves_no_cycle(self):
         # a finished walk is freed by reference counting alone: a cycle
