@@ -20,13 +20,15 @@ rhs_primitive are physical-space wrappers over the same kernels.
 Each stage of the potential kernel, _rhs_hat, costs 11 real-field
 transforms: the 6 gradients of (V, H1, H2) back to physical space (the
 perp-gradients are relabelled gradients), and the 5 quadratic products
-f11, f12, f22, f2_1, f2_2 forward.  The 2/3 mask zeroes two slices of the
-product spectra (spectral._fft_masked), and the four Riesz symbols of f1
-are fused into three, one per product (Grid.f1_riesz).  Each stage of the
-primitive kernel, _rhs_primitive_hat, costs 27: v, G and their 12
-gradients back, and 9 products forward (v.grad v, the 3 entries of the
-symmetric G G^T, and (grad v) G - v.grad G), masked once; the pressure is
-removed by the Leray projection of the coefficients.
+f11, f12, f22, f2_1, f2_2 forward.  The 2/3 mask is part of that forward
+transform (spectral._fft_masked): its column pass runs on the kept
+columns only, and two slices of the product spectra are zeroed.  The four
+Riesz symbols of f1 are fused into three, one per product
+(Grid.f1_riesz).  Each stage of the primitive kernel, _rhs_primitive_hat,
+costs 27: v, G and their 12 gradients back, and 9 products forward
+(v.grad v, the 3 entries of the symmetric G G^T, and (grad v) G - v.grad
+G), masked once; the pressure is removed by the Leray projection of the
+coefficients.
 
 _products and _quadratic_hat are the one set of quadratic forms: the
 perp-form sources f1, f2 (and, on request, f3) summed over a Leibniz sum

@@ -82,6 +82,10 @@ class RunConfig:
             raise ConfigError("t_final must lie in [0, box_len/4]")
         if self.dt is not None and not 0.0 < self.dt < np.inf:
             raise ConfigError("dt must be positive and finite")
+        if (self.dt is not None
+                and self.stepper.cfl_factor != StepperConfig.cfl_factor):
+            raise ConfigError("cfl_factor is not read when dt is set: "
+                              "give one of them")
         if not self.mu_list:
             raise ConfigError("mu needs at least one value")
         for i, mu in enumerate(self.mu_list):
@@ -120,6 +124,10 @@ class RunConfig:
             for key in parser[name]:
                 if key not in INI_KEYS[name]:
                     raise ConfigError(f"unknown key {key!r} in [{name}]")
+        if (parser.has_option("stepper", "dt")
+                and parser.has_option("stepper", "cfl_factor")):
+            raise ConfigError("[stepper] sets both dt and cfl_factor; "
+                              "cfl_factor is not read when dt is set")
 
         def fields(target):
             """The fields of target that the file gives, parsed."""

@@ -53,26 +53,51 @@ def evolved_state_viscous(resolved_grid, resolved_params):
 
 FFT_ENTRY_POINTS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2",
                     "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
+# the complex 1-D transforms, which spectral.fft/ifft use as column passes
+COLUMN_PASSES = ("fft", "ifft")
+
+
+class Transforms(Counter):
+    """Fields per numpy.fft entry point, a batch of k fields counting k;
+    spectral.fft/ifft count each field once per direction, through their
+    row passes rfft and irfft.  columns counts the column passes apart:
+    the 1-D columns that fft and ifft transform, n//2 + 1 per n x n field
+    unless the pass is pruned."""
+
+    def __init__(self):
+        super().__init__()
+        self.columns = Counter()
+
+    def clear(self):
+        super().clear()
+        self.columns.clear()
 
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """Fields transformed per numpy.fft entry point while the test runs: a
-    batch of k fields counts k, and nested calls are not recounted."""
-    fields = Counter()
+    """Transforms made while the test runs; nested calls are not
+    recounted."""
+    counts = Transforms()
     depth = [0]
     for name in FFT_ENTRY_POINTS:
         def counted(a, *args, _fn=getattr(np.fft, name), _name=name,
                     **kwargs):
             if depth[0] == 0:
-                fields[_name] += int(np.prod(np.shape(a)[:-2]))
+                shape = np.shape(a)
+                if _name in COLUMN_PASSES:
+                    axis = kwargs.get("axis", args[1] if len(args) > 1
+                                      else -1)
+                    counts.columns[_name] += (int(np.prod(shape))
+                                              // shape[axis])
+                else:
+                    counts[_name] += int(np.prod(shape[:-2]))
             depth[0] += 1
             try:
                 return _fn(a, *args, **kwargs)
             finally:
                 depth[0] -= 1
         monkeypatch.setattr(np.fft, name, counted)
-    return fields
+    return counts
 
 
 def _traced_peak(fn) -> int:

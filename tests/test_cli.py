@@ -114,6 +114,8 @@ class TestSimulate:
         ("simulate", "box_len = 32.0", "box_len = inf", {}),
         ("sweep-mu", "mu = 0", "mu = 0 0", {}),
         ("simulate", "k_max = 1", "k_max = 1\n[stepper]\nscheme = rk3", {}),
+        ("simulate", "k_max = 1",
+         "k_max = 1\n[stepper]\ndt = 0.1\ncfl_factor = 0.3", {}),
     ], ids=["odd_n", "k_max_5", "threads_not_int", "threads_0", "threads_-1",
             "unknown_key", "unknown_stepper_key", "unknown_section",
             "t_final_off_samples",
@@ -121,7 +123,8 @@ class TestSimulate:
             "nan_amplitude", "inf_amplitude", "nan_support_radius", "nan_dt",
             "inf_dt", "negative_seed", "inf_sample_interval",
             "overflowing_sample_count", "too_many_samples",
-            "inf_box_len", "repeated_mu", "unknown_scheme"])
+            "inf_box_len", "repeated_mu", "unknown_scheme",
+            "dt_and_cfl_factor"])
     def test_bad_config_exits_3_with_one_line(self, tmp_path, capsys,
                                               monkeypatch, command, old, new,
                                               env):

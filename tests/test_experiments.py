@@ -63,6 +63,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="mu needs at least one value"):
             RunConfig(mu_list=())
 
+    def test_cfl_factor_with_dt_rejected(self):
+        # a fixed dt replaces the CFL rule, so a cfl_factor would be ignored
+        RunConfig(dt=0.1)
+        with pytest.raises(ConfigError, match="cfl_factor"):
+            RunConfig(dt=0.1, stepper=StepperConfig(cfl_factor=0.2))
+
     def test_initial_viscosity_rejected(self):
         # a run's viscosity comes from mu_list alone: one set in the
         # initial data would be replaced without a word

@@ -280,9 +280,10 @@ class TestSeedForms:
 
 
 class TestTransformBudget:
-    # measured counts at n = 32 (fields; a batch of k counts k).  Jets hold
-    # rfft2 coefficients: base_jet costs 3 fields in and 11 per level, d_t,
-    # d_1 and d_2 cost none, and each parent of a rot~ or scale~ child
+    # measured counts at n = 32 (fields through the row passes, once per
+    # direction; a batch of k counts k).  Jets hold rfft2 coefficients:
+    # base_jet costs 3 fields in and 11 per level, d_t, d_1 and d_2 cost
+    # none, and each parent of a rot~ or scale~ child
     # transforms the gradients of the levels they read once, which also
     # gives its kept stack.  The root reads the gradients base_jet built
     # its levels from, and a d_t child with children reads its parent's
@@ -302,20 +303,20 @@ class TestTransformBudget:
         transforms.clear()
         derived_family(state, 2)
         assert sum(transforms.values()) <= 138
-        assert set(transforms) == {"rfft2", "irfftn"}
+        assert set(transforms) == {"rfft", "irfft"}
 
     def test_sample_record(self, state, transforms):
         fam = derived_family(state, 2)
         transforms.clear()
         sample_record(fam)
         assert sum(transforms.values()) <= 9
-        assert set(transforms) == {"irfftn"}
+        assert set(transforms) == {"irfft"}
 
     def test_derived_family_k_max_3(self, state, transforms):
         transforms.clear()
         derived_family(state, 3)
         assert sum(transforms.values()) <= 449
-        assert set(transforms) == {"rfft2", "irfftn"}
+        assert set(transforms) == {"rfft", "irfft"}
 
     def test_lean_derived_family(self, state, transforms):
         # without the residual level: base_jet one level shorter, each
@@ -324,20 +325,20 @@ class TestTransformBudget:
         transforms.clear()
         derived_family(state, 2, residual=False)
         assert sum(transforms.values()) <= 79
-        assert set(transforms) == {"rfft2", "irfftn"}
+        assert set(transforms) == {"rfft", "irfft"}
 
     def test_lean_derived_family_k_max_3(self, state, transforms):
         transforms.clear()
         derived_family(state, 3, residual=False)
         assert sum(transforms.values()) <= 264
-        assert set(transforms) == {"rfft2", "irfftn"}
+        assert set(transforms) == {"rfft", "irfft"}
 
     def test_sample_record_k_max_3(self, state, transforms):
         fam = derived_family(state, 3)
         transforms.clear()
         sample_record(fam)
         assert sum(transforms.values()) <= 9
-        assert set(transforms) == {"irfftn"}
+        assert set(transforms) == {"irfft"}
 
     @pytest.mark.parametrize("k_max, budget", [(2, 79 + 9), (3, 264 + 9)])
     def test_sample_state(self, state, transforms, k_max, budget):
@@ -346,7 +347,7 @@ class TestTransformBudget:
         transforms.clear()
         sample_state(state, k_max)
         assert sum(transforms.values()) <= budget
-        assert set(transforms) == {"rfft2", "irfftn"}
+        assert set(transforms) == {"rfft", "irfft"}
 
     def test_nonlinearity_f_all_indices(self, state, transforms):
         # per index one forward batch of the 6 summed products and one
@@ -357,7 +358,7 @@ class TestTransformBudget:
         for idx in fam.indices:
             nonlinearity_f(fam, idx)
         assert sum(transforms.values()) <= 363
-        assert set(transforms) == {"rfft2", "irfftn"}
+        assert set(transforms) == {"rfft", "irfft"}
 
     def test_commutator_residuals_all_indices(self, state, transforms):
         # the 6 products forward, then the residuals formed in
@@ -367,7 +368,7 @@ class TestTransformBudget:
         for idx in fam.indices:
             commutator_residuals(fam, idx)
         assert sum(transforms.values()) <= 300
-        assert set(transforms) == {"rfft2", "irfftn"}
+        assert set(transforms) == {"rfft", "irfft"}
 
     def test_nonlinearity_decay_ratios(self, state, transforms):
         # the fields of the 14 members U^(0,a) with |a| = 1 or 2 (3 each),
@@ -377,7 +378,7 @@ class TestTransformBudget:
         transforms.clear()
         nonlinearity_decay_ratios(fam)
         assert sum(transforms.values()) <= 55
-        assert set(transforms) == {"rfft2", "irfftn"}
+        assert set(transforms) == {"rfft", "irfft"}
 
     def test_root_products_formed_once(self, state, transforms):
         # the root's residual and the decay ratios share the root's
@@ -388,7 +389,7 @@ class TestTransformBudget:
         transforms.clear()
         shared = nonlinearity_decay_ratios(fam)
         assert sum(transforms.values()) <= 55 - 6
-        assert set(transforms) == {"irfftn"}
+        assert set(transforms) == {"irfft"}
         assert shared == nonlinearity_decay_ratios(derived_family(state, 2))
         for spectra in fam._root_hat:
             assert not spectra.flags.writeable
@@ -399,7 +400,7 @@ class TestTransformBudget:
         transforms.clear()
         weighted_sobolev_ratios(state.grid, state.V, t=state.t)
         assert sum(transforms.values()) <= 9
-        assert set(transforms) == {"rfft2", "irfftn"}
+        assert set(transforms) == {"rfft", "irfft"}
 
     def test_audit(self, transforms):
         # the steps to t = 0.5, one walk (138), the 21 commutator
@@ -411,7 +412,7 @@ class TestTransformBudget:
         transforms.clear()
         audit(cfg, n_random=0)
         assert sum(transforms.values()) <= 710
-        assert set(transforms) == {"rfft2", "irfftn"}
+        assert set(transforms) == {"rfft", "irfft"}
 
 
 class TestApplyField:

@@ -73,6 +73,31 @@ class TestTransformPair:
         assert np.array_equal(back, np.fft.irfft2(fh))
 
 
+    @pytest.mark.parametrize("n", [8, 10, 30, 32, 96, 256])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_bit_identical_to_numpy(self, n, lead):
+        # the passes are numpy's own, so every value is rfft2's or
+        # irfftn's, and the masked forward's is rfft2's then masked; an out
+        # of NaNs shows any entry left unwritten
+        g = Grid(n, 16.0)
+        f = np.random.default_rng(n).standard_normal(lead + (n, n))
+        fh = np.fft.rfft2(f)
+        c = g.dealias_cutoff
+        masked = fh.copy()
+        masked[..., c + 1:n - c, :] = 0.0
+        masked[..., c + 1:] = 0.0
+        cases = [(sp.fft, f, fh),
+                 (lambda a, out: sp._fft_masked(g, a, False, out), f, fh),
+                 (lambda a, out: sp._fft_masked(g, a, True, out), f, masked),
+                 (sp.ifft, fh, np.fft.irfftn(fh, axes=(-2, -1)))]
+        for transform, a, expected in cases:
+            before = a.copy()
+            for out in (None, np.full_like(expected, np.nan)):
+                got = transform(a, out)
+                assert np.array_equal(got, expected)
+                assert out is None or got is out
+                assert np.array_equal(a, before)
+
 class TestDerivatives:
     def test_derivative_matches_analytic(self):
         g = GRID
@@ -200,6 +225,18 @@ class TestDealias:
         assert np.array_equal(fh, sp.fft(f) * g.keep_mask)
         assert np.array_equal(sp.dealias(g, f[0]), sp.ifft(fh[0]))
 
+
+    def test_masked_column_pass_pruned(self, grid32, transforms):
+        # at n = 32 the rule keeps the columns m2 <= 10: the masked forward
+        # runs its column pass on 11 of the 17, the plain one on all
+        f = np.random.default_rng(3).standard_normal((grid32.n, grid32.n))
+        sp._fft_masked(grid32, f, True)
+        assert transforms == {"rfft": 1}
+        assert transforms.columns == {"fft": 11}
+        transforms.clear()
+        sp.fft(f)
+        assert transforms == {"rfft": 1}
+        assert transforms.columns == {"fft": 17}
 
 class TestLeray:
     def test_output_divergence_free(self):
