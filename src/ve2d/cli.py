@@ -79,11 +79,6 @@ def main(argv=None) -> int:
         return _cmd_fit(args)
     try:
         cfg = RunConfig.from_ini(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.command == "simulate":
             result = run_simulation(cfg)
             if result.blowup_t is not None:

@@ -31,10 +31,10 @@ good_unknown_norms each read the same pass.
 The light-cone weights of GeometryWeights are an argument, not shared
 state: each public entry point (sample_record, energies, weighted_norms,
 good_unknown_norms, identity_checks, weighted_sobolev_ratios and
-nonlinearity_decay_ratios) builds them once, with geometry_weights at its
-(grid, t), and passes them to the helpers that read them.  They hold
-every field the members share, the kernel of G_k among them, so a
-member's terms form no weight of their own.
+nonlinearity_decay_ratios) builds them once, as GeometryWeights(grid, t),
+and passes them to the helpers that read them.  They hold every field
+the members share, the kernel of G_k among them, so a member's terms
+form no weight of their own.
 
 The inequality ratios are evaluated at the base state only, as the audit
 and the acceptance gate report them.  nonlinearity_decay_ratios reads the
@@ -55,38 +55,24 @@ from .grid import Grid
 from .state import PotentialState, _constraint_of_gradients
 
 
-@dataclass(frozen=True)
 class GeometryWeights:
-    """Light-cone geometry at time t with one-cell origin regularization."""
+    """Light-cone geometry at time t with one-cell origin regularization,
+    built once per sample at its (grid, t)."""
 
-    grid: Grid
-    t: float
-    r: np.ndarray          # regularized: max(|x|, spacing)
-    omega: np.ndarray      # (2, n, n), x / r_reg
-    omega_perp: np.ndarray
-    sigma_bracket: np.ndarray   # <r - t>, true r
-    eq: np.ndarray         # ghost weight e^{arctan(r - t)}
-    kernel: np.ndarray     # e^q <r - t>^-2, the kernel of G_k
-    mask: np.ndarray       # light cone region r >= <t>/2
-    interior: np.ndarray   # away from the regularized origin, r >= spacing
-
-
-def geometry_weights(grid: Grid, t: float) -> GeometryWeights:
-    """The weights at (grid, t)."""
-    r_true = grid.r
-    r = np.maximum(r_true, grid.spacing)
-    omega = np.stack([grid.x1 / r, grid.x2 / r])
-    omega_perp = np.stack([-omega[1], omega[0]])
-    sigma = r_true - t
-    sigma_bracket = np.sqrt(1.0 + sigma ** 2)
-    eq = np.exp(np.arctan(sigma))
-    return GeometryWeights(
-        grid=grid, t=t, r=r, omega=omega, omega_perp=omega_perp,
-        sigma_bracket=sigma_bracket, eq=eq,
-        kernel=eq / sigma_bracket ** 2,
-        mask=r_true >= np.sqrt(1.0 + t * t) / 2.0,
-        interior=r_true >= grid.spacing,
-    )
+    def __init__(self, grid: Grid, t: float):
+        self.grid, self.t = grid, t
+        r_true = grid.r
+        self.r = np.maximum(r_true, grid.spacing)         # regularized
+        self.omega = np.stack([grid.x1 / self.r, grid.x2 / self.r])
+        self.omega_perp = np.stack([-self.omega[1], self.omega[0]])
+        sigma = r_true - t
+        self.sigma_bracket = np.sqrt(1.0 + sigma ** 2)    # <r - t>, true r
+        self.eq = np.exp(np.arctan(sigma))                # ghost weight e^q
+        self.kernel = self.eq / self.sigma_bracket ** 2   # kernel of G_k
+        # the light cone region r >= <t>/2, and the points away from the
+        # regularized origin, r >= spacing
+        self.mask = r_true >= np.sqrt(1.0 + t * t) / 2.0
+        self.interior = r_true >= grid.spacing
 
 
 def _radial(w: GeometryWeights, grads: np.ndarray) -> np.ndarray:
@@ -157,7 +143,7 @@ def _sample_pass(members, k_max: int, w: GeometryWeights
 
 def _family_pass(fam: DerivedFamily) -> tuple[GeometryWeights, dict, dict]:
     """The weights at the family's (grid, t) and _sample_pass of it."""
-    w = geometry_weights(fam.state.grid, fam.state.t)
+    w = GeometryWeights(fam.state.grid, fam.state.t)
     return (w, *_sample_pass(fam.members(), fam.k_max, w))
 
 
@@ -219,7 +205,7 @@ def identity_checks(grid: Grid, V: np.ndarray, H: np.ndarray,
     uh = sp.fft(np.concatenate((V[None], H)))
     D = sp.gradient_from_hat(grid, uh)
     Dp = D if Vp is V and Hp is H else sp.derivative_stack(grid, Vp, Hp)
-    out = _identity_checks(geometry_weights(grid, t), uh, D, Dp)
+    out = _identity_checks(GeometryWeights(grid, t), uh, D, Dp)
     # antisymmetry cancellation
     gV = D[0]
     gpV = sp.perp(gV)
@@ -332,7 +318,7 @@ def weighted_sobolev_ratios(grid: Grid, f: np.ndarray,
     rotation and the second-order words all come from one forward
     transform of f; the rotation costs one more.
     """
-    w = geometry_weights(grid, t)
+    w = GeometryWeights(grid, t)
     fh = sp.fft(f)
     gf = sp.gradient_from_hat(grid, fh)
     rot = grid.x1 * gf[1] - grid.x2 * gf[0]
@@ -382,7 +368,7 @@ def nonlinearity_decay_ratios(fam: DerivedFamily) -> dict[str, float]:
     if fam.k_max < 1:
         return {}
     g = fam.state.grid
-    w = geometry_weights(g, fam.state.t)
+    w = GeometryWeights(g, fam.state.t)
     root = MultiIndex(0, (0, 0, 0, 0))
     # the perp-form products, f2, f3 and div f2 from the shared spectra;
     # the plain-derivative fij are the perp-form products up to sign
@@ -435,9 +421,11 @@ def fit_decay(ts, values, t0: float, t1: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # CSV record
 
-CSV_HEADER = ("t,mu,E0,E1,E2,calE1,calE2,X1,X2,Y1,Y2,G1,G2,"
-              "good_sup,constraint_L2,constraint_Linf,"
-              "id45_res,id417_res,id218_res")
+# the record values the frozen CSV header holds, after t and mu
+CSV_COLUMNS = ("E0", "E1", "E2", "calE1", "calE2", "X1", "X2", "Y1", "Y2",
+               "G1", "G2", "good_sup", "constraint_L2", "constraint_Linf",
+               "id45_res", "id417_res", "id218_res")
+CSV_HEADER = ",".join(("t", "mu", *CSV_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -449,9 +437,8 @@ class DiagnosticsRecord:
     values: dict[str, float]
 
     def to_csv_row(self) -> str:
-        cols = CSV_HEADER.split(",")[2:]
         parts = [f"{self.t:.10g}", f"{self.mu:.10g}"]
-        parts += [f"{self.values[c]:.12g}" for c in cols]
+        parts += [f"{self.values[c]:.12g}" for c in CSV_COLUMNS]
         return ",".join(parts)
 
 
@@ -474,7 +461,7 @@ def sample_state(state: PotentialState, k_max: int = 2,
 def _record(state: PotentialState, k_max: int, members) -> DiagnosticsRecord:
     """The record of one pass over members, (idx, jet, stack) with the
     root first: the root's values are read before the walk goes on."""
-    w = geometry_weights(state.grid, state.t)
+    w = GeometryWeights(state.grid, state.t)
     rest = iter(members)
     root = next(rest)
     extras = _root_values(w, *root[1:])
@@ -482,7 +469,7 @@ def _record(state: PotentialState, k_max: int, members) -> DiagnosticsRecord:
     del root  # the walk frees the root's jet and stack after its children
     vals, sups = _sample_pass(members, k_max, w)
     # families built with k_max < 2 leave the deeper columns empty
-    for col in CSV_HEADER.split(",")[2:]:
+    for col in CSV_COLUMNS:
         vals.setdefault(col, float("nan"))
     vals["good_sup"] = _good_sup(w, sups)
     vals.update(extras)
@@ -502,5 +489,5 @@ def _root_values(w: GeometryWeights, jet, D) -> dict[str, float]:
             "id45_res": ids["null_split"],
             "id417_res": ids["f2_split"],
             "id218_res": ids["grad_split"],
-            # not part of the CSV schema, but useful for decay studies
+            # not a CSV column: the summary carries it as a series
             "grad_sup": max(sp.linf_norm(D[0]), sp.linf_norm(D[1:]))}

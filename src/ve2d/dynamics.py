@@ -41,7 +41,6 @@ fields would add them.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,43 +84,33 @@ class StepperConfig:
             raise ValueError(f"unsupported scheme {self.scheme!r}")
 
 
-class _Scratch(NamedTuple):
+class _Scratch:
     """The buffers a coefficient kernel writes one stage into, allocated by
     _if_rk4 once per step and handed to each of its four stages: the
-    coefficients of the fields the kernel transforms back and those
-    fields, the physical products and their spectra, and real and complex
-    temporaries."""
+    coefficients of the `fields` fields the kernel transforms back and
+    those fields, the `products` physical products and their spectra, and
+    `temps` real and two complex temporaries."""
 
-    coef: np.ndarray
-    fields: np.ndarray
-    prods: np.ndarray
-    spectra: np.ndarray
-    tmp: np.ndarray
-    ctmp: np.ndarray
-
-
-def _scratch(grid: Grid, fields: int, products: int, temps: int = 2
-             ) -> _Scratch:
-    """A _Scratch for `fields` transformed fields, `products` products and
-    `temps` real temporaries."""
-    n, m = grid.n, grid.n // 2 + 1
-    return _Scratch(np.empty((fields, n, m), dtype=complex),
-                    np.empty((fields, n, n)),
-                    np.empty((products, n, n)),
-                    np.empty((products, n, m), dtype=complex),
-                    np.empty((temps, n, n)),
-                    np.empty((2, n, m), dtype=complex))
+    def __init__(self, grid: Grid, fields: int, products: int,
+                 temps: int = 2):
+        n, m = grid.n, grid.n // 2 + 1
+        self.coef = np.empty((fields, n, m), dtype=complex)
+        self.fields = np.empty((fields, n, n))
+        self.prods = np.empty((products, n, n))
+        self.spectra = np.empty((products, n, m), dtype=complex)
+        self.tmp = np.empty((temps, n, n))
+        self.ctmp = np.empty((2, n, m), dtype=complex)
 
 
 def _potential_scratch(grid: Grid) -> _Scratch:
     """Scratch of _rhs_hat: 6 gradients and 5 products."""
-    return _scratch(grid, 6, 5)
+    return _Scratch(grid, 6, 5)
 
 
 def _primitive_scratch(grid: Grid) -> _Scratch:
     """Scratch of _rhs_primitive_hat: v, G and their 12 gradients, 9
     products, and the 4 terms v.grad G."""
-    return _scratch(grid, 18, 9, 4)
+    return _Scratch(grid, 18, 9, 4)
 
 
 def _product_rows(Da, Db, f3: bool):
@@ -199,7 +188,7 @@ def _quadratic_hat(grid: Grid, pairs, dealias: bool, f3: bool = False,
     f3.  Both are written into scratch, whose product rows decide whether
     f3 is formed; without one, a fresh scratch of 5 + f3 rows is used."""
     if scratch is None:
-        scratch = _scratch(grid, 0, 5 + f3)
+        scratch = _Scratch(grid, 0, 5 + f3)
     ph = sp._fft_masked(grid, _products(pairs, scratch.prods, scratch.tmp),
                         dealias, scratch.spectra)
     return np.einsum("rxy,rxy->xy", grid.f1_riesz, ph[:3],

@@ -96,10 +96,7 @@ class RunConfig:
         if not 0.0 < self.sample_interval < np.inf:
             raise ConfigError("sample_interval must be positive and finite")
         samples = self.t_final / self.sample_interval
-        if not samples < np.inf:
-            raise ConfigError("t_final / sample_interval is not a finite "
-                              "sample count")
-        if samples > _MAX_SAMPLES:
+        if not samples <= _MAX_SAMPLES:  # an overflow to inf fails it too
             raise ConfigError(f"t_final / sample_interval = {samples:.6g} "
                               f"exceeds {_MAX_SAMPLES} samples")
         if abs(samples - round(samples)) > 1e-9:
@@ -244,15 +241,27 @@ def _energy_column(k_max: int) -> str:
     return "E1" if k_max >= 1 else "E0"
 
 
+def _check_light_cone(cfg: RunConfig) -> None:
+    """Reject a box in which a sample would find no point of the light
+    cone: the mask shrinks as t grows, so t_final is the worst case."""
+    grid = Grid(cfg.n, cfg.box_len)
+    if not np.any(dg.GeometryWeights(grid, cfg.t_final).mask):
+        raise ConfigError(f"box_len = {cfg.box_len:g} holds no point of "
+                          "the light cone r >= <t>/2 at t_final = "
+                          f"{cfg.t_final:g}")
+
+
 def run_simulation(cfg: RunConfig, mu: float | None = None) -> RunResult:
     """Evolve from the configured initial data, sampling diagnostics.
 
     Artifacts (CSV, final snapshot, summary JSON, SVG plots) are written
     when cfg.output_dir is set and not empty; a blow-up leaves a partial
-    CSV plus a failure marker carrying the blow-up time.
+    CSV plus a failure marker carrying the blow-up time.  A box with no
+    point of the light cone at t_final is a ConfigError, before any step.
     """
     if mu is None:
         mu = cfg.mu_list[0]
+    _check_light_cone(cfg)
     out = _output_dir(cfg)
     energy = _energy_column(cfg.k_max)  # the blow-up ceiling reads it
     ceiling = None
@@ -275,7 +284,7 @@ def run_simulation(cfg: RunConfig, mu: float | None = None) -> RunResult:
     result = RunResult(mu=mu, records=records, final_state=state,
                        blowup_t=blowup_t)
     if out is not None:
-        _write_run_artifacts(out, cfg.k_max, result)
+        _write_run_artifacts(out, result)
     return result
 
 
@@ -306,26 +315,25 @@ def _write_json(path: Path, obj) -> None:
         json.dump(obj, fh, indent=2)
 
 
-def _write_run_artifacts(out: Path, k_max: int, result: RunResult) -> None:
+def _write_run_artifacts(out: Path, result: RunResult) -> None:
     tag = f"mu{result.mu:g}"
     write_csv(out / f"run_{tag}.csv", result.records)
     write_snapshot(out / f"final_{tag}.snap", result.final_state)
     summary = {"mu": result.mu, "t_final": result.final_state.t,
                "blowup_t": result.blowup_t}
     ts, good = result.series("good_sup")
-    if result.blowup_t is None and len(result.records) >= 8:
+    if result.blowup_t is None:
         t0 = max(5.0, ts[0] + 1e-9)
         if np.all(good[ts >= t0] > 0) and np.sum(ts >= t0) >= 8:
             p, err = dg.fit_decay(ts, good, t0, ts[-1])
             summary["good_sup_exponent"] = p
             summary["good_sup_exponent_stderr"] = err
         for col in ("id45_res", "id417_res", "id218_res"):
-            _, vals = result.series(col)
-            summary[f"max_{col}"] = float(np.max(vals))
-    if k_max == 3:
-        # the order-3 functionals, which the frozen CSV header leaves out
-        summary["sample_t"] = ts.tolist()
-        for col in ("E3", "calE3", "X3", "Y3", "G3"):
+            summary[f"max_{col}"] = float(np.max(result.series(col)[1]))
+    # a series of every record value the frozen CSV header leaves out
+    summary["sample_t"] = ts.tolist()
+    for col in result.records[0].values:
+        if col not in dg.CSV_COLUMNS:
             summary[col] = result.series(col)[1].tolist()
     _write_json(out / f"summary_{tag}.json", summary)
     if result.blowup_t is not None:
@@ -359,11 +367,11 @@ def sweep_viscosity(cfg: RunConfig) -> dict:
     """Run every mu in cfg.mu_list from identical initial data.
 
     Returns per-mu energy-ratio maxima, the overall maximum, and fitted
-    calE2 growth exponents where the fit window allows it, with the calE3
-    ones beside them at k_max = 3 (recorded, not gated).  The ratios
-    keep the name max_E1_ratio but read E0 at k_max = 0, as the blow-up
-    ceiling does.
+    calE_k growth exponents for 2 <= k <= k_max where the fit window
+    allows it (calE3's recorded, not gated).  The ratios keep the name
+    max_E1_ratio but read E0 at k_max = 0, as the blow-up ceiling does.
     """
+    _check_light_cone(cfg)
     out = _output_dir(cfg)
     results = _map_viscosities(run_simulation, cfg, cfg.mu_list)
     report = {"mu": list(cfg.mu_list), "runs": results, "per_mu": {}}
@@ -374,12 +382,12 @@ def sweep_viscosity(cfg: RunConfig) -> dict:
         ts, e = res.series(_energy_column(cfg.k_max))
         ratio = float(np.max(e) / e[0]) if e[0] > 0 else 0.0
         entry = {"max_E1_ratio": ratio}
-        for col in ("calE2", "calE3") if cfg.k_max == 3 else ("calE2",):
-            ts, ce = res.series(col)
+        for k in range(2, cfg.k_max + 1):
+            ts, ce = res.series(f"calE{k}")
             window = ts >= 1.0
             if np.count_nonzero(window) >= 8 and np.all(ce[window] > 0):
-                p, err = dg.fit_decay(ts, ce, 1.0, ts[-1])
-                entry[f"{col}_growth_exponent"] = p
+                entry[f"calE{k}_growth_exponent"] = dg.fit_decay(
+                    ts, ce, 1.0, ts[-1])[0]
         report["per_mu"][res.mu] = entry
         overall = max(overall, ratio)
     report["max_E1_ratio"] = overall

@@ -60,6 +60,19 @@ output_dir = {out}
 """
 
 
+# the farthest point of a box of side 0.5 sits at r = 0.35, short of the
+# light cone r >= <t>/2 of every sample
+TINY_INI = """\
+[grid]
+n = 16
+box_len = 0.5
+[run]
+mu = 0 0.1 0.01 0.001
+t_final = 0.125
+sample_interval = 0.125
+"""
+
+
 def write_config(tmp_path, mu="0", extra=""):
     path = tmp_path / "run.ini"
     path.write_text(SMALL_INI.format(mu=mu, extra=extra), encoding="utf-8")
@@ -355,13 +368,9 @@ class TestAuditAndFit:
         assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command",
-                         ["simulate", "sweep-mu", "converge", "audit"])
-def test_zero_amplitude_ends_cleanly(tmp_path, command):
-    # zero data are legal: each command succeeds or names a config error in
-    # one line, and none ends in a traceback
-    path = tmp_path / "zero.ini"
-    path.write_text(ZERO_INI.format(out=tmp_path / "out"), encoding="utf-8")
+def assert_ends_cleanly(path, command):
+    """`python -m ve2d.cli command --config path` succeeds or names a
+    config error in one line, and does not end in a traceback."""
     src = str(Path(ve2d.experiments.__file__).parents[1])
     env = {**os.environ, "VE2D_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(
@@ -372,3 +381,22 @@ def test_zero_amplitude_ends_cleanly(tmp_path, command):
     assert proc.returncode in (cli.EXIT_OK, cli.EXIT_CONFIG), proc.stderr
     assert proc.stderr.count("\n") <= 1, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command",
+                         ["simulate", "sweep-mu", "converge", "audit"])
+def test_zero_amplitude_ends_cleanly(tmp_path, command):
+    # zero data are legal
+    path = tmp_path / "zero.ini"
+    path.write_text(ZERO_INI.format(out=tmp_path / "out"), encoding="utf-8")
+    assert_ends_cleanly(path, command)
+
+
+@pytest.mark.parametrize("command",
+                         ["simulate", "sweep-mu", "converge", "audit"])
+def test_box_short_of_the_light_cone_ends_cleanly(tmp_path, command):
+    # the commands that sample refuse the box; converge and audit take no
+    # sample and run
+    path = tmp_path / "tiny.ini"
+    path.write_text(TINY_INI, encoding="utf-8")
+    assert_ends_cleanly(path, command)

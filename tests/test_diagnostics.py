@@ -29,7 +29,7 @@ def reference_weighted_sobolev_ratios(grid, f, t):
     """weighted_sobolev_ratios with every word its own transform round
     trip: the rotation, each gradient, and the words of length <= 2 built
     one derivative at a time."""
-    w = dg.geometry_weights(grid, t)
+    w = dg.GeometryWeights(grid, t)
     rhs1 = rhs2 = 0.0
     for h in (f, rotation(grid, f)):
         dr = dg._radial(w, sp.gradient(grid, h))
@@ -73,7 +73,7 @@ def reference_nonlinearity_decay_ratios(fam, idx):
     the order-graded field sums, and fij adds the structure terms of every
     splitting of idx."""
     g = fam.state.grid
-    w = dg.geometry_weights(g, fam.state.t)
+    w = dg.GeometryWeights(g, fam.state.t)
     sums_V, sums_H = _order_sums(fam)
 
     def graded(sums_a, sums_b, extra_a, extra_b, amax, bmax):
@@ -137,7 +137,7 @@ def reference_sample_functionals(fam):
             energies[f"calE{k}"] = sum(grad_by_order.get(m, 0.0)
                                        for m in range(k))
 
-    w = dg.geometry_weights(g, fam.state.t)
+    w = dg.GeometryWeights(g, fam.state.t)
     x_by, y_by, g_by = {}, {}, {}
     for idx in fam.indices:
         if idx.order > fam.k_max - 1:
@@ -180,7 +180,7 @@ def reference_masked_sups(grid, uh, D, Dp, t):
     """The sups that read a mask, each taken over a boolean gather:
     null_split, f2_split, grad_split (as _identity_checks) and the
     good-unknown sups of the stack Dp (as good_unknown_norms)."""
-    w = dg.geometry_weights(grid, t)
+    w = dg.GeometryWeights(grid, t)
     gV, gH, gVp, gHp = D[0], D[1:], Dp[0], Dp[1:]
     dd = sp.ifft(grid.ik[:, None] * grid.ik * uh[:, None, None])
     ggV, ggH = dd[0], dd[1:]
@@ -228,24 +228,50 @@ def reference_masked_sups(grid, uh, D, Dp, t):
     return out
 
 
+def reference_geometry_weights(grid, t):
+    """The fields of GeometryWeights(grid, t), one expression each, with
+    the class's order of operations, so the two agree bit for bit."""
+    r_true = grid.r
+    r = np.maximum(r_true, grid.spacing)
+    omega = np.stack([grid.x1 / r, grid.x2 / r])
+    omega_perp = np.stack([-omega[1], omega[0]])
+    sigma = r_true - t
+    sigma_bracket = np.sqrt(1.0 + sigma ** 2)
+    eq = np.exp(np.arctan(sigma))
+    return dict(r=r, omega=omega, omega_perp=omega_perp,
+                sigma_bracket=sigma_bracket, eq=eq,
+                kernel=eq / sigma_bracket ** 2,
+                mask=r_true >= np.sqrt(1.0 + t * t) / 2.0,
+                interior=r_true >= grid.spacing)
+
+
 class TestGeometryWeights:
+    @pytest.mark.parametrize("t", [0.0, 3.0, 20.0])
+    def test_fields_equal_the_reference(self, grid64, t):
+        w = dg.GeometryWeights(grid64, t)
+        ref = reference_geometry_weights(grid64, t)
+        assert w.grid is grid64 and w.t == t
+        assert set(vars(w)) == {"grid", "t", *ref}
+        for name, value in ref.items():
+            assert np.array_equal(getattr(w, name), value), name
+
     def test_frame_is_orthonormal(self, grid64):
         # away from the regularized origin cell
-        w = dg.geometry_weights(grid64, t=3.0)
+        w = dg.GeometryWeights(grid64, t=3.0)
         norm = (w.omega[0] ** 2 + w.omega[1] ** 2)[w.interior]
         assert np.max(np.abs(norm - 1.0)) < 1e-14
         dot = w.omega[0] * w.omega_perp[0] + w.omega[1] * w.omega_perp[1]
         assert sp.linf_norm(dot) < 1e-14
 
     def test_weights_bounded_below(self, grid64):
-        w = dg.geometry_weights(grid64, t=3.0)
+        w = dg.GeometryWeights(grid64, t=3.0)
         assert np.all(w.r >= grid64.spacing)
         assert np.all(w.sigma_bracket >= 1.0)
         assert np.all(w.eq > 0)
 
     def test_mask_shrinks_with_time(self, grid64):
-        near = dg.geometry_weights(grid64, t=0.0)
-        late = dg.geometry_weights(grid64, t=20.0)
+        near = dg.GeometryWeights(grid64, t=0.0)
+        late = dg.GeometryWeights(grid64, t=20.0)
         assert np.count_nonzero(late.mask) < np.count_nonzero(near.mask)
 
     @pytest.mark.parametrize("entry", [
@@ -264,7 +290,7 @@ class TestGeometryWeights:
         built = []
         real = dg.GeometryWeights
         monkeypatch.setattr(dg, "GeometryWeights",
-                            lambda **kw: built.append(kw["t"]) or real(**kw))
+                            lambda grid, t: built.append(t) or real(grid, t))
         entry(family)
         assert built == [family.state.t]
 
@@ -352,7 +378,7 @@ class TestSamplePass:
         # at t = 30 no point of the L = 16 box has r >= <t>/2
         st = make_initial_data(grid32, InitialDataParams(amplitude=0.01))
         fam = derived_family(replace(st, t=30.0), 1, residual=False)
-        assert not np.any(dg.geometry_weights(grid32, 30.0).mask)
+        assert not np.any(dg.GeometryWeights(grid32, 30.0).mask)
         assert np.isfinite(dg.energies(fam)["calE1"])
         assert np.isfinite(dg.weighted_norms(fam)["G1"])
         with pytest.raises(ValueError, match="light-cone mask is empty"):

@@ -205,7 +205,8 @@ class TestRunSimulation:
 
     def test_k_max_3_summary_carries_the_order_3_series(self, tmp_path):
         # the CSV header is frozen, so the order-3 functionals go to the
-        # summary as new keys, one value per sample; k_max = 2 has none
+        # summary as new keys, one value per sample; k_max = 2 has the
+        # sample times but none of them
         keys = ("E3", "calE3", "X3", "Y3", "G3")
         cfg = RunConfig(**{**SMALL, "k_max": 3}, output_dir=str(tmp_path))
         run = run_simulation(cfg, mu=0.0)
@@ -221,7 +222,29 @@ class TestRunSimulation:
         run_simulation(cfg, mu=0.0)
         summary = json.loads((tmp_path / "k2" / "summary_mu0.json")
                              .read_text())
-        assert not set(summary) & {"sample_t", *keys}
+        assert "sample_t" in summary and not set(summary) & set(keys)
+
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    def test_summary_carries_every_value_the_csv_leaves_out(self, tmp_path,
+                                                             k_max):
+        # the keys of a short run that did not blow up: its identity
+        # maxima, then sample_t and a series of each record value that is
+        # not a CSV column, in record order
+        cfg = RunConfig(**{**SMALL, "t_final": 1.0, "k_max": k_max},
+                        output_dir=str(tmp_path))
+        run = run_simulation(cfg, mu=0.0)
+        summary = json.loads((tmp_path / "summary_mu0.json").read_text())
+        series = ["E3", "calE3", "X3", "Y3", "G3"] if k_max == 3 else []
+        series.append("grad_sup")
+        assert list(summary) == [
+            "mu", "t_final", "blowup_t", "max_id45_res", "max_id417_res",
+            "max_id218_res", "sample_t", *series]
+        assert summary["sample_t"] == [rec.t for rec in run.records]
+        for key in series:
+            assert summary[key] == [rec.values[key] for rec in run.records]
+        for col in ("id45_res", "id417_res", "id218_res"):
+            assert summary[f"max_{col}"] == max(rec.values[col]
+                                                for rec in run.records)
 
     def test_empty_output_dir_writes_nothing(self, tmp_path, monkeypatch):
         # an empty output_dir means no artifacts, as for a sweep, not
@@ -265,6 +288,22 @@ class TestRunSimulation:
         audit(RunConfig(**SMALL), n_random=0)
         assert depths == [True]
         assert stored == []
+
+    def test_box_short_of_the_light_cone_rejected_before_the_run(
+            self, monkeypatch):
+        # the farthest point of the box, r = 0.35, is short of <t>/2 at
+        # every sample; refused before a step or a pool starts
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(experiments, "evolve", no_run)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_run)
+        monkeypatch.setenv("VE2D_THREADS", "2")
+        cfg = RunConfig(n=16, box_len=0.5, t_final=0.125,
+                        sample_interval=0.125, mu_list=(0.0, 0.1))
+        for driver in (run_simulation, sweep_viscosity):
+            with pytest.raises(ConfigError, match="light cone"):
+                driver(cfg)
 
     def test_empty_viscosity_list_is_a_config_error(self):
         # not an IndexError from reading mu_list[0]
@@ -346,6 +385,14 @@ class TestSweep:
         assert "calE3_growth_exponent" not in lower["per_mu"][0.0]
         assert lower["per_mu"][0.0]["calE2_growth_exponent"] == (
             report["per_mu"][0.0]["calE2_growth_exponent"])
+
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    def test_growth_exponents_of_orders_2_to_k_max(self, k_max):
+        cfg = RunConfig(n=32, box_len=16.0, t_final=4.0,
+                        sample_interval=0.25, k_max=k_max)
+        entry = sweep_viscosity(cfg)["per_mu"][0.0]
+        assert set(entry) == {"max_E1_ratio", *(
+            f"calE{k}_growth_exponent" for k in range(2, k_max + 1))}
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigError):
