@@ -25,7 +25,7 @@ import sys
 from .diagnostics import fit_decay
 from .dynamics import BlowUpError
 from .experiments import (ConfigError, RunConfig, audit, convergence_study,
-                          run_simulation, sweep_viscosity)
+                          mu_name, run_simulation, sweep_viscosity)
 
 EXIT_OK = 0
 EXIT_BLOWUP = 2
@@ -89,12 +89,12 @@ def main(argv=None) -> int:
         elif args.command == "sweep-mu":
             report = sweep_viscosity(cfg)
             print(json.dumps({"max_E1_ratio": report["max_E1_ratio"],
-                              "per_mu": {f"{k:g}": v for k, v in
+                              "per_mu": {mu_name(k): v for k, v in
                                          report["per_mu"].items()}},
                              indent=2))
         elif args.command == "converge":
             report = convergence_study(cfg)
-            print(json.dumps({"table": {f"{k:g}": v for k, v in
+            print(json.dumps({"table": {mu_name(k): v for k, v in
                                         report["table"].items()},
                               "fitted_order": report["fitted_order"]},
                              indent=2))

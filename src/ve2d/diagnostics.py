@@ -14,10 +14,14 @@ d_i H . omega_perp, which decay faster near the light cone r ~ t.
 Each of these is a sum over members of a per-member term, and one home,
 _member_terms, computes every term one member adds: E by Parseval of its
 rfft2 coefficients, and, for the members of order < k_max, calE, X, Y,
-G and the good-unknown sups from the member's stack.  A sample is one
-pass over the members (_sample_pass), any iterable of (idx, jet, stack):
-a stored family's (DerivedFamily.members, for sample_record) or the
-depth-first walk's (families._members, for sample_state).  The pass
+G and the good-unknown sups from the member's stack.  _sample_pass
+records every term by one rule: a term of level 0 (E) sums the orders
+<= k into its k-th value, a term of the stack the orders <= k - 1, and
+the terms come in the order the root returns them, so a new functional
+is one key in _member_terms.  A sample is one pass over the members
+(_sample_pass), any iterable of (idx, jet, stack): a stored family's
+(DerivedFamily.members, for sample_record) or the depth-first walk's
+(families._members, for sample_state).  The pass
 keeps each member's scalars alone and sums them per order in index
 order, then over the orders, so the two give equal values, and every
 stack is read once.  run_simulation samples with sample_state and holds
@@ -90,15 +94,15 @@ def _good_unknown_grads(w: GeometryWeights, D: np.ndarray):
             dH[0] * w.omega_perp[0] + dH[1] * w.omega_perp[1])
 
 
-def _member_terms(w: GeometryWeights, jet, D) -> dict:
-    """What one member adds to the sample functionals: E by Parseval of
-    its level-0 coefficients, and, when it has a stack D (an order below
-    k_max), calE, X, Y, G and the masked (radial, tangential) sups of its
-    good unknowns."""
+def _member_terms(w: GeometryWeights, jet, D) -> tuple[dict, tuple | None]:
+    """What one member adds to the sample: its terms of the functionals,
+    E by Parseval of its level-0 coefficients and, when it has a stack D
+    (an order below k_max), calE, X, Y and G from D; and the masked
+    (radial, tangential) sups of its good unknowns, None without D."""
     g = w.grid
     terms = {"E": sp.l2_norm_sq_hat(g, jet.hat[0])}
-    if D is None:  # calE_k .. G_k sum orders <= k - 1 only
-        return terms
+    if D is None:  # the stack terms sum orders <= k - 1 only
+        return terms, None
     gV, gH = D[0], D[1:]
     terms["calE"] = sp.l2_norm_sq(g, gV) + sp.l2_norm_sq(g, gH)
     terms["X"] = (sp.l2_norm_sq(g, w.sigma_bracket * gV)
@@ -109,35 +113,40 @@ def _member_terms(w: GeometryWeights, jet, D) -> dict:
     good_r, good_t = _good_unknown_grads(w, D)
     terms["G"] = float(np.sum((good_r ** 2 + good_t ** 2) * w.kernel)
                        * g.spacing ** 2)
-    terms["sup"] = (float(np.max(np.abs(good_r), where=w.mask, initial=0.0)),
-                    float(np.max(np.abs(good_t), where=w.mask, initial=0.0)))
-    return terms
+    return terms, (
+        float(np.max(np.abs(good_r), where=w.mask, initial=0.0)),
+        float(np.max(np.abs(good_t), where=w.mask, initial=0.0)))
 
 
 def _sample_pass(members, k_max: int, w: GeometryWeights
                  ) -> tuple[dict[str, float], dict]:
     """One pass over the (idx, jet, stack) of a family of order k_max, in
-    any order, with the weights w at its (grid, t): the functionals
-    E_k .. G_k, and the good-unknown sups of each member of order <
-    k_max.  Only each member's scalars are kept, and they are summed per
-    order in index order and then over the orders, so the values do not
-    depend on the order of the walk."""
+    any order, with the weights w at its (grid, t): a functional of every
+    term of _member_terms, in the order of the root's terms, and the
+    good-unknown sups of each member of order < k_max.
+
+    A term the members of order k_max carry (E, of level 0) sums the
+    orders <= k into its k-th value, k = 0 .. k_max; a term only the
+    members with a stack carry sums the orders <= k - 1, k = 1 .. k_max.
+    Only each member's scalars are kept, and they are summed per order in
+    index order and then over the orders, so the values do not depend on
+    the order of the walk."""
     per_member = {idx: _member_terms(w, jet, D) for idx, jet, D in members}
     by_order, sups = {}, {}
     for idx in admissible_indices(k_max):
-        terms = per_member[idx]
-        if "sup" in terms:
-            sups[idx] = terms.pop("sup")
+        terms, sup = per_member[idx]
+        if sup is not None:
+            sups[idx] = sup
         for name, term in terms.items():
             key = name, idx.order
             by_order[key] = by_order.get(key, 0.0) + term
-    out = {}
-    for k in range(k_max + 1):
-        out[f"E{k}"] = sum(by_order.get(("E", m), 0.0) for m in range(k + 1))
-        if k >= 1:
-            for name in ("calE", "X", "Y", "G"):
-                out[f"{name}{k}"] = sum(by_order.get((name, m), 0.0)
-                                        for m in range(k))
+    # each term's name, in the order of the root's terms, and its lag: 1
+    # for a term of the stack, which no member of order k_max carries
+    lags = {name: int((name, k_max) not in by_order) for name, _ in by_order}
+    out = {f"{name}{k}": sum(by_order.get((name, m), 0.0)
+                             for m in range(k + 1 - lag))
+           for k in range(k_max + 1) for name, lag in lags.items()
+           if k >= lag}
     return out, sups
 
 

@@ -31,13 +31,15 @@ G), masked once; the pressure is removed by the Leray projection of the
 coefficients.
 
 _products and _quadratic_hat are the one set of quadratic forms: the
-perp-form sources f1, f2 (and, on request, f3) summed over a Leibniz sum
-of derivative stacks, then masked and transformed once.  The stepper
-passes one pair, the time-derivative jets of families.base_jet one pair
-per binomial term, and the commuted equations of families one pair per
-splitting of a multi-index.  Each product row is formed in place, one
-pass per pointwise product and per sum, in the order an einsum over the
-fields would add them.
+perp-form sources f1, f2 (and f3) summed over a Leibniz sum of
+derivative stacks, then masked and transformed once.  The stepper passes
+one pair, the time-derivative jets of families.base_jet one pair per
+binomial term, and the commuted equations of families one pair per
+splitting of a multi-index.  Each caller passes the scratch the forms
+are written into, and its product rows are the one statement of f3: the
+stepper and base_jet pass 5 rows, the commuted equations 6.  Each
+product row is formed in place, one pass per pointwise product and per
+sum, in the order an einsum over the fields would add them.
 """
 
 from dataclasses import dataclass
@@ -89,7 +91,9 @@ class _Scratch:
     _if_rk4 once per step and handed to each of its four stages: the
     coefficients of the `fields` fields the kernel transforms back and
     those fields, the `products` physical products and their spectra, and
-    `temps` real and two complex temporaries."""
+    `temps` real and two complex temporaries.  families.base_jet and the
+    commuted equations allocate one with no fields per call of
+    _quadratic_hat."""
 
     def __init__(self, grid: Grid, fields: int, products: int,
                  temps: int = 2):
@@ -178,17 +182,14 @@ def _products(pairs, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quadratic_hat(grid: Grid, pairs, dealias: bool, f3: bool = False,
-                   scratch: _Scratch | None = None
+def _quadratic_hat(grid: Grid, pairs, dealias: bool, scratch: _Scratch
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(f1, ph) of a Leibniz sum as rfft2 coefficients: one batched forward
     transform of the summed products, the 2/3 mask (linear, so applied
     once to the sums) and the fused Riesz symbols of f1.  ph holds the
     masked spectra in the rows of _products: ph[3:5] is f2 and ph[5]
-    f3.  Both are written into scratch, whose product rows decide whether
-    f3 is formed; without one, a fresh scratch of 5 + f3 rows is used."""
-    if scratch is None:
-        scratch = _Scratch(grid, 0, 5 + f3)
+    f3.  Both are written into scratch, whose product rows are the one
+    statement of whether f3 is formed: 5 rows leave it out, 6 form it."""
     ph = sp._fft_masked(grid, _products(pairs, scratch.prods, scratch.tmp),
                         dealias, scratch.spectra)
     return np.einsum("rxy,rxy->xy", grid.f1_riesz, ph[:3],
@@ -212,8 +213,7 @@ def _rhs_hat(grid: Grid, uh: np.ndarray, cfg: StepperConfig,
         out[...] = 0.0
     if cfg.nonlinear:
         D = sp.ifft(dh, out=scratch.fields.reshape(3, 2, n, n))
-        f1h, ph = _quadratic_hat(grid, [(1, D, D)], cfg.dealias,
-                                 scratch=scratch)
+        f1h, ph = _quadratic_hat(grid, [(1, D, D)], cfg.dealias, scratch)
         out[0] += f1h
         out[1:] += ph[3:]
     return out
@@ -330,7 +330,10 @@ def _if_rk4(kernel, scratch, state, u: np.ndarray, damped: int, dt: float,
     uh = sp.fft(u)
     d = damped
     # the heat factor of a half step, on the damped rows: on the others it
-    # is exp(-0) = 1, and multiplying by 1 is exact, so they are plain RK4
+    # is exp(-0) = 1, and multiplying by 1 is exact, so they are plain RK4.
+    # The split stays: one body with a factor of ones on the undamped rows
+    # is bit-identical but slower (median 30.3 -> 31.6 ms a step at
+    # n = 256, mu = 1e-2, slower in 43 of 60 rounds, on a 2-core Xeon)
     E = np.exp(-state.mu * g.k_sq * (dt / 2.0))
     E2 = E * E
     Eu, E2u = E * uh[:d], E2 * uh[:d]

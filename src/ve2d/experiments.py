@@ -1,12 +1,14 @@
 """Config-driven experiment drivers: single runs, viscosity sweeps,
 vanishing-viscosity convergence, and identity/inequality audits.
 
-Configs are INI files (UTF-8, '#' comments) with sections [grid],
-[initial], [run], [stepper]; _INI_TABLE lists their keys and what each
-sets.  The viscosities of a
-sweep or a convergence study run in a process pool whose size is controlled
-by the VE2D_THREADS environment variable (a positive integer, default 1:
-fully deterministic artifacts), capped at one worker per viscosity.
+Configs are INI files (UTF-8, '#' comments; a file that is not UTF-8
+is a ConfigError) with sections [grid], [initial], [run], [stepper];
+_INI_TABLE lists their keys and what each sets.  Each viscosity is named
+by mu_name in file names and keys, and no two of one config may share a
+name.  The viscosities of a sweep or a convergence study run in a
+process pool whose size is controlled by the VE2D_THREADS environment
+variable (a positive integer, default 1: fully deterministic artifacts),
+capped at one worker per viscosity.
 
 Each driver computes only what it reports: a run samples diagnostics at
 every sample time, a convergence study and an audit evolve to their last
@@ -49,6 +51,13 @@ class ConfigError(ValueError):
 _MAX_SAMPLES = 10 ** 6
 
 
+def mu_name(mu: float) -> str:
+    """The name of a viscosity in file names, JSON keys and printed keys:
+    its %g form, 6 significant digits.  RunConfig refuses two viscosities
+    of one name, whose files and keys would collide."""
+    return f"{mu:g}"
+
+
 @dataclass(frozen=True)
 class RunConfig:
     n: int = 256
@@ -88,11 +97,15 @@ class RunConfig:
                               "give one of them")
         if not self.mu_list:
             raise ConfigError("mu needs at least one value")
-        for i, mu in enumerate(self.mu_list):
+        # + 0.0 turns -0 into 0, in the value and in its name
+        mus = tuple(mu + 0.0 for mu in self.mu_list)
+        object.__setattr__(self, "mu_list", mus)
+        names = [mu_name(mu) for mu in mus]
+        for i, mu in enumerate(mus):
             if not 0.0 <= mu <= 1.0:
                 raise ConfigError(f"viscosity {mu} outside [0, 1]")
-            if mu in self.mu_list[:i]:
-                raise ConfigError(f"viscosity {mu} repeated")
+            if names[i] in names[:i]:
+                raise ConfigError(f"viscosity {mu} repeated (as {names[i]})")
         if not 0.0 < self.sample_interval < np.inf:
             raise ConfigError("sample_interval must be positive and finite")
         samples = self.t_final / self.sample_interval
@@ -110,7 +123,7 @@ class RunConfig:
                                            inline_comment_prefixes=("#",))
         try:
             read = parser.read(path, encoding="utf-8")
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
@@ -316,7 +329,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_run_artifacts(out: Path, result: RunResult) -> None:
-    tag = f"mu{result.mu:g}"
+    tag = f"mu{mu_name(result.mu)}"
     write_csv(out / f"run_{tag}.csv", result.records)
     write_snapshot(out / f"final_{tag}.snap", result.final_state)
     summary = {"mu": result.mu, "t_final": result.final_state.t,
@@ -393,7 +406,7 @@ def sweep_viscosity(cfg: RunConfig) -> dict:
     report["max_E1_ratio"] = overall
     if out is not None:
         for res in results:
-            write_csv(out / f"run_mu{res.mu:g}.csv", res.records)
+            write_csv(out / f"run_mu{mu_name(res.mu)}.csv", res.records)
         _write_json(out / "sweep_summary.json",
                     {k: v for k, v in report.items() if k != "runs"})
     return report
@@ -432,7 +445,7 @@ def convergence_study(cfg: RunConfig) -> dict:
     out = {"table": table, "fitted_order": order}
     if outdir is not None:
         _write_json(outdir / "convergence.json",
-                    {"table": {f"{k:g}": v for k, v in table.items()},
+                    {"table": {mu_name(k): v for k, v in table.items()},
                      "fitted_order": order})
         svg.line_plot(outdir / "convergence.svg", positive, dists, "L2 diff",
                       title="vanishing-viscosity convergence",

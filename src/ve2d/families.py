@@ -43,15 +43,17 @@ only the members on one path from the root.  A member's children are the
 operators at or outside its outermost one, in canonical order
 (_children): every member then comes after every sub-index of it, so the
 walk can be read member by member by a reader of the Leibniz splittings
-too.  DerivedFamily stores what the walk yields, for the public API;
-diagnostics.sample_state streams it and keeps each member's scalars
-alone; the audit (experiments._family_checks) reads it
-through _StreamedFamily, forms each member's commutator_residuals as it
-is yielded and keeps only the stacks and level-0 coefficients that later
-readers need.  At n = 256 (numpy 2.4.6, tracemalloc) the streamed sample
-peaks at 25.7 MiB for k_max = 2 and 40.8 MiB for k_max = 3, where the
-stored lean family alone peaks at 55.8 and 162.8 MiB; the whole audit
-peaks at 74.1 and 127.7 MiB.
+too.  A member's jet holds exactly the levels its descendants read, so
+the walk reads from jet.levels how many levels its gradient batch has
+and how many of them each child takes.  DerivedFamily stores what the
+walk yields, for the public API; diagnostics.sample_state streams it and
+keeps each member's scalars alone; the audit (experiments._family_checks)
+reads it through _StreamedFamily, forms each member's
+commutator_residuals as it is yielded and keeps only the stacks and
+level-0 coefficients that later readers need.  At n = 256 (numpy 2.4.6,
+tracemalloc) the streamed sample peaks at 25.7 MiB for k_max = 2 and
+40.8 MiB for k_max = 3, where the stored lean family alone peaks at 55.8
+and 162.8 MiB; the whole audit peaks at 74.1 and 127.7 MiB.
 """
 
 from itertools import product
@@ -61,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral as sp
-from .dynamics import _quadratic_hat
+from .dynamics import _quadratic_hat, _Scratch
 from .grid import Grid
 from .state import PotentialState
 
@@ -178,7 +180,8 @@ def _base_jet(state: PotentialState, levels: int, dealias: bool
     for m in range(levels):
         sp.gradient_from_hat(g, uh[m], out=D[m])
         f1h, ph = _quadratic_hat(
-            g, [(comb(m, l), D[l], D[m - l]) for l in range(m + 1)], dealias)
+            g, [(comb(m, l), D[l], D[m - l]) for l in range(m + 1)], dealias,
+            _Scratch(g, 0, 5))
         uh[m + 1, 0] = g.ik[0] * uh[m, 1] + g.ik[1] * uh[m, 2] + f1h
         if state.mu > 0:
             uh[m + 1, 0] -= state.mu * g.k_sq * uh[m, 0]
@@ -277,18 +280,18 @@ def _members(state: PotentialState, k_max: int = 2, dealias: bool = True,
     """
     if k_max > 3:
         raise ValueError("k_max > 3 is outside the supported desk scale")
-    extra = int(residual)
-    jet, D = _base_jet(state, k_max + extra, dealias)
-    return _walk(MultiIndex(0, (0, 0, 0, 0)), jet, k_max, extra, D)
+    jet, D = _base_jet(state, k_max + residual, dealias)
+    return _walk(MultiIndex(0, (0, 0, 0, 0)), jet, k_max, D)
 
 
-def _walk(idx: MultiIndex, jet: Jet, k_max: int, extra: int,
+def _walk(idx: MultiIndex, jet: Jet, k_max: int,
           G: np.ndarray | None = None):
     """The walk of _members below idx, whose jet is given, and whose
-    gradient batch G is given or transformed here; extra is 1 when the
-    level only commutator_residuals reads is built.  A module-level
-    generator, not a closure: a closure that calls itself is a reference
-    cycle, which would hold the grid until the cyclic collector runs."""
+    gradient batch G is given or transformed here.  The jet holds the
+    levels its member keeps, so its batch is of those levels and a child's
+    slice is read from them.  A module-level generator, not a closure: a
+    closure that calls itself is a reference cycle, which would hold the
+    grid until the cyclic collector runs."""
     g = jet.grid
     kids = _children(idx, k_max)
     ops = [op for op, _ in kids]
@@ -302,15 +305,15 @@ def _walk(idx: MultiIndex, jet: Jet, k_max: int, extra: int,
     if not kids:
         G = None
     elif G is None:
-        G = sp.gradient_from_hat(g, jet.hat[:k_max - idx.order + extra])
+        G = sp.gradient_from_hat(g, jet.hat[:jet.levels])
     yield idx, jet, None if G is None else G[0]
     for op, kid in kids:
-        # the child keeps levels 0..k_max - order + extra; dt and scale~
+        # the child keeps one level fewer than its parent; dt and scale~
         # read one level more of the parent
-        keep = k_max - kid.order + extra + 1 + (op in ("dt", "scale"))
+        keep = jet.levels + (op in ("dt", "scale"))
         sub = _walk(kid, apply_field(
             op, Jet.from_hat(g, jet.hat[:keep], jet.t, jet.mu),
-            G if op in ("rot", "scale") else None), k_max, extra,
+            G if op in ("rot", "scale") else None), k_max,
             G[1:] if op == "dt" and op in readers else None)
         if op == last_reader:
             G = None
@@ -466,7 +469,8 @@ def _nonlinearity_hat(fam: DerivedFamily, idx: MultiIndex
     splits = list(_splittings(idx))
     D = {m: fam.stack(m) for m in {m for s in splits for m in s[:2]}}
     pairs = [(coef, D[left], D[right]) for left, right, coef in splits]
-    out = _quadratic_hat(fam.state.grid, pairs, fam.dealias, f3=True)
+    grid = fam.state.grid
+    out = _quadratic_hat(grid, pairs, fam.dealias, _Scratch(grid, 0, 6))
     if idx.order == 0:
         for a in out:
             a.flags.writeable = False

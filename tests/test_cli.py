@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -88,6 +90,19 @@ class TestSimulate:
         assert (out / "run_mu0.csv").exists()
         assert (out / "final_mu0.snap").exists()
 
+    def test_minus_zero_viscosity_is_zero(self, tmp_path, capsys):
+        # -0 is stored as 0: its files, its CSV column and its summary
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, mu="-0", extra=f"output_dir = {out}\n")
+        assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_OK
+        assert "(mu = 0," in capsys.readouterr().out
+        assert not [p.name for p in out.iterdir() if "-0" in p.name]
+        with open(out / "run_mu0.csv", encoding="utf-8") as fh:
+            assert {row["mu"] for row in csv.DictReader(fh)} == {"0"}
+        summary = json.loads((out / "summary_mu0.json").read_text(
+            encoding="utf-8"))
+        assert math.copysign(1.0, summary["mu"]) == 1.0
+
     def test_missing_config_exits_3(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--config", str(tmp_path / "none.ini")])
         assert rc == cli.EXIT_CONFIG
@@ -126,6 +141,9 @@ class TestSimulate:
         ("simulate", "sample_interval = 0.5", "sample_interval = 1e-12", {}),
         ("simulate", "box_len = 32.0", "box_len = inf", {}),
         ("sweep-mu", "mu = 0", "mu = 0 0", {}),
+        ("sweep-mu", "mu = 0", "mu = 0.1234567 0.1234568", {}),
+        ("converge", "mu = 0", "mu = 0 0.1234567 0.1234568 0.01", {}),
+        ("sweep-mu", "mu = 0", "mu = 0 -0", {}),
         ("simulate", "k_max = 1", "k_max = 1\n[stepper]\nscheme = rk3", {}),
         ("simulate", "k_max = 1",
          "k_max = 1\n[stepper]\ndt = 0.1\ncfl_factor = 0.3", {}),
@@ -136,7 +154,9 @@ class TestSimulate:
             "nan_amplitude", "inf_amplitude", "nan_support_radius", "nan_dt",
             "inf_dt", "negative_seed", "inf_sample_interval",
             "overflowing_sample_count", "too_many_samples",
-            "inf_box_len", "repeated_mu", "unknown_scheme",
+            "inf_box_len", "repeated_mu", "mu_of_one_name",
+            "converge_mu_of_one_name", "minus_zero_repeats_zero",
+            "unknown_scheme",
             "dt_and_cfl_factor"])
     def test_bad_config_exits_3_with_one_line(self, tmp_path, capsys,
                                               monkeypatch, command, old, new,
@@ -381,6 +401,7 @@ def assert_ends_cleanly(path, command):
     assert proc.returncode in (cli.EXIT_OK, cli.EXIT_CONFIG), proc.stderr
     assert proc.stderr.count("\n") <= 1, proc.stderr
     assert "Traceback" not in proc.stderr
+    return proc
 
 
 @pytest.mark.parametrize("command",
@@ -400,3 +421,15 @@ def test_box_short_of_the_light_cone_ends_cleanly(tmp_path, command):
     path = tmp_path / "tiny.ini"
     path.write_text(TINY_INI, encoding="utf-8")
     assert_ends_cleanly(path, command)
+
+
+@pytest.mark.parametrize("command",
+                         ["simulate", "sweep-mu", "converge", "audit"])
+def test_config_not_utf8_ends_cleanly(tmp_path, command):
+    # a Latin-1 byte in a comment: the file cannot be decoded, which is a
+    # config error
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(("# caf\xe9\n" + TINY_INI).encode("latin-1"))
+    proc = assert_ends_cleanly(path, command)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stderr.startswith("config error: cannot parse config: ")

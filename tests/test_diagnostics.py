@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 import ve2d.diagnostics as dg
 import ve2d.spectral as sp
 from ve2d.dynamics import evolve
+from ve2d.experiments import RunConfig, run_simulation
 from ve2d.families import (MultiIndex, _nonlinearity_hat, _splittings,
-                           derived_family)
+                           admissible_indices, derived_family)
 from ve2d.grid import Grid
 from ve2d.state import InitialDataParams, make_initial_data
 from spectral_ops import derivative, rotation
@@ -373,6 +375,47 @@ class TestSamplePass:
         # only the root is read twice
         assert {idx for idx in reads if reads.count(idx) > 1} <= {
             fam.indices[0]}
+
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    def test_a_new_term_is_one_key(self, state64, tmp_path, monkeypatch,
+                                   k_max):
+        # a term added to _member_terms for the members with a stack is
+        # summed over the orders <= k - 1 and recorded as Z{k} after G{k},
+        # with no other edit; the summary carries it as a series.  Here Z
+        # is each member's levels, k_max - order in a lean family, so the
+        # sums are exact
+        ref = dg.sample_state(state64, k_max).values
+        member_terms = dg._member_terms
+
+        def with_z(w, jet, D):
+            terms, sup = member_terms(w, jet, D)
+            if D is not None:
+                terms["Z"] = float(jet.levels)
+            return terms, sup
+
+        monkeypatch.setattr(dg, "_member_terms", with_z)
+        counts = [sum(idx.order == m for idx in admissible_indices(k_max))
+                  for m in range(k_max + 1)]
+        lean = derived_family(state64, k_max, residual=False)
+        for rec in (dg.sample_state(state64, k_max), dg.sample_record(lean)):
+            keys = list(rec.values)
+            z_keys = [key for key in keys if key.startswith("Z")]
+            assert z_keys == [f"Z{k}" for k in range(1, k_max + 1)]
+            for k in range(1, k_max + 1):
+                assert keys.index(f"Z{k}") == keys.index(f"G{k}") + 1
+                assert rec.values[f"Z{k}"] == sum(
+                    counts[m] * (k_max - m) for m in range(k))
+            rest = {key: v for key, v in rec.values.items() if key[0] != "Z"}
+            assert list(rest) == list(ref)
+            assert np.array_equal(list(rest.values()), list(ref.values()),
+                                  equal_nan=True)
+        run_simulation(RunConfig(n=16, box_len=8.0, t_final=1.0,
+                                 sample_interval=0.5, k_max=k_max,
+                                 output_dir=str(tmp_path)))
+        summary = json.loads((tmp_path / "summary_mu0.json").read_text(
+            encoding="utf-8"))
+        for k in range(1, k_max + 1):
+            assert len(summary[f"Z{k}"]) == 3
 
     def test_empty_cone_raises_for_the_sups_only(self, grid32):
         # at t = 30 no point of the L = 16 box has r >= <t>/2

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import ve2d.spectral as sp
-from ve2d.dynamics import (BlowUpError, StepperConfig, _products, choose_dt,
-                           evolve, rhs_potential, rhs_primitive, step,
-                           step_primitive)
+from ve2d.dynamics import (BlowUpError, StepperConfig, _products,
+                           _quadratic_hat, _Scratch, choose_dt, evolve,
+                           rhs_potential, rhs_primitive, step, step_primitive)
 from ve2d.families import base_jet
 from ve2d.grid import Grid
 from ve2d.state import (InitialDataParams, PotentialState, PrimitiveState,
@@ -151,6 +151,33 @@ def test_products_match_einsum_reference(n, f3, n_pairs):
     out = np.empty((5 + f3, n, n))
     assert _products(pairs, out, np.empty((2, n, n))) is out
     assert np.array_equal(out, reference_products(pairs, f3))
+
+
+def reference_quadratic_hat(grid, pairs, dealias, f3):
+    """(f1, ph) of the einsum products of a Leibniz sum, masked and
+    Riesz-summed as _quadratic_hat did when a flag f3 sized a fresh
+    scratch of 5 + f3 product rows."""
+    ph = sp._fft_masked(grid, reference_products(pairs, f3), dealias)
+    return np.einsum("rxy,rxy->xy", grid.f1_riesz, ph[:3]), ph
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("n_pairs", [1, 2, 3])
+def test_quadratic_hat_forms_f3_by_the_scratch_rows(grid32, n_pairs,
+                                                    dealias):
+    # the scratch is the one statement of f3: 6 product rows form it and
+    # 5 leave it out, bit for bit the flag form's output either way
+    n = grid32.n
+    rng = np.random.default_rng(n_pairs)
+    pairs = [(int(rng.choice([1, 2, 6])),
+              rng.standard_normal((3, 2, n, n)),
+              rng.standard_normal((3, 2, n, n))) for _ in range(n_pairs)]
+    for rows in (5, 6):
+        scratch = _Scratch(grid32, 0, rows)
+        f1h, ph = _quadratic_hat(grid32, pairs, dealias, scratch)
+        assert ph is scratch.spectra and len(ph) == rows
+        r1, rph = reference_quadratic_hat(grid32, pairs, dealias, rows == 6)
+        assert np.array_equal(f1h, r1) and np.array_equal(ph, rph)
 
 
 def random_pair(grid, seed):

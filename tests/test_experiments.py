@@ -55,9 +55,14 @@ class TestRunConfig:
             == 2 ** 19
 
     def test_repeated_viscosity_rejected(self):
-        # a sweep keys its report and its CSV names by mu
+        # a sweep keys its report and its CSV names by mu, named by %g:
+        # two viscosities of one name are one repeated, and -0 is 0
         with pytest.raises(ConfigError, match="repeated"):
             RunConfig(mu_list=(0.0, 0.1, 0.0))
+        with pytest.raises(ConfigError, match="repeated"):
+            RunConfig(mu_list=(0.1234567, 0.1234568))
+        with pytest.raises(ConfigError, match="repeated"):
+            RunConfig(mu_list=(0.0, -0.0))
 
     def test_empty_viscosity_list_rejected(self):
         with pytest.raises(ConfigError, match="mu needs at least one value"):

@@ -505,12 +505,13 @@ class TestDerivedFamily:
         assert sp.linf_norm(V_d12 - direct) < 1e-12
 
     @pytest.mark.parametrize("k_max, residual", [
-        *(pytest.param(k, True, id=f"{k}") for k in (1, 2, 3)),
+        *(pytest.param(k, True, id=f"{k}") for k in (0, 1, 2, 3)),
         *(pytest.param(k, False, id=f"lean-{k}") for k in (0, 1, 2, 3))])
     def test_member_levels(self, grid64, k_max, residual):
         # each member keeps levels 0..k_max - order + 1 (k_max - order
         # without the residual level), equal bit for bit to the same levels
-        # of the untrimmed apply_field chain
+        # of the untrimmed apply_field chain; the walk reads each batch
+        # and each child's slice from these levels
         st = random_state(grid64, 7)
         fam = derived_family(st, k_max, residual=residual)
         full = {ROOT: base_jet(st, k_max + 1)}
