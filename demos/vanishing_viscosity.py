@@ -7,7 +7,7 @@ linearly in mu (fitted order near 1).
 
 import numpy as np
 
-from ve2d.experiments import RunConfig, convergence_study
+from ve2d.experiments import RunConfig, convergence_study, mu_name
 from ve2d.state import InitialDataParams
 
 cfg = RunConfig(
@@ -22,12 +22,13 @@ cfg = RunConfig(
 
 report = convergence_study(cfg)
 
+# the table is keyed by viscosity name, positive viscosities descending
 print(f"{'mu':>8} {'||U_mu(T) - U_0(T)||':>22}")
-for mu in sorted(report["table"], reverse=True):
-    if mu > 0:
-        print(f"{mu:8.0e} {report['table'][mu]:22.6e}")
+for name, dist in report["table"].items():
+    if name != mu_name(0.0):
+        print(f"{name:>8} {dist:22.6e}")
 print(f"\nfitted order in mu: {report['fitted_order']:.3f}")
 
-ratios = np.array([report["table"][m] for m in (1e-1, 1e-2, 1e-3)])
+ratios = np.array([report["table"][mu_name(m)] for m in (1e-1, 1e-2, 1e-3)])
 print("successive ratios:", " ".join(f"{a/b:.1f}"
                                      for a, b in zip(ratios, ratios[1:])))

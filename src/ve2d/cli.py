@@ -14,7 +14,11 @@ converge.
 
 simulate and audit run only the first viscosity of [run] mu and do not
 read the others: with mu = 0 0.1, simulate writes run_mu0.csv alone.
-sweep-mu and converge run every listed viscosity.
+sweep-mu and converge run every listed viscosity.  sweep-mu prints
+max_E1_ratio and per_mu of its report, which sweep_summary.json also
+holds, and converge prints its report, which is convergence.json; both
+key each viscosity by its name (experiments.mu_name), as the file names
+do.
 """
 
 import argparse
@@ -25,7 +29,7 @@ import sys
 from .diagnostics import fit_decay
 from .dynamics import BlowUpError
 from .experiments import (ConfigError, RunConfig, audit, convergence_study,
-                          mu_name, run_simulation, sweep_viscosity)
+                          run_simulation, sweep_viscosity)
 
 EXIT_OK = 0
 EXIT_BLOWUP = 2
@@ -88,16 +92,10 @@ def main(argv=None) -> int:
                   f"(mu = {result.mu:g}, {len(result.records)} samples)")
         elif args.command == "sweep-mu":
             report = sweep_viscosity(cfg)
-            print(json.dumps({"max_E1_ratio": report["max_E1_ratio"],
-                              "per_mu": {mu_name(k): v for k, v in
-                                         report["per_mu"].items()}},
-                             indent=2))
+            print(json.dumps({k: report[k] for k in
+                              ("max_E1_ratio", "per_mu")}, indent=2))
         elif args.command == "converge":
-            report = convergence_study(cfg)
-            print(json.dumps({"table": {mu_name(k): v for k, v in
-                                        report["table"].items()},
-                              "fitted_order": report["fitted_order"]},
-                             indent=2))
+            print(json.dumps(convergence_study(cfg), indent=2))
         elif args.command == "audit":
             report = audit(cfg)
             print(json.dumps({k: report[k] for k in

@@ -171,13 +171,14 @@ def energies(fam: DerivedFamily) -> dict[str, float]:
     transform; calE_k reads the kept stacks.
     """
     out = _family_pass(fam)[1]
-    return {k: v for k, v in out.items() if k.startswith(("E", "calE"))}
+    # a key is its term's name and a one-digit order (k_max <= 3)
+    return {k: v for k, v in out.items() if k[:-1] in ("E", "calE")}
 
 
 def weighted_norms(fam: DerivedFamily) -> dict[str, float]:
     """X_k, Y_k, G_k for 1 <= k <= k_max."""
     out = _family_pass(fam)[1]
-    return {k: v for k, v in out.items() if k.startswith(("X", "Y", "G"))}
+    return {k: v for k, v in out.items() if k[:-1] in ("X", "Y", "G")}
 
 
 def good_unknown_norms(fam: DerivedFamily) -> dict:

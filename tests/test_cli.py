@@ -257,6 +257,22 @@ class TestSweepAndConverge:
         assert set(report["per_mu"]) == {"0", "0.1"}
         assert report["max_E1_ratio"] >= 1.0
 
+    def test_sweep_summary_keys_are_the_printed_names(self, tmp_path,
+                                                       capsys):
+        # sweep_summary.json, stdout and the CSV names key each viscosity
+        # by one name: 0.1234567 is 0.123457 in all three
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, mu="0 0.1234567",
+                           extra=f"output_dir = {out}\n")
+        assert cli.main(["sweep-mu", "--config", cfg]) == cli.EXIT_OK
+        printed = list(json.loads(capsys.readouterr().out)["per_mu"])
+        summary = json.loads((out / "sweep_summary.json").read_text(
+            encoding="utf-8"))
+        stems = sorted(p.stem for p in out.glob("run_mu*.csv"))
+        assert printed == ["0", "0.123457"]
+        assert list(summary["per_mu"]) == printed
+        assert stems == [f"run_mu{key}" for key in printed]
+
     def test_converge_requires_baseline(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mu="0.1 0.01 0.001")
         assert cli.main(["converge", "--config", cfg]) == cli.EXIT_CONFIG
@@ -298,6 +314,20 @@ class TestSweepAndConverge:
         assert set(report["table"]) == {"0", "0.1", "0.01", "0.001"}
         assert report["table"]["0.1"] > report["table"]["0.001"]
         assert "fitted_order" in report
+
+    def test_converge_prints_what_it_writes(self, tmp_path, capsys):
+        # stdout is convergence.json: the table keyed by name, positive
+        # viscosities descending and then 0, and the fitted order
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, mu="0 0.001 0.1 0.01",
+                           extra=f"output_dir = {out}\n")
+        assert cli.main(["converge", "--config", cfg]) == cli.EXIT_OK
+        printed = capsys.readouterr().out
+        assert printed == (out / "convergence.json").read_text(
+            encoding="utf-8") + "\n"
+        report = json.loads(printed)
+        assert list(report) == ["table", "fitted_order"]
+        assert list(report["table"]) == ["0.1", "0.01", "0.001", "0"]
 
 
 class TestAuditAndFit:

@@ -417,6 +417,30 @@ class TestSamplePass:
         for k in range(1, k_max + 1):
             assert len(summary[f"Z{k}"]) == 3
 
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    def test_functionals_select_exact_term_names(self, state64, monkeypatch,
+                                                 k_max):
+        # energies and weighted_norms select a key by its exact term name,
+        # not by a prefix: Etilde on every member and Gamma on the members
+        # with a stack reach the record and join neither
+        fam = derived_family(state64, k_max, residual=False)
+        ref = [dg.energies(fam), dg.weighted_norms(fam)]
+        member_terms = dg._member_terms
+
+        def with_lookalikes(w, jet, D):
+            terms, sup = member_terms(w, jet, D)
+            terms["Etilde"] = 1.0
+            if D is not None:
+                terms["Gamma"] = 1.0
+            return terms, sup
+
+        monkeypatch.setattr(dg, "_member_terms", with_lookalikes)
+        keys = dg.sample_record(fam).values
+        assert "Etilde0" in keys and ("Gamma1" in keys) == (k_max >= 1)
+        got = [dg.energies(fam), dg.weighted_norms(fam)]
+        assert [list(d.items()) for d in got] == [
+            list(d.items()) for d in ref]
+
     def test_empty_cone_raises_for_the_sups_only(self, grid32):
         # at t = 30 no point of the L = 16 box has r >= <t>/2
         st = make_initial_data(grid32, InitialDataParams(amplitude=0.01))

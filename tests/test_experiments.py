@@ -10,7 +10,7 @@ import ve2d.experiments as experiments
 import ve2d.families as families
 from ve2d.dynamics import StepperConfig
 from ve2d.experiments import (INI_KEYS, ConfigError, RunConfig, audit,
-                              convergence_study, run_simulation,
+                              convergence_study, mu_name, run_simulation,
                               state_l2_distance, sweep_viscosity,
                               worker_count, write_csv)
 from ve2d.families import commutator_residuals, derived_family
@@ -315,6 +315,28 @@ class TestRunSimulation:
         with pytest.raises(ConfigError, match="mu needs at least one value"):
             run_simulation(RunConfig(**{**SMALL, "mu_list": ()}))
 
+    @pytest.mark.parametrize("interval, fitted", [(0.25, True),
+                                                  (0.5, False)])
+    def test_summary_fits_good_sup_over_5_to_t(self, tmp_path, interval,
+                                                fitted):
+        # the summary holds fit_decay's exponent of good_sup over [5, T]
+        # where that window holds 8 samples (13 at an interval of 0.25)
+        # and neither key where it holds 7 (at 0.5)
+        cfg = RunConfig(n=32, box_len=32.0, t_final=8.0,
+                        sample_interval=interval, k_max=1,
+                        output_dir=str(tmp_path))
+        ts, good = run_simulation(cfg).series("good_sup")
+        summary = json.loads((tmp_path / "summary_mu0.json").read_text(
+            encoding="utf-8"))
+        keys = ("good_sup_exponent", "good_sup_exponent_stderr")
+        if fitted:
+            assert np.all(good[ts >= 5.0] > 0)
+            assert tuple(summary[k] for k in keys) == dg.fit_decay(
+                ts, good, 5.0, 8.0)
+        else:
+            assert np.count_nonzero(ts >= 5.0) == 7
+            assert not set(keys) & set(summary)
+
     def test_deterministic_rerun(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -328,7 +350,7 @@ class TestSweep:
     def test_two_member_sweep(self):
         cfg = RunConfig(**{**SMALL, "mu_list": (0.0, 0.1)})
         report = sweep_viscosity(cfg)
-        assert set(report["per_mu"]) == {0.0, 0.1}
+        assert set(report["per_mu"]) == {mu_name(0.0), mu_name(0.1)}
         assert report["max_E1_ratio"] >= 1.0
         for entry in report["per_mu"].values():
             assert entry["max_E1_ratio"] > 0
@@ -360,7 +382,7 @@ class TestSweep:
         cfg = RunConfig(**{**SMALL, "t_final": 0.5, "mu_list": mus})
         report = driver(cfg)
         assert sizes == [len(mus)]
-        assert set(report[key]) == set(mus)
+        assert set(report[key]) == {mu_name(mu) for mu in mus}
 
     def test_k_max_0_ratio_reads_e0(self):
         # k_max = 0 leaves E1 empty (NaN); the ratio reads E0 there, as
@@ -370,9 +392,9 @@ class TestSweep:
         report = sweep_viscosity(cfg)
         for res in report["runs"]:
             _, e0 = res.series("E0")
-            assert report["per_mu"][res.mu]["max_E1_ratio"] == (
+            assert report["per_mu"][mu_name(res.mu)]["max_E1_ratio"] == (
                 float(np.max(e0) / e0[0]))
-            assert report["per_mu"][res.mu]["max_E1_ratio"] >= 1.0
+            assert report["per_mu"][mu_name(res.mu)]["max_E1_ratio"] >= 1.0
         assert report["max_E1_ratio"] >= 1.0
 
     def test_k_max_3_records_cale3_exponent(self):
@@ -384,18 +406,19 @@ class TestSweep:
         res, = report["runs"]
         for col in ("calE2", "calE3"):
             ts, ce = res.series(col)
-            assert report["per_mu"][0.0][f"{col}_growth_exponent"] == (
-                dg.fit_decay(ts, ce, 1.0, ts[-1])[0])
+            assert report["per_mu"][mu_name(0.0)][
+                f"{col}_growth_exponent"] == dg.fit_decay(ts, ce, 1.0,
+                                                          ts[-1])[0]
         lower = sweep_viscosity(replace(cfg, k_max=2))
-        assert "calE3_growth_exponent" not in lower["per_mu"][0.0]
-        assert lower["per_mu"][0.0]["calE2_growth_exponent"] == (
-            report["per_mu"][0.0]["calE2_growth_exponent"])
+        assert "calE3_growth_exponent" not in lower["per_mu"][mu_name(0.0)]
+        assert lower["per_mu"][mu_name(0.0)]["calE2_growth_exponent"] == (
+            report["per_mu"][mu_name(0.0)]["calE2_growth_exponent"])
 
     @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
     def test_growth_exponents_of_orders_2_to_k_max(self, k_max):
         cfg = RunConfig(n=32, box_len=16.0, t_final=4.0,
                         sample_interval=0.25, k_max=k_max)
-        entry = sweep_viscosity(cfg)["per_mu"][0.0]
+        entry = sweep_viscosity(cfg)["per_mu"][mu_name(0.0)]
         assert set(entry) == {"max_E1_ratio", *(
             f"calE{k}_growth_exponent" for k in range(2, k_max + 1))}
 
@@ -438,8 +461,9 @@ class TestConvergence:
         base = run_simulation(cfg, mu=0.0).final_state
         for mu in (0.1, 0.01, 0.001):
             final = run_simulation(cfg, mu=mu).final_state
-            assert out["table"][mu] == state_l2_distance(final, base)
-        assert out["table"][0.0] == 0.0
+            assert out["table"][mu_name(mu)] == state_l2_distance(final,
+                                                                  base)
+        assert out["table"][mu_name(0.0)] == 0.0
 
     def test_distance_metric(self, small_run):
         st = small_run.final_state
