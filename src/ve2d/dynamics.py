@@ -406,9 +406,11 @@ def evolve(state: PotentialState, t_final: float,
     """Advance to t_final, choosing dt from the CFL rule unless given.
 
     callback(state) is invoked after every step.  The final step is
-    shortened to land exactly on t_final.  A given dt must be positive and
-    finite.
+    shortened to land exactly on t_final.  t_final must be finite, and a
+    given dt positive and finite.
     """
+    if not np.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
     if dt is not None and not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     s = state

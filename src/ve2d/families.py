@@ -104,31 +104,26 @@ class Jet:
     level, shape (M+1, 3, n, n//2+1); level m holds d_t^m of the fields.
     It is read-only, since a dt member and a trimmed parent share its
     buffer.  V (M+1, n, n), H (M+1, 2, n, n) and pair() are physical and
-    inverse-transformed on each access, except that a jet built from
-    physical fields (the constructor, or base_jet from a state) returns
-    its level 0 as given.
+    inverse-transformed on each access.
     """
 
     def __init__(self, grid: Grid, V: np.ndarray, H: np.ndarray, t: float,
                  mu: float):
         """Jet of the physical levels V (M+1, n, n) and H (M+1, 2, n, n)."""
         self._init(grid, sp.fft(np.concatenate((V[:, None], H), axis=1)),
-                   t, mu, (V[0], H[0]))
+                   t, mu)
 
     @classmethod
-    def from_hat(cls, grid: Grid, hat: np.ndarray, t: float, mu: float,
-                 level0: tuple[np.ndarray, np.ndarray] | None = None
-                 ) -> "Jet":
-        """Jet of the coefficients hat; level0, when given, is the physical
-        pair of level 0."""
+    def from_hat(cls, grid: Grid, hat: np.ndarray, t: float,
+                 mu: float) -> "Jet":
+        """Jet of the coefficients hat."""
         jet = cls.__new__(cls)
-        jet._init(grid, hat, t, mu, level0)
+        jet._init(grid, hat, t, mu)
         return jet
 
-    def _init(self, grid, hat, t, mu, level0):
+    def _init(self, grid, hat, t, mu):
         hat.flags.writeable = False
         self.grid, self.hat, self.t, self.mu = grid, hat, t, mu
-        self._level0 = level0
 
     @property
     def levels(self) -> int:
@@ -136,21 +131,13 @@ class Jet:
 
     @property
     def V(self) -> np.ndarray:
-        V = sp.ifft(self.hat[:, 0])
-        if self._level0 is not None:
-            V[0] = self._level0[0]
-        return V
+        return sp.ifft(self.hat[:, 0])
 
     @property
     def H(self) -> np.ndarray:
-        H = sp.ifft(self.hat[:, 1:])
-        if self._level0 is not None:
-            H[0] = self._level0[1]
-        return H
+        return sp.ifft(self.hat[:, 1:])
 
     def pair(self, level: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        if level == 0 and self._level0 is not None:
-            return self._level0
         u = sp.ifft(self.hat[level])
         return u[0], u[1:]
 
@@ -165,6 +152,8 @@ def base_jet(state: PotentialState, levels: int, dealias: bool = True) -> Jet:
     (V, H), and each level one batched inverse of its 6 gradients and one
     batched forward of the 5 summed products.
     """
+    if levels < 0:
+        raise ValueError(f"levels must be >= 0, got {levels}")
     return _base_jet(state, levels, dealias)[0]
 
 
@@ -186,7 +175,7 @@ def _base_jet(state: PotentialState, levels: int, dealias: bool
         if state.mu > 0:
             uh[m + 1, 0] -= state.mu * g.k_sq * uh[m, 0]
         uh[m + 1, 1:] = g.ik * uh[m, 0] + ph[3:]
-    return Jet.from_hat(g, uh, state.t, state.mu, (state.V, state.H)), D
+    return Jet.from_hat(g, uh, state.t, state.mu), D
 
 
 def time_derivative(state: PotentialState, order: int,
@@ -278,8 +267,8 @@ def _members(state: PotentialState, k_max: int = 2, dealias: bool = True,
     are held at once.  A stack is a view into a batch: a reader that
     keeps it keeps the batch.
     """
-    if k_max > 3:
-        raise ValueError("k_max > 3 is outside the supported desk scale")
+    if not 0 <= k_max <= 3:
+        raise ValueError(f"k_max must lie in [0, 3], got {k_max}")
     jet, D = _base_jet(state, k_max + residual, dealias)
     return _walk(MultiIndex(0, (0, 0, 0, 0)), jet, k_max, D)
 
@@ -352,7 +341,7 @@ class _Family:
 
     def fields(self, idx: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
         """(V^(alpha,a), H^(alpha,a)) at level 0, inverse-transformed on
-        each call except for the root, whose fields are the state's."""
+        each call."""
         return self._jets[idx].pair(0)
 
     def stack(self, idx: MultiIndex) -> np.ndarray:
@@ -424,7 +413,7 @@ class _StreamedFamily(_Family):
                     or (idx.alpha == 0 and 1 <= idx.order <= 2)):
                 jet = self._jets[idx]
                 self._jets[idx] = Jet.from_hat(
-                    jet.grid, jet.hat[:1].copy(), jet.t, jet.mu, jet._level0)
+                    jet.grid, jet.hat[:1].copy(), jet.t, jet.mu)
                 del jet
             else:
                 del self._jets[idx]

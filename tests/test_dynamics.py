@@ -395,17 +395,29 @@ class TestStep:
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
     def test_evolve_rejects_bad_dt(self, small_state, dt):
-        # a dt <= 0 never reaches t_final: stop after 3 steps, not hang
-        steps = []
+        # a dt <= 0 never reaches t_final
+        assert_evolve_rejects(small_state, "dt must be positive", dt=dt)
 
-        def stop_after_3(state):
-            steps.append(state.t)
-            if len(steps) >= 3:
-                raise RuntimeError(f"evolve stepped with dt = {dt}")
+    @pytest.mark.parametrize("t_final", [np.nan, -np.inf, np.inf])
+    def test_evolve_rejects_non_finite_t_final(self, small_state, t_final):
+        # t_final = +inf is never reached
+        assert_evolve_rejects(small_state, "t_final must be finite",
+                              t_final=t_final)
 
-        with pytest.raises(ValueError, match="dt must be positive"):
-            evolve(small_state, 0.1, CFG, dt=dt, callback=stop_after_3)
-        assert steps == []
+
+def assert_evolve_rejects(state, match, t_final=0.1, **kwargs):
+    """evolve raises ValueError before its first step; a run that would
+    never end stops after 3 steps instead of hanging."""
+    steps = []
+
+    def stop_after_3(s):
+        steps.append(s.t)
+        if len(steps) >= 3:
+            raise RuntimeError(f"evolve stepped to t = {t_final}, {kwargs}")
+
+    with pytest.raises(ValueError, match=match):
+        evolve(state, t_final, CFG, callback=stop_after_3, **kwargs)
+    assert steps == []
 
 
 def reference_rhs_primitive(state, cfg=CFG, include_viscosity=True):

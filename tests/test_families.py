@@ -236,15 +236,57 @@ class TestBaseJet:
         assert sp.linf_norm(dH - fd_H) < 1e-7
 
     def test_shapes_and_level_zero(self, evolved_state):
+        # level 0 is read from the coefficients, as every level is, and the
+        # transform pair gives the state's fields back to round-off
         jet = base_jet(evolved_state, 3)
         assert jet.levels == 3
         V0, H0 = jet.pair(0)
-        assert np.array_equal(V0, evolved_state.V)
-        assert np.array_equal(H0, evolved_state.H)
+        u0 = sp.ifft(jet.hat[0])
+        assert np.array_equal(V0, u0[0])
+        assert np.array_equal(H0, u0[1:])
+        for got, want in ((V0, evolved_state.V), (H0, evolved_state.H)):
+            assert sp.linf_norm(got - want) <= 2e-15 * sp.linf_norm(want)
 
     def test_time_derivative_requires_positive_order(self, evolved_state):
         with pytest.raises(ValueError):
             time_derivative(evolved_state, 0)
+
+
+def assert_read_from_hat(jet):
+    """Every physical read of jet is the inverse transform of its
+    coefficients, bit for bit."""
+    assert np.array_equal(jet.V, sp.ifft(jet.hat[:, 0]))
+    assert np.array_equal(jet.H, sp.ifft(jet.hat[:, 1:]))
+    for m in range(jet.levels + 1):
+        u = sp.ifft(jet.hat[m])
+        V, H = jet.pair(m)
+        assert np.array_equal(V, u[0]) and np.array_equal(H, u[1:]), m
+
+
+class TestOneReadPath:
+    # a jet holds its coefficients and nothing else: each field of every
+    # level, level 0 of the root too, is read one way
+    def test_constructed_jet(self, grid32):
+        V = np.stack([sp.random_band_limited(grid32, seed=s)
+                      for s in range(3)])
+        H = np.stack([[sp.random_band_limited(grid32, seed=10 * s + c)
+                       for c in (1, 2)] for s in range(3)])
+        assert_read_from_hat(Jet(grid32, V, H, 0.5, 0.0))
+
+    def test_base_jet(self, grid32):
+        assert_read_from_hat(base_jet(random_state(grid32, 5), 3))
+
+    @pytest.mark.parametrize("residual", [True, False],
+                             ids=["residual", "lean"])
+    def test_family_members(self, grid32, residual):
+        fam = derived_family(random_state(grid32, 5), 2, residual=residual)
+        for idx in fam.indices:
+            jet = fam.jet(idx)
+            assert_read_from_hat(jet)
+            u = sp.ifft(jet.hat[0])
+            V, H = fam.fields(idx)
+            assert np.array_equal(V, u[0]), idx
+            assert np.array_equal(H, u[1:]), idx
 
 
 class TestSeedForms:
@@ -688,6 +730,12 @@ class TestDerivedFamily:
     def test_k_max_guard(self, evolved_state):
         with pytest.raises(ValueError):
             derived_family(evolved_state, 4)
+        with pytest.raises(ValueError):
+            derived_family(evolved_state, -1)
+        with pytest.raises(ValueError):
+            sample_state(evolved_state, -1)
+        with pytest.raises(ValueError):
+            base_jet(evolved_state, -1)
 
 
 class TestKMax3:
