@@ -1,21 +1,27 @@
 """Right-hand sides and time integration, uniform in viscosity mu in [0, 1].
 
-One integrator, _if_rk4 (classical RK4 with the viscous semigroup applied
+One integrator, _IFRK4 (classical RK4 with the viscous semigroup applied
 as an exact spectral integrating factor), advances both forms.  Its
-contract: a physical stack of unknowns whose leading rows carry mu lap (V
-of (V, H1, H2); v1, v2 of (v1, v2, G11, G12, G21, G22)), and a coefficient
-kernel kernel(grid, uh, cfg, out, scratch) that writes the rest of the
-right-hand side into out, working in the buffers of scratch.  The stack is
-transformed forward once, the four stages run on rfft2 coefficients, where
-the integrating factor e^{-mu |k|^2 dt} is an elementwise multiply of the
-damped rows (on the others it is exactly 1, so they are not touched), and
-the result is transformed back once and checked to be finite.  The stage
-buffers and the kernel's scratch are allocated once per step, shared by
-its four stages and freed when it returns; no buffer outlives a step.
-With the coupling and nonlinearity switched off, a step therefore
-reproduces pure heat decay to machine precision, for every mu, and mu = 0
-degenerates to plain RK4 on the hyperbolic system.  rhs_potential and
-rhs_primitive are physical-space wrappers over the same kernels.
+contract: a stack of rfft2 coefficients of unknowns whose leading rows
+carry mu lap (V of (V, H1, H2); v1, v2 of (v1, v2, G11, G12, G21, G22)),
+and a coefficient kernel kernel(grid, uh, cfg, out, scratch) that writes
+the rest of the right-hand side into out, working in the buffers of
+scratch.  The four stages run on the coefficients, where the integrating
+factor e^{-mu |k|^2 dt} is an elementwise multiply of the damped rows (on
+the others it is exactly 1, so they are not touched).  The stage buffers
+and the kernel's scratch are allocated once per integrator and shared by
+all its stages.  step and step_primitive make one integrator per step:
+they transform the stack forward once, step it, transform it back once
+and check that it is finite.  evolve makes one per call and keeps the
+trajectory spectral: it transforms forward once, carries the coefficients
+from step to step, checking each step's, takes dt from the gradient of V
+that the first stage transforms back anyway, and transforms back once at
+the end (and after every step for a callback).  Its buffers are freed
+when it returns, so a sample never holds them.  With the coupling and
+nonlinearity switched off, a step therefore reproduces pure heat decay to
+machine precision, for every mu, and mu = 0 degenerates to plain RK4 on
+the hyperbolic system.  rhs_potential and rhs_primitive are
+physical-space wrappers over the same kernels.
 
 Each stage of the potential kernel, _rhs_hat, costs 11 real-field
 transforms: the 6 gradients of (V, H1, H2) back to physical space (the
@@ -88,12 +94,11 @@ class StepperConfig:
 
 class _Scratch:
     """The buffers a coefficient kernel writes one stage into, allocated by
-    _if_rk4 once per step and handed to each of its four stages: the
-    coefficients of the `fields` fields the kernel transforms back and
-    those fields, the `products` physical products and their spectra, and
-    `temps` real and two complex temporaries.  families.base_jet and the
-    commuted equations allocate one with no fields per call of
-    _quadratic_hat."""
+    _IFRK4 once and handed to each of its stages: the coefficients of the
+    `fields` fields the kernel transforms back and those fields, the
+    `products` physical products and their spectra, and `temps` real and
+    two complex temporaries.  families.base_jet and the commuted
+    equations allocate one with no fields per call of _quadratic_hat."""
 
     def __init__(self, grid: Grid, fields: int, products: int,
                  temps: int = 2):
@@ -202,7 +207,9 @@ def _rhs_hat(grid: Grid, uh: np.ndarray, cfg: StepperConfig,
     rfft2 coefficients of the stack (V, H1, H2) into out.  The coupling
     div H and grad V reads the ik products of the gradients.  The
     quadratic part costs one batched inverse transform of 6 gradients and
-    one batched forward transform of 5 products, all in scratch."""
+    one batched forward transform of 5 products, all in scratch; the first
+    two fields of scratch then hold grad V, which evolve's CFL rule
+    reads."""
     n, shape = grid.n, uh.shape[-2:]
     dh = scratch.coef.reshape(3, 2, *shape)          # dh[r, l] = d_l row r
     np.multiply(grid.ik, uh[:, None], out=dh)
@@ -245,8 +252,9 @@ def _rhs_primitive_hat(grid: Grid, uh: np.ndarray, cfg: StepperConfig,
         gG = f[10:].reshape(2, 2, 2, n, n)          # gG[i, j, l] = d_l G_ij
         P = s.prods
         np.einsum("lxy,ilxy->ixy", v, gv, out=P[:2])           # v.grad v
-        # G G^T is symmetric: its entries 11, 12, 22
-        np.einsum("rkxy,rkxy->rxy", G[[0, 0, 1]], G[[0, 1, 1]], out=P[2:5])
+        # G G^T is symmetric: its entries 11, 12, 22, each from views
+        for r, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
+            np.einsum("kxy,kxy->xy", G[i], G[j], out=P[2 + r])
         # (grad v) G - v.grad G
         np.einsum("ikxy,kjxy->ijxy", gv, G, out=P[5:].reshape(2, 2, n, n))
         P[5:] -= np.einsum("lxy,ijlxy->ijxy", v, gG,
@@ -306,71 +314,106 @@ def rhs_primitive(state: PrimitiveState,
     return d[:2], d[2:].reshape(state.G.shape)
 
 
+def _cfl_dt(grid: Grid, cfg: StepperConfig, grad_v: np.ndarray) -> float:
+    """dt = cfl * spacing / (1 + max|v|) from the gradient of V; unit wave
+    speed, viscosity free.  |grad_perp V| = |grad V|: perp only swaps and
+    negates."""
+    return cfg.cfl_factor * grid.spacing / (1.0 + sp.linf_norm(grad_v))
+
+
 def choose_dt(state: PotentialState, cfg: StepperConfig) -> float:
     """dt = cfl * spacing / (1 + max|v|); unit wave speed, viscosity free."""
-    # |grad_perp V| = |grad V|: perp only swaps and negates
-    v = sp.gradient(state.grid, state.V)
-    return cfg.cfl_factor * state.grid.spacing / (1.0 + sp.linf_norm(v))
+    return _cfl_dt(state.grid, cfg, sp.gradient(state.grid, state.V))
 
 
-def _if_rk4(kernel, scratch, state, u: np.ndarray, damped: int, dt: float,
-            cfg: StepperConfig) -> np.ndarray:
-    """The stack u of physical unknowns after one integrating-factor RK4
-    step of u' = mu lap u + kernel(u) from state.t, on the grid and with
-    the mu of state; mu lap acts on the first `damped` rows only.
+def _finite(u: np.ndarray, t: float) -> np.ndarray:
+    """u, if it is finite; BlowUpError(t) if not."""
+    if not np.all(np.isfinite(u)):
+        raise BlowUpError(t)
+    return u
+
+
+class _IFRK4:
+    """Integrating-factor RK4 on rfft2 coefficients: steps of
+    u' = mu lap u + kernel(u), with mu lap on the first `damped` rows of
+    the coefficient stack only.
 
     kernel(grid, uh, cfg, out, scratch) writes the rest of the right-hand
-    side of the rfft2 coefficients uh into out, so the heat semigroup is
-    an exact elementwise multiply; scratch(grid) allocates the buffers the
-    kernel works in.  The stage buffers and the scratch are allocated once
-    per call and shared by the four stages, and none outlives the step.
-    Raises BlowUpError if the result is not finite.
+    side of the coefficients uh into out, so the heat semigroup is an
+    exact elementwise multiply; scratch(grid) allocates the buffers the
+    kernel works in.  The stage buffers and the scratch are allocated
+    once per integrator and shared by every stage of every step.  A step
+    is two calls, so that a caller can read what the first stage left in
+    `scratch` before it fixes dt: first(uh) forms k1 = kernel(uh), which
+    does not depend on dt, and rest(uh, dt) the other three stages and
+    the new coefficients, written into the stage argument buffer `x` and
+    returned.  The caller checks them.
     """
-    g = state.grid
+
+    def __init__(self, kernel, scratch, grid: Grid, shape, damped: int,
+                 mu: float, cfg: StepperConfig):
+        self.kernel, self.grid, self.d, self.mu, self.cfg = (
+            kernel, grid, damped, mu, cfg)
+        self.scratch = scratch(grid)
+        self.k = np.empty((4,) + shape, dtype=complex)   # k1 .. k4
+        self.x = np.empty(shape, dtype=complex)          # a stage's argument
+
+    def first(self, uh: np.ndarray) -> None:
+        """k1 = kernel(uh), into k[0]."""
+        self.kernel(self.grid, uh, self.cfg, self.k[0], self.scratch)
+
+    def rest(self, uh: np.ndarray, dt: float) -> np.ndarray:
+        """The coefficients after a step of dt from uh, whose k1 first()
+        formed: the stages k2 .. k4 and their sum, into x."""
+        g, cfg, s, k, x, d = (self.grid, self.cfg, self.scratch, self.k,
+                              self.x, self.d)
+        # the heat factor of a half step, on the damped rows: on the others
+        # it is exp(-0) = 1, and multiplying by 1 is exact, so they are
+        # plain RK4.  The split stays: one body with a factor of ones on
+        # the undamped rows is bit-identical but slower (median 30.3 ->
+        # 31.6 ms a step at n = 256, mu = 1e-2, slower in 43 of 60 rounds,
+        # on a 2-core Xeon)
+        E = np.exp(-self.mu * g.k_sq * (dt / 2.0))
+        E2 = E * E
+        Eu, E2u = E * uh[:d], E2 * uh[:d]
+        # E (uh + dt/2 k1)
+        np.multiply(k[0], 0.5 * dt, out=x)
+        x += uh
+        x[:d] *= E
+        self.kernel(g, x, cfg, k[1], s)
+        # E uh + dt/2 k2
+        np.multiply(k[1], 0.5 * dt, out=x)
+        x[:d] += Eu
+        x[d:] += uh[d:]
+        self.kernel(g, x, cfg, k[2], s)
+        # E2 uh + dt E k3
+        np.multiply(k[2, :d], dt * E, out=x[:d])
+        np.multiply(k[2, d:], dt, out=x[d:])
+        x[:d] += E2u
+        x[d:] += uh[d:]
+        self.kernel(g, x, cfg, k[3], s)
+        # E2 uh + dt/6 (E2 k1 + 2 E (k2 + k3) + k4)
+        np.add(k[1], k[2], out=x)
+        x[:d] *= 2.0 * E
+        x[d:] *= 2.0
+        k[0, :d] *= E2
+        x += k[0]
+        x += k[3]
+        x *= dt / 6.0
+        x[:d] += E2u
+        x[d:] += uh[d:]
+        return x
+
+
+def _step_stack(kernel, scratch, state, u: np.ndarray, damped: int,
+                dt: float, cfg: StepperConfig) -> np.ndarray:
+    """The stack u of physical unknowns after one _IFRK4 step of dt from
+    state.t, with the mu of state: transformed forward once and back once.
+    Raises BlowUpError if the result is not finite."""
     uh = sp.fft(u)
-    d = damped
-    # the heat factor of a half step, on the damped rows: on the others it
-    # is exp(-0) = 1, and multiplying by 1 is exact, so they are plain RK4.
-    # The split stays: one body with a factor of ones on the undamped rows
-    # is bit-identical but slower (median 30.3 -> 31.6 ms a step at
-    # n = 256, mu = 1e-2, slower in 43 of 60 rounds, on a 2-core Xeon)
-    E = np.exp(-state.mu * g.k_sq * (dt / 2.0))
-    E2 = E * E
-    Eu, E2u = E * uh[:d], E2 * uh[:d]
-    k = np.empty((4,) + uh.shape, dtype=complex)     # k1 .. k4
-    x = np.empty_like(uh)                            # a stage's argument
-    s = scratch(g)
-    kernel(g, uh, cfg, k[0], s)
-    # E (uh + dt/2 k1)
-    np.multiply(k[0], 0.5 * dt, out=x)
-    x += uh
-    x[:d] *= E
-    kernel(g, x, cfg, k[1], s)
-    # E uh + dt/2 k2
-    np.multiply(k[1], 0.5 * dt, out=x)
-    x[:d] += Eu
-    x[d:] += uh[d:]
-    kernel(g, x, cfg, k[2], s)
-    # E2 uh + dt E k3
-    np.multiply(k[2, :d], dt * E, out=x[:d])
-    np.multiply(k[2, d:], dt, out=x[d:])
-    x[:d] += E2u
-    x[d:] += uh[d:]
-    kernel(g, x, cfg, k[3], s)
-    # E2 uh + dt/6 (E2 k1 + 2 E (k2 + k3) + k4)
-    np.add(k[1], k[2], out=x)
-    x[:d] *= 2.0 * E
-    x[d:] *= 2.0
-    k[0, :d] *= E2
-    x += k[0]
-    x += k[3]
-    x *= dt / 6.0
-    x[:d] += E2u
-    x[d:] += uh[d:]
-    un = sp.ifft(x)
-    if not np.all(np.isfinite(un)):
-        raise BlowUpError(state.t + dt)
-    return un
+    rk = _IFRK4(kernel, scratch, state.grid, uh.shape, damped, state.mu, cfg)
+    rk.first(uh)
+    return _finite(sp.ifft(rk.rest(uh, dt)), state.t + dt)
 
 
 def step(state: PotentialState, dt: float,
@@ -379,8 +422,8 @@ def step(state: PotentialState, dt: float,
 
     Raises BlowUpError if the result is not finite.
     """
-    u = _if_rk4(_rhs_hat, _potential_scratch, state,
-                np.concatenate((state.V[None], state.H)), 1, dt, cfg)
+    u = _step_stack(_rhs_hat, _potential_scratch, state,
+                    np.concatenate((state.V[None], state.H)), 1, dt, cfg)
     return PotentialState(grid=state.grid, V=u[0], H=u[1:], t=state.t + dt,
                           mu=state.mu)
 
@@ -392,11 +435,19 @@ def step_primitive(state: PrimitiveState, dt: float,
     Raises BlowUpError if the result is not finite.
     """
     g = state.grid
-    u = _if_rk4(_rhs_primitive_hat, _primitive_scratch, state,
-                np.concatenate((state.v, state.G.reshape(4, g.n, g.n))),
-                2, dt, cfg)
+    u = _step_stack(_rhs_primitive_hat, _primitive_scratch, state,
+                    np.concatenate((state.v, state.G.reshape(4, g.n, g.n))),
+                    2, dt, cfg)
     return PrimitiveState(grid=g, v=u[:2], G=u[2:].reshape(state.G.shape),
                           t=state.t + dt, mu=state.mu)
+
+
+def _potential_state(grid: Grid, uh: np.ndarray, t: float,
+                     mu: float) -> PotentialState:
+    """The physical state of the coefficients uh of (V, H1, H2) at t.
+    Raises BlowUpError if it is not finite."""
+    u = _finite(sp.ifft(uh), t)
+    return PotentialState(grid=grid, V=u[0], H=u[1:], t=t, mu=mu)
 
 
 def evolve(state: PotentialState, t_final: float,
@@ -405,19 +456,46 @@ def evolve(state: PotentialState, t_final: float,
            callback=None) -> PotentialState:
     """Advance to t_final, choosing dt from the CFL rule unless given.
 
-    callback(state) is invoked after every step.  The final step is
-    shortened to land exactly on t_final.  t_final must be finite, and a
-    given dt positive and finite.
+    The trajectory stays spectral: the coefficients of (V, H1, H2) are
+    transformed forward once, carried from step to step by one _IFRK4,
+    whose buffers live for this call only, and transformed back once at
+    the end.  The CFL rule reads max|grad V| from the gradients the first
+    stage transforms back anyway (with the nonlinearity off it transforms
+    them itself), so a step costs 44 fields and a call 6 more.  Each step
+    whose coefficients are not finite raises BlowUpError, and so does a
+    physical state that is not.
+
+    callback(state) is invoked after every step, with the physical state,
+    which costs 3 inverse fields a step; the last one is the state
+    returned.  The final step is shortened to land exactly on t_final.
+    t_final must be finite, and a given dt positive and finite.  A state
+    already at t_final is returned as it is.
     """
     if not np.isfinite(t_final):
         raise ValueError(f"t_final must be finite, got {t_final}")
     if dt is not None and not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    s = state
-    while s.t < t_final - 1e-12:
-        h = dt if dt is not None else choose_dt(s, cfg)
-        h = min(h, t_final - s.t)
-        s = step(s, h, cfg)
+    t, mu, g = state.t, state.mu, state.grid
+    if not t < t_final - 1e-12:
+        return state
+    uh = sp.fft(np.concatenate((state.V[None], state.H)))
+    rk = _IFRK4(_rhs_hat, _potential_scratch, g, uh.shape, 1, mu, cfg)
+    grad_v = rk.scratch.fields[:2]       # grad V, as _rhs_hat transforms it
+    while t < t_final - 1e-12:
+        rk.first(uh)
+        if dt is None:
+            if not cfg.nonlinear:        # the stage formed no gradients
+                sp.ifft(rk.scratch.coef[:2], out=grad_v)
+            h = _cfl_dt(g, cfg, grad_v)
+        else:
+            h = dt
+        h = min(h, t_final - t)
+        t = t + h
+        # the old coefficients become the next step's stage argument
+        uh, rk.x = _finite(rk.rest(uh, h), t), uh
         if callback is not None:
-            callback(s)
-    return s
+            out = _potential_state(g, uh, t, mu)
+            callback(out)
+    if callback is None:
+        out = _potential_state(g, uh, t, mu)
+    return out

@@ -323,6 +323,83 @@ def test_step_primitive_transform_budget(grid32, transforms):
     assert set(transforms) == {"rfft", "irfft"}
 
 
+def hand_loop(state, t_final, cfg, dt=None):
+    """evolve written out as steps of min(dt or choose_dt, t_final - t)."""
+    out, steps = state, 0
+    while out.t < t_final - 1e-12:
+        h = dt if dt is not None else choose_dt(out, cfg)
+        out = step(out, min(h, t_final - out.t), cfg)
+        steps += 1
+    return out, steps
+
+
+class TestSpectralEvolve:
+    """evolve carries the coefficients from step to step and reads dt from
+    its first stage; it is the hand loop of step and choose_dt up to
+    round-off."""
+
+    @pytest.mark.parametrize("dt", [None, 0.07], ids=["cfl", "given_dt"])
+    @pytest.mark.parametrize("mu", [0.0, 1e-2])
+    @pytest.mark.parametrize("switch", list(SWITCHES))
+    def test_matches_hand_loop(self, grid64, switch, mu, dt):
+        cfg = SWITCHES[switch]
+        V, H = random_pair(grid64, 3)
+        st = PotentialState(grid64, 0.05 * V, 0.05 * H, mu=mu)
+        ref, steps = hand_loop(st, 0.4, cfg, dt)
+        ts = []
+        out = evolve(st, 0.4, cfg, dt, callback=lambda s: ts.append(s.t))
+        assert len(ts) == steps >= 3
+        assert out.t == ref.t
+        for a, b in ((out.V, ref.V), (out.H, ref.H)):
+            assert sp.linf_norm(a - b) <= 1e-13 * sp.linf_norm(b)
+        # a callback reads the trajectory and does not change it
+        plain = evolve(st, 0.4, cfg, dt)
+        assert np.array_equal(plain.V, out.V)
+        assert np.array_equal(plain.H, out.H)
+
+    def test_callback_last_state_is_returned(self, small_state):
+        states = []
+        out = evolve(small_state, 0.5, CFG, callback=states.append)
+        assert states[-1].t == out.t == 0.5
+        assert np.array_equal(states[-1].V, out.V)
+        assert np.array_equal(states[-1].H, out.H)
+
+    @pytest.mark.parametrize("t_final", [0.0, -1.0])
+    def test_state_at_t_final_costs_nothing(self, small_state, transforms,
+                                            t_final):
+        assert evolve(small_state, t_final, CFG) is small_state
+        assert sum(transforms.values()) == 0
+
+    @pytest.mark.parametrize("field", ["V", "H"])
+    def test_blow_up_at_loop_time(self, small_state, field):
+        bad = {"V": small_state.V.copy(), "H": small_state.H.copy()}
+        bad[field][(0,) * bad[field].ndim] = np.nan if field == "V" else np.inf
+        st = replace(small_state, t=0.25, **bad)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(BlowUpError) as spectral:
+                evolve(st, 1.0, CFG, dt=0.1)
+            with pytest.raises(BlowUpError) as loop:
+                hand_loop(st, 1.0, CFG, dt=0.1)
+        assert spectral.value.t == loop.value.t == 0.25 + 0.1
+
+
+@pytest.mark.parametrize("with_callback", [False, True],
+                         ids=["plain", "callback"])
+def test_evolve_transform_budget(grid32, transforms, with_callback):
+    # 3 fields in and 3 out per call, and 44 a step: the 4 stages' 6
+    # gradients back and 5 products forward, dt read from the first
+    # stage's gradients; a callback's state costs 3 more a step.  The loop
+    # of step and choose_dt costs 53 a step
+    st = make_initial_data(grid32, InitialDataParams(amplitude=0.01,
+                                                     mu=1e-2))
+    _, steps = hand_loop(st, 1.0, CFG)
+    assert steps == 7
+    transforms.clear()
+    evolve(st, 1.0, CFG, callback=(lambda s: None) if with_callback else None)
+    assert sum(transforms.values()) <= (44 + 3 * with_callback) * steps + 6
+    assert set(transforms) == {"rfft", "irfft"}
+
+
 def energy(state):
     """E = 1/2 (|grad V|^2 + |grad H1|^2 + |grad H2|^2), = 1/2 (|v|^2 + |G|^2)
     in primitive form."""
