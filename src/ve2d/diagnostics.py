@@ -14,7 +14,12 @@ d_i H . omega_perp, which decay faster near the light cone r ~ t.
 Each of these is a sum over members of a per-member term, and one home,
 _member_terms, computes every term one member adds: E by Parseval of its
 rfft2 coefficients, and, for the members of order < k_max, calE, X, Y,
-G and the good-unknown sups from the member's stack.  _sample_pass
+G and the good-unknown sups from the member's stack.  A stack gives one
+pointwise density, sum_c |grad U_c|^2, whose sum is calE and whose dot
+with the shared weight <r - t>^2 is X; Y and G read the good unknowns
+per direction, which the sups read too: Y their radial projections
+omega . good (d_r V + d_r H . omega and d_r H . omega_perp, exactly),
+dotted with r^2, and G their squares, dotted with the kernel.  _sample_pass
 records every term by one rule: a term of level 0 (E) sums the orders
 <= k into its k-th value, a term of the stack the orders <= k - 1, and
 the terms come in the order the root returns them, so a new functional
@@ -37,8 +42,9 @@ state: each public entry point (sample_record, energies, weighted_norms,
 good_unknown_norms, identity_checks, weighted_sobolev_ratios and
 nonlinearity_decay_ratios) builds them once, as GeometryWeights(grid, t),
 and passes them to the helpers that read them.  They hold every field
-the members share, the kernel of G_k among them, so a member's terms
-form no weight of their own.
+the members share, the weights <r - t>^2 of X_k, r^2 of Y_k and the
+kernel of G_k among them, so a member's terms form no weight of their
+own.
 
 The inequality ratios are evaluated at the base state only, as the audit
 and the acceptance gate report them.  nonlinearity_decay_ratios reads the
@@ -67,12 +73,14 @@ class GeometryWeights:
         self.grid, self.t = grid, t
         r_true = grid.r
         self.r = np.maximum(r_true, grid.spacing)         # regularized
+        self.r_sq = self.r ** 2                           # weight of Y_k
         self.omega = np.stack([grid.x1 / self.r, grid.x2 / self.r])
         self.omega_perp = np.stack([-self.omega[1], self.omega[0]])
         sigma = r_true - t
         self.sigma_bracket = np.sqrt(1.0 + sigma ** 2)    # <r - t>, true r
+        self.sigma_sq = self.sigma_bracket ** 2           # weight of X_k
         self.eq = np.exp(np.arctan(sigma))                # ghost weight e^q
-        self.kernel = self.eq / self.sigma_bracket ** 2   # kernel of G_k
+        self.kernel = self.eq / self.sigma_sq             # kernel of G_k
         # the light cone region r >= <t>/2, and the points away from the
         # regularized origin, r >= spacing
         self.mask = r_true >= np.sqrt(1.0 + t * t) / 2.0
@@ -90,29 +98,48 @@ def _good_unknown_grads(w: GeometryWeights, D: np.ndarray):
     spatial direction i; its radial projection _radial(w, D) gives
     (d_r V + d_r H . omega, d_r H . omega_perp)."""
     dV, dH = D[0], D[1:]                      # dH[j] = d H_j
-    return (dV + dH[0] * w.omega[0] + dH[1] * w.omega[1],
-            dH[0] * w.omega_perp[0] + dH[1] * w.omega_perp[1])
+    # in place, in the order of dV + dH[0] w0 + dH[1] w1 (a sum of two
+    # terms is exact in either order), with one product temporary
+    good_r = np.multiply(dH[0], w.omega[0])
+    good_r += dV
+    term = np.multiply(dH[1], w.omega[1])
+    good_r += term
+    good_t = np.multiply(dH[0], w.omega_perp[0])
+    good_t += np.multiply(dH[1], w.omega_perp[1], out=term)
+    return good_r, good_t
 
 
 def _member_terms(w: GeometryWeights, jet, D) -> tuple[dict, tuple | None]:
     """What one member adds to the sample: its terms of the functionals,
     E by Parseval of its level-0 coefficients and, when it has a stack D
     (an order below k_max), calE, X, Y and G from D; and the masked
-    (radial, tangential) sups of its good unknowns, None without D."""
+    (radial, tangential) sups of its good unknowns, None without D.
+
+    The stack's one pointwise density S = sum_c |grad U_c|^2 gives calE as
+    its sum and X as its dot with <r - t>^2.  Y and G read the good
+    unknowns (good_r, good_t) per direction: their radial projections
+    omega . good_r = d_r V + d_r H . omega and omega . good_t =
+    d_r H . omega_perp are those of Y, whose summed squares are dotted
+    with r^2, and G dots the summed squares of good_r and good_t with
+    the kernel."""
     g = w.grid
     terms = {"E": sp.l2_norm_sq_hat(g, jet.hat[0])}
     if D is None:  # the stack terms sum orders <= k - 1 only
         return terms, None
-    gV, gH = D[0], D[1:]
-    terms["calE"] = sp.l2_norm_sq(g, gV) + sp.l2_norm_sq(g, gH)
-    terms["X"] = (sp.l2_norm_sq(g, w.sigma_bracket * gV)
-                  + sp.l2_norm_sq(g, w.sigma_bracket * gH))
-    good_rad, good_tan = _good_unknown_grads(w, _radial(w, D))
-    terms["Y"] = (sp.l2_norm_sq(g, w.r * good_rad)
-                  + sp.l2_norm_sq(g, w.r * good_tan))
+    h2 = g.spacing ** 2
+    S = np.einsum("cixy,cixy->xy", D, D)
+    terms["calE"] = float(np.sum(S)) * h2
+    terms["X"] = sp._dot(S, w.sigma_sq) * h2
     good_r, good_t = _good_unknown_grads(w, D)
-    terms["G"] = float(np.sum((good_r ** 2 + good_t ** 2) * w.kernel)
-                       * g.spacing ** 2)
+    rad = np.einsum("ixy,ixy->xy", w.omega, good_r)
+    tan = np.einsum("ixy,ixy->xy", w.omega, good_t)
+    rad *= rad
+    rad += np.multiply(tan, tan, out=tan)
+    terms["Y"] = sp._dot(rad, w.r_sq) * h2
+    # S is read; it now holds the density of G
+    np.einsum("ixy,ixy->xy", good_r, good_r, out=S)
+    S += np.einsum("ixy,ixy->xy", good_t, good_t, out=tan)
+    terms["G"] = sp._dot(S, w.kernel) * h2
     return terms, (
         float(np.max(np.abs(good_r), where=w.mask, initial=0.0)),
         float(np.max(np.abs(good_t), where=w.mask, initial=0.0)))
@@ -243,24 +270,35 @@ def _null_split(w: GeometryWeights, uh: np.ndarray, Dp: np.ndarray
     derivatives are freed on return, before the other identities.  The
     terms of (j, k) = (2, 1) are those of (1, 2) bit for bit, so the sup
     skips them.  The frame projections of d_j d_k H do not depend on i
-    and are formed once per (j, k)."""
+    and are formed once per (j, k).  Every pass writes into one of five
+    buffers, in the order of
+
+        lhs = d_iH'_1 d_jk H_1 + d_iH'_2 d_jk H_2 - d_iV' d_jk V
+        rhs = good_i dH_jk_r - d_iV' (d_jk V + dH_jk_r) + good_perp_i dH_jk_t
+
+    with dH_jk_r = d_jk H . omega and dH_jk_t = d_jk H . omega_perp."""
     gVp, gHp = Dp[0], Dp[1:]
     dd = _second_derivatives(w.grid, uh)
     ggV, ggH = dd[0], dd[1:]                   # [jk], [m, jk]
     res = 0.0
     goodV, goodT = _good_unknown_grads(w, Dp)
+    dH_r, dH_t, lhs, rhs, term = np.empty((5,) + ggV.shape[1:])
     for jk in range(3):
-        dH_jk_r = ggH[0, jk] * w.omega[0] + ggH[1, jk] * w.omega[1]
-        dH_jk_t = (ggH[0, jk] * w.omega_perp[0]
-                   + ggH[1, jk] * w.omega_perp[1])
+        np.multiply(ggH[0, jk], w.omega[0], out=dH_r)
+        dH_r += np.multiply(ggH[1, jk], w.omega[1], out=term)
+        np.multiply(ggH[0, jk], w.omega_perp[0], out=dH_t)
+        dH_t += np.multiply(ggH[1, jk], w.omega_perp[1], out=term)
         for i in range(2):
-            lhs = (gHp[0, i] * ggH[0, jk] + gHp[1, i] * ggH[1, jk]
-                   - gVp[i] * ggV[jk])
-            rhs = (goodV[i] * dH_jk_r
-                   - gVp[i] * (ggV[jk] + dH_jk_r)
-                   + goodT[i] * dH_jk_t)
-            res = max(res, float(np.max(np.abs(lhs - rhs),
-                                        where=w.interior, initial=0.0)))
+            np.multiply(gHp[0, i], ggH[0, jk], out=lhs)
+            lhs += np.multiply(gHp[1, i], ggH[1, jk], out=term)
+            lhs -= np.multiply(gVp[i], ggV[jk], out=term)
+            np.multiply(goodV[i], dH_r, out=rhs)
+            rhs -= np.multiply(gVp[i], np.add(ggV[jk], dH_r, out=term),
+                               out=term)
+            rhs += np.multiply(goodT[i], dH_t, out=term)
+            np.abs(np.subtract(lhs, rhs, out=term), out=term)
+            res = max(res, float(np.max(term, where=w.interior,
+                                        initial=0.0)))
     return res
 
 

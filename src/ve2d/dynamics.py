@@ -260,10 +260,13 @@ def _rhs_primitive_hat(grid: Grid, uh: np.ndarray, cfg: StepperConfig,
         P[5:] -= np.einsum("lxy,ijlxy->ijxy", v, gG,
                            out=s.tmp.reshape(2, 2, n, n)).reshape(4, n, n)
         ph = sp._fft_masked(grid, P, cfg.dealias, s.spectra)
-        # div(G G^T) - v.grad v
-        GGt = ph[[2, 3, 3, 4]].reshape(2, 2, *shape)
+        # div(G G^T) - v.grad v; row i of G G^T is the rows 2 + i, 3 + i
+        # of ph, read as views
         out[:2] -= ph[:2]
-        out[:2] += np.einsum("jxy,ijxy->ixy", grid.ik, GGt, out=s.ctmp)
+        for i in range(2):
+            np.einsum("jxy,jxy->xy", grid.ik, ph[2 + i:4 + i],
+                      out=s.ctmp[i])
+        out[:2] += s.ctmp
         out[2:] += ph[5:]
     # the pressure: dv is projected on every path, nonlinear or not
     out[:2] = sp.leray_hat(grid, out[:2])
@@ -336,7 +339,8 @@ def _finite(u: np.ndarray, t: float) -> np.ndarray:
 class _IFRK4:
     """Integrating-factor RK4 on rfft2 coefficients: steps of
     u' = mu lap u + kernel(u), with mu lap on the first `damped` rows of
-    the coefficient stack only.
+    the coefficient stack only; at mu = 0 on none, since the factor is
+    then exactly 1.
 
     kernel(grid, uh, cfg, out, scratch) writes the rest of the right-hand
     side of the coefficients uh into out, so the heat semigroup is an
@@ -353,7 +357,7 @@ class _IFRK4:
     def __init__(self, kernel, scratch, grid: Grid, shape, damped: int,
                  mu: float, cfg: StepperConfig):
         self.kernel, self.grid, self.d, self.mu, self.cfg = (
-            kernel, grid, damped, mu, cfg)
+            kernel, grid, damped if mu else 0, mu, cfg)
         self.scratch = scratch(grid)
         self.k = np.empty((4,) + shape, dtype=complex)   # k1 .. k4
         self.x = np.empty(shape, dtype=complex)          # a stage's argument
@@ -372,8 +376,9 @@ class _IFRK4:
         # plain RK4.  The split stays: one body with a factor of ones on
         # the undamped rows is bit-identical but slower (median 30.3 ->
         # 31.6 ms a step at n = 256, mu = 1e-2, slower in 43 of 60 rounds,
-        # on a 2-core Xeon)
-        E = np.exp(-self.mu * g.k_sq * (dt / 2.0))
+        # on a 2-core Xeon).  With no damped row, every [:d] pass below is
+        # empty and the factor is not formed
+        E = np.exp(-self.mu * g.k_sq * (dt / 2.0)) if d else 1.0
         E2 = E * E
         Eu, E2u = E * uh[:d], E2 * uh[:d]
         # E (uh + dt/2 k1)

@@ -51,8 +51,8 @@ keeps each member's scalars alone; the audit (experiments._family_checks)
 reads it through _StreamedFamily, forms each member's
 commutator_residuals as it is yielded and keeps only the stacks and
 level-0 coefficients that later readers need.  At n = 256 (numpy 2.4.6,
-tracemalloc) the streamed sample peaks at 25.7 MiB for k_max = 2 and
-40.8 MiB for k_max = 3, where the stored lean family alone peaks at 55.8
+tracemalloc) the streamed sample peaks at 26.7 MiB for k_max = 2 and
+41.8 MiB for k_max = 3, where the stored lean family alone peaks at 55.8
 and 162.8 MiB; the whole audit peaks at 74.1 and 127.7 MiB.
 """
 
@@ -191,7 +191,12 @@ def apply_field(op: str, jet: Jet, grads: np.ndarray | None = None) -> Jet:
 
     d_t shifts levels; d_1/d_2 multiply the coefficients by ik, with no
     transform.  rot~ and scale~ multiply the physical gradients of the
-    levels they read by x and transform the result forward once; scale~
+    levels they read by x and transform the result forward once.  Each
+    field's x2 product is formed in one field-sized buffer and combined
+    into the x1 products, and scale~ then adds t f^[m+1] + (m - 1) f^[m]
+    field by field in two more, each value in the order of the one
+    expression x1 d1 f + x2 d2 f + (t f^[m+1] + (m - 1) f^[m]), so no
+    temporary of the whole batch is formed but the x1 products.  scale~
     consumes one level, so the returned jet has one level fewer for d_t
     and scale~.  grads, when given, holds those gradients
     (spectral.gradient_from_hat of the first levels of jet.hat, at least
@@ -211,15 +216,27 @@ def apply_field(op: str, jet: Jet, grads: np.ndarray | None = None) -> Jet:
     if grads is None:
         grads = sp.gradient_from_hat(g, jet.hat[:out])
     G = grads[:out]
-    if op == "rot":
-        hat = sp.fft(g.x1 * G[:, :, 1] - g.x2 * G[:, :, 0])
+    # x1 d2 f - x2 d1 f (rot) or x1 d1 f + x2 d2 f (scale)
+    rot = op == "rot"
+    u = np.multiply(g.x1, G[:, :, int(rot)])
+    term = np.empty(u.shape[-2:])
+    for i in np.ndindex(u.shape[:-2]):
+        np.multiply(g.x2, G[i][int(not rot)], out=term)
+        (np.subtract if rot else np.add)(u[i], term, out=u[i])
+    del term  # freed before the transform allocates hat, and u after
+    hat = sp.fft(u)
+    del u
+    if rot:
         # modified rotation: rot~ H = rot H - H^perp, H^perp = (-H2, H1)
         hat[:, 1] += jet.hat[:, 2]
         hat[:, 2] -= jet.hat[:, 1]
     else:
-        m = np.arange(out)[:, None, None, None]
-        hat = sp.fft(g.x1 * G[:, :, 0] + g.x2 * G[:, :, 1])
-        hat += jet.t * jet.hat[1:] + (m - 1) * jet.hat[:-1]
+        # + (t f^[m+1] + (m - 1) f^[m]), field by field in two buffers
+        tf, lower = np.empty((2,) + hat.shape[-2:], dtype=complex)
+        for m, c in np.ndindex(hat.shape[:2]):
+            np.multiply(jet.t, jet.hat[m + 1, c], out=tf)
+            tf += np.multiply(m - 1, jet.hat[m, c], out=lower)
+            hat[m, c] += tf
     return Jet.from_hat(g, hat, jet.t, jet.mu)
 
 

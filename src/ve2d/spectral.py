@@ -149,13 +149,25 @@ def l2_norm_sq(grid: Grid, f: np.ndarray) -> float:
     return float(np.sum(f * f) * grid.spacing ** 2)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) of two arrays of one shape, with no product temporary:
+    np.einsum, single-threaded, where np.dot would hand an array of more
+    than 10000 elements to OpenBLAS threads, whose spinning helper slowed
+    the elementwise passes around it (2-vCPU Xeon)."""
+    return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1)))
+
+
 def l2_norm_sq_hat(grid: Grid, fh: np.ndarray) -> float:
     """l2_norm_sq of the fields with rfft2 coefficients fh, by Parseval:
     each column 0 < m2 < n/2 of the half spectrum stands for two conjugate
-    modes, so it has weight 2.  fh must be contiguous along its last axis."""
-    p = np.square(fh.view(float))       # re, im interleaved along axis -1
-    s = 2.0 * np.sum(p) - np.sum(p[..., :2]) - np.sum(p[..., -2:])
-    return float(s) * (grid.spacing / grid.n) ** 2
+    modes, so it has weight 2.  The sums are dots of the float view (re,
+    im interleaved) with itself, with no squared temporary: twice the
+    whole, less the columns m2 = 0 and n/2.  fh must be contiguous along
+    its last axis."""
+    p = fh.view(float)
+    edges = p[..., [0, 1, -2, -1]]
+    s = 2.0 * _dot(p, p) - _dot(edges, edges)
+    return s * (grid.spacing / grid.n) ** 2
 
 
 def linf_norm(f: np.ndarray) -> float:

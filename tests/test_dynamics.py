@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ve2d.dynamics as dynamics
 import ve2d.spectral as sp
 from ve2d.dynamics import (BlowUpError, StepperConfig, _products,
                            _quadratic_hat, _Scratch, choose_dt, evolve,
@@ -590,6 +591,42 @@ class TestReferencePrimitive:
             # each switch changes the step: none is a no-op
             if cfg != CFG:
                 assert sp.linf_norm(d - b) > 1e-10 * scale
+
+
+class _DampedRows(dynamics._IFRK4):
+    """The integrator that applies the heat factor to its damped rows at
+    every mu, 0 included."""
+
+    def __init__(self, kernel, scratch, grid, shape, damped, mu, cfg):
+        super().__init__(kernel, scratch, grid, shape, damped, mu, cfg)
+        self.d = damped
+
+
+class TestUndampedAtZeroViscosity:
+    # at mu = 0 the integrator damps no row: the heat factor is exactly 1,
+    # so each step equals, bit for bit, the one that applies it to the
+    # rows that mu lap would damp
+
+    @pytest.mark.parametrize("switch", list(SWITCHES))
+    def test_equals_the_damped_row_path(self, grid64, monkeypatch, switch):
+        cfg = SWITCHES[switch]
+        V, H = random_pair(grid64, 3)
+        st = PotentialState(grid64, 0.05 * V, 0.05 * H)
+        prim = off_potential_state(grid64, 0.0)
+
+        def run():
+            return (step(st, 0.05, cfg), step_primitive(prim, 0.05, cfg),
+                    evolve(st, 0.5, cfg))
+
+        got = run()
+        monkeypatch.setattr(dynamics, "_IFRK4", _DampedRows)
+        ref = run()
+        for a, b in zip(got, ref):
+            assert a.t == b.t
+            for name in ("V", "H", "v", "G"):
+                if hasattr(a, name):
+                    assert np.array_equal(getattr(a, name),
+                                          getattr(b, name)), name
 
 
 class TestPrimitiveConsistency:

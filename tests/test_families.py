@@ -499,6 +499,43 @@ class TestApplyField:
         with pytest.raises(ValueError):
             apply_field("curl", base_jet(evolved_state, 1))
 
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("mu", [0.0, 1e-2])
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    def test_walk_equals_the_one_expression_form(self, grid64, monkeypatch,
+                                                  k_max, mu, residual):
+        # apply_field combines the x-products of rot~ and scale~ and
+        # scale~'s t f^[m+1] + (m - 1) f^[m] field by field in buffers;
+        # every jet and stack of the walk equals, bit for bit, the walk
+        # whose rot~ and scale~ are the one-expression forms below
+        def one_expression(op, jet, grads=None):
+            if op not in ("rot", "scale"):
+                return apply_field(op, jet, grads)
+            g, out = jet.grid, jet.levels + (op == "rot")
+            if grads is None:
+                grads = sp.gradient_from_hat(g, jet.hat[:out])
+            G = grads[:out]
+            if op == "rot":
+                hat = sp.fft(g.x1 * G[:, :, 1] - g.x2 * G[:, :, 0])
+                hat[:, 1] += jet.hat[:, 2]
+                hat[:, 2] -= jet.hat[:, 1]
+            else:
+                m = np.arange(out)[:, None, None, None]
+                hat = sp.fft(g.x1 * G[:, :, 0] + g.x2 * G[:, :, 1])
+                hat += jet.t * jet.hat[1:] + (m - 1) * jet.hat[:-1]
+            return Jet.from_hat(g, hat, jet.t, jet.mu)
+
+        st = random_state(grid64, 11, mu)
+        st = PotentialState(st.grid, st.V, st.H, t=2.5, mu=mu)
+
+        got = list(_members(st, k_max, residual=residual))
+        monkeypatch.setattr(families, "apply_field", one_expression)
+        ref = list(_members(st, k_max, residual=residual))
+        assert [m[0] for m in got] == [m[0] for m in ref]
+        for (idx, jet, D), (_, ref_jet, ref_D) in zip(got, ref):
+            assert np.array_equal(jet.hat, ref_jet.hat), idx
+            assert (D is None and ref_D is None) or np.array_equal(D, ref_D)
+
 
 class TestCommutatorAlgebra:
     def test_spatial_fields_commute(self, evolved_state):
