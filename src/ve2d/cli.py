@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: simulate, sweep-mu, converge, audit, fit.  Exit codes:
-0 success, 2 blow-up, 3 configuration error.  converge also exits 3 when
+0 success, 2 blow-up, 3 configuration or usage error (an unknown
+subcommand, a missing or malformed option), with one line on stderr.  converge also exits 3 when
 a positive viscosity ends at distance 0 from the mu = 0 state, and fit
 when its window holds fewer than 8 samples or a time or value that is
 not positive (NaN included).
@@ -36,8 +37,17 @@ EXIT_BLOWUP = 2
 EXIT_CONFIG = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error as a config error: one line, exit 3,
+    so that a script can tell a typo from a blow-up (exit 2).  The
+    subparsers are made of this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ve2d",
         description="Pseudo-spectral runs and diagnostics for 2D "
                     "incompressible viscoelasticity in potential form.")

@@ -1,18 +1,25 @@
 """Right-hand sides and time integration, uniform in viscosity mu in [0, 1].
 
+Each form of the system is declared once, as a _Form record:
+_POTENTIAL for (V, H1, H2) and _PRIMITIVE for (v1, v2, G11, G12, G21,
+G22).  A record holds the form's coefficient kernel kernel(grid, uh, cfg,
+out, scratch), which writes the right-hand side without mu lap into out,
+working in the buffers of scratch; the _Scratch sizes the kernel works
+in; the number of leading rows that carry mu lap (V; v1, v2); the state
+class; and how a state stacks into its physical unknowns and splits
+back.  Adding a form is one more declaration.
+
 One integrator, _IFRK4 (classical RK4 with the viscous semigroup applied
-as an exact spectral integrating factor), advances both forms.  Its
-contract: a stack of rfft2 coefficients of unknowns whose leading rows
-carry mu lap (V of (V, H1, H2); v1, v2 of (v1, v2, G11, G12, G21, G22)),
-and a coefficient kernel kernel(grid, uh, cfg, out, scratch) that writes
-the rest of the right-hand side into out, working in the buffers of
-scratch.  The four stages run on the coefficients, where the integrating
-factor e^{-mu |k|^2 dt} is an elementwise multiply of the damped rows (on
-the others it is exactly 1, so they are not touched).  The stage buffers
-and the kernel's scratch are allocated once per integrator and shared by
-all its stages.  step and step_primitive make one integrator per step:
-they transform the stack forward once, step it, transform it back once
-and check that it is finite.  evolve makes one per call and keeps the
+as an exact spectral integrating factor), advances every form, and takes
+the record as the one argument that names it.  The four stages run on
+the rfft2 coefficients of the stack, where the integrating factor
+e^{-mu |k|^2 dt} is an elementwise multiply of the damped rows (on the
+others it is exactly 1, so they are not touched).  The stage buffers and
+the kernel's scratch are allocated once per integrator and shared by all
+its stages.  step and step_primitive are one helper, _step, over the two
+records: it makes one integrator, transforms the stack forward once,
+steps it, transforms it back once and checks that it is finite.  evolve
+reads the potential record, makes one integrator per call and keeps the
 trajectory spectral: it transforms forward once, carries the coefficients
 from step to step, checking each step's, takes dt from the gradient of V
 that the first stage transforms back anyway, and transforms back once at
@@ -20,8 +27,9 @@ the end (and after every step for a callback).  Its buffers are freed
 when it returns, so a sample never holds them.  With the coupling and
 nonlinearity switched off, a step therefore reproduces pure heat decay to
 machine precision, for every mu, and mu = 0 degenerates to plain RK4 on
-the hyperbolic system.  rhs_potential and rhs_primitive are
-physical-space wrappers over the same kernels.
+the hyperbolic system.  A given dt must be positive, finite and advance
+t, one rule (_check_dt) for the steps and evolve.  rhs_potential and rhs_primitive
+are one physical-space helper, _rhs, over the same records.
 
 Each stage of the potential kernel, _rhs_hat, costs 11 real-field
 transforms: the 6 gradients of (V, H1, H2) back to physical space (the
@@ -48,6 +56,7 @@ product row is formed in place, one pass per pointwise product and per
 sum, in the order an einsum over the fields would add them.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,15 +120,27 @@ class _Scratch:
         self.ctmp = np.empty((2, n, m), dtype=complex)
 
 
-def _potential_scratch(grid: Grid) -> _Scratch:
-    """Scratch of _rhs_hat: 6 gradients and 5 products."""
-    return _Scratch(grid, 6, 5)
+@dataclass(frozen=True)
+class _Form:
+    """One form of the system, declared once for _IFRK4 and for the step
+    and right-hand-side wrappers: the coefficient kernel(grid, uh, cfg,
+    out, scratch), which writes the right-hand side without mu lap into
+    out; the sizes of the _Scratch(grid, *sizes) it works in; the number
+    of leading rows of the stack that carry mu lap; the state class; how
+    a state stacks into its physical unknowns (stack), and how a stack
+    splits back into the fields of the state, in their order (split)."""
 
+    kernel: Callable
+    sizes: tuple
+    damped: int
+    state: type
+    stack: Callable
+    split: Callable
 
-def _primitive_scratch(grid: Grid) -> _Scratch:
-    """Scratch of _rhs_primitive_hat: v, G and their 12 gradients, 9
-    products, and the 4 terms v.grad G."""
-    return _Scratch(grid, 18, 9, 4)
+    def physical(self, grid: Grid, uh: np.ndarray, t: float, mu: float):
+        """The state at t of the coefficients uh of the stack.  Raises
+        BlowUpError if it is not finite."""
+        return self.state(grid, *self.split(_finite(sp.ifft(uh), t)), t, mu)
 
 
 def _product_rows(Da, Db, f3: bool):
@@ -273,6 +294,29 @@ def _rhs_primitive_hat(grid: Grid, uh: np.ndarray, cfg: StepperConfig,
     return out
 
 
+# the potential form: 6 gradients and 5 products in scratch
+_POTENTIAL = _Form(_rhs_hat, (6, 5), 1, PotentialState,
+                   lambda s: np.concatenate((s.V[None], s.H)),
+                   lambda u: (u[0], u[1:]))
+# the primitive form: v, G and their 12 gradients, 9 products and the 4
+# terms v.grad G in scratch
+_PRIMITIVE = _Form(_rhs_primitive_hat, (18, 9, 4), 2, PrimitiveState,
+                   lambda s: np.concatenate((s.v, *s.G)),
+                   lambda u: (u[:2], u[2:].reshape(2, 2, *u.shape[1:])))
+
+
+def _rhs(form: _Form, state, cfg: StepperConfig, include_viscosity: bool):
+    """The right-hand side of state in form, as the fields of its state
+    class, through the form's kernel: transformed forward once and back
+    once.  include_viscosity=False drops mu lap on the damped rows."""
+    g, d = state.grid, form.damped
+    uh = sp.fft(form.stack(state))
+    duh = form.kernel(g, uh, cfg, np.empty_like(uh), _Scratch(g, *form.sizes))
+    if include_viscosity and state.mu > 0:
+        duh[:d] -= state.mu * g.k_sq * uh[:d]
+    return form.split(sp.ifft(duh))
+
+
 def rhs_potential(state: PotentialState,
                   cfg: StepperConfig = StepperConfig(),
                   include_viscosity: bool = True
@@ -283,13 +327,7 @@ def rhs_potential(state: PotentialState,
     include_viscosity=False drops mu lap V (the stepper handles it exactly
     through the integrating factor).
     """
-    g = state.grid
-    uh = sp.fft(np.concatenate((state.V[None], state.H)))
-    duh = _rhs_hat(g, uh, cfg, np.empty_like(uh), _potential_scratch(g))
-    if include_viscosity and state.mu > 0:
-        duh[0] -= state.mu * g.k_sq * uh[0]
-    d = sp.ifft(duh)
-    return d[0], d[1:]
+    return _rhs(_POTENTIAL, state, cfg, include_viscosity)
 
 
 def rhs_primitive(state: PrimitiveState,
@@ -307,14 +345,7 @@ def rhs_primitive(state: PrimitiveState,
     nonlinearity switched off too.  include_viscosity=False drops mu lap
     v.
     """
-    g = state.grid
-    uh = sp.fft(np.concatenate((state.v, state.G.reshape(4, g.n, g.n))))
-    duh = _rhs_primitive_hat(g, uh, cfg, np.empty_like(uh),
-                             _primitive_scratch(g))
-    if include_viscosity and state.mu > 0:
-        duh[:2] -= state.mu * g.k_sq * uh[:2]
-    d = sp.ifft(duh)
-    return d[:2], d[2:].reshape(state.G.shape)
+    return _rhs(_PRIMITIVE, state, cfg, include_viscosity)
 
 
 def _cfl_dt(grid: Grid, cfg: StepperConfig, grad_v: np.ndarray) -> float:
@@ -337,28 +368,28 @@ def _finite(u: np.ndarray, t: float) -> np.ndarray:
 
 
 class _IFRK4:
-    """Integrating-factor RK4 on rfft2 coefficients: steps of
-    u' = mu lap u + kernel(u), with mu lap on the first `damped` rows of
-    the coefficient stack only; at mu = 0 on none, since the factor is
-    then exactly 1.
+    """Integrating-factor RK4 on rfft2 coefficients of a form's stack:
+    steps of u' = mu lap u + form.kernel(u), with mu lap on the first
+    form.damped rows only; at mu = 0 on none, since the factor is then
+    exactly 1.
 
-    kernel(grid, uh, cfg, out, scratch) writes the rest of the right-hand
-    side of the coefficients uh into out, so the heat semigroup is an
-    exact elementwise multiply; scratch(grid) allocates the buffers the
-    kernel works in.  The stage buffers and the scratch are allocated
-    once per integrator and shared by every stage of every step.  A step
-    is two calls, so that a caller can read what the first stage left in
-    `scratch` before it fixes dt: first(uh) forms k1 = kernel(uh), which
-    does not depend on dt, and rest(uh, dt) the other three stages and
-    the new coefficients, written into the stage argument buffer `x` and
-    returned.  The caller checks them.
+    The form (a _Form) is the one argument that names the system: its
+    kernel writes the rest of the right-hand side of the coefficients uh
+    into out, so the heat semigroup is an exact elementwise multiply, and
+    its sizes give the _Scratch the kernel works in.  The stage buffers
+    and the scratch are allocated once per integrator and shared by every
+    stage of every step.  A step is two calls, so that a caller can read
+    what the first stage left in `scratch` before it fixes dt: first(uh)
+    forms k1 = kernel(uh), which does not depend on dt, and rest(uh, dt)
+    the other three stages and the new coefficients, written into the
+    stage argument buffer `x` and returned.  The caller checks them.
     """
 
-    def __init__(self, kernel, scratch, grid: Grid, shape, damped: int,
-                 mu: float, cfg: StepperConfig):
+    def __init__(self, form: _Form, grid: Grid, shape, mu: float,
+                 cfg: StepperConfig):
         self.kernel, self.grid, self.d, self.mu, self.cfg = (
-            kernel, grid, damped if mu else 0, mu, cfg)
-        self.scratch = scratch(grid)
+            form.kernel, grid, form.damped if mu else 0, mu, cfg)
+        self.scratch = _Scratch(grid, *form.sizes)
         self.k = np.empty((4,) + shape, dtype=complex)   # k1 .. k4
         self.x = np.empty(shape, dtype=complex)          # a stage's argument
 
@@ -410,49 +441,45 @@ class _IFRK4:
         return x
 
 
-def _step_stack(kernel, scratch, state, u: np.ndarray, damped: int,
-                dt: float, cfg: StepperConfig) -> np.ndarray:
-    """The stack u of physical unknowns after one _IFRK4 step of dt from
-    state.t, with the mu of state: transformed forward once and back once.
-    Raises BlowUpError if the result is not finite."""
-    uh = sp.fft(u)
-    rk = _IFRK4(kernel, scratch, state.grid, uh.shape, damped, state.mu, cfg)
+def _check_dt(dt: float, t: float) -> None:
+    """The one rule on a given dt from t: positive, finite and above half
+    an ulp of t, so that t + dt > t; ValueError if not."""
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if t + dt == t:
+        raise ValueError(f"dt = {dt:g} does not advance t = {t:g}")
+
+
+def _step(form: _Form, state, dt: float, cfg: StepperConfig):
+    """The state of form after one _IFRK4 step of dt from state.t, with
+    the mu of state: transformed forward once and back once.  Raises
+    ValueError unless dt is positive, finite and advances state.t, and
+    BlowUpError if the result is not finite."""
+    _check_dt(dt, state.t)
+    uh = sp.fft(form.stack(state))
+    rk = _IFRK4(form, state.grid, uh.shape, state.mu, cfg)
     rk.first(uh)
-    return _finite(sp.ifft(rk.rest(uh, dt)), state.t + dt)
+    return form.physical(state.grid, rk.rest(uh, dt), state.t + dt, state.mu)
 
 
 def step(state: PotentialState, dt: float,
          cfg: StepperConfig = StepperConfig()) -> PotentialState:
     """One integrating-factor RK4 step of the potential system.
 
-    Raises BlowUpError if the result is not finite.
+    Raises ValueError unless dt is positive, finite and advances t, and
+    BlowUpError if the result is not finite.
     """
-    u = _step_stack(_rhs_hat, _potential_scratch, state,
-                    np.concatenate((state.V[None], state.H)), 1, dt, cfg)
-    return PotentialState(grid=state.grid, V=u[0], H=u[1:], t=state.t + dt,
-                          mu=state.mu)
+    return _step(_POTENTIAL, state, dt, cfg)
 
 
 def step_primitive(state: PrimitiveState, dt: float,
                    cfg: StepperConfig = StepperConfig()) -> PrimitiveState:
     """One integrating-factor RK4 step of the primitive system.
 
-    Raises BlowUpError if the result is not finite.
+    Raises ValueError unless dt is positive, finite and advances t, and
+    BlowUpError if the result is not finite.
     """
-    g = state.grid
-    u = _step_stack(_rhs_primitive_hat, _primitive_scratch, state,
-                    np.concatenate((state.v, state.G.reshape(4, g.n, g.n))),
-                    2, dt, cfg)
-    return PrimitiveState(grid=g, v=u[:2], G=u[2:].reshape(state.G.shape),
-                          t=state.t + dt, mu=state.mu)
-
-
-def _potential_state(grid: Grid, uh: np.ndarray, t: float,
-                     mu: float) -> PotentialState:
-    """The physical state of the coefficients uh of (V, H1, H2) at t.
-    Raises BlowUpError if it is not finite."""
-    u = _finite(sp.ifft(uh), t)
-    return PotentialState(grid=grid, V=u[0], H=u[1:], t=t, mu=mu)
+    return _step(_PRIMITIVE, state, dt, cfg)
 
 
 def evolve(state: PotentialState, t_final: float,
@@ -473,18 +500,19 @@ def evolve(state: PotentialState, t_final: float,
     callback(state) is invoked after every step, with the physical state,
     which costs 3 inverse fields a step; the last one is the state
     returned.  The final step is shortened to land exactly on t_final.
-    t_final must be finite, and a given dt positive and finite.  A state
-    already at t_final is returned as it is.
+    t_final must be finite, and a given dt positive, finite and large
+    enough to advance t (above half an ulp of it); ValueError if not.  A
+    state already at t_final is returned as it is.
     """
     if not np.isfinite(t_final):
         raise ValueError(f"t_final must be finite, got {t_final}")
-    if dt is not None and not 0.0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if dt is not None:
+        _check_dt(dt, state.t)
     t, mu, g = state.t, state.mu, state.grid
     if not t < t_final - 1e-12:
         return state
-    uh = sp.fft(np.concatenate((state.V[None], state.H)))
-    rk = _IFRK4(_rhs_hat, _potential_scratch, g, uh.shape, 1, mu, cfg)
+    uh = sp.fft(_POTENTIAL.stack(state))
+    rk = _IFRK4(_POTENTIAL, g, uh.shape, mu, cfg)
     grad_v = rk.scratch.fields[:2]       # grad V, as _rhs_hat transforms it
     while t < t_final - 1e-12:
         rk.first(uh)
@@ -493,14 +521,18 @@ def evolve(state: PotentialState, t_final: float,
                 sp.ifft(rk.scratch.coef[:2], out=grad_v)
             h = _cfl_dt(g, cfg, grad_v)
         else:
+            # t grows, and a given dt below half an ulp of it would never
+            # end the loop; a CFL dt that small means blow-up, which the
+            # finite check reports
+            _check_dt(dt, t)
             h = dt
         h = min(h, t_final - t)
         t = t + h
         # the old coefficients become the next step's stage argument
         uh, rk.x = _finite(rk.rest(uh, h), t), uh
         if callback is not None:
-            out = _potential_state(g, uh, t, mu)
+            out = _POTENTIAL.physical(g, uh, t, mu)
             callback(out)
     if callback is None:
-        out = _potential_state(g, uh, t, mu)
+        out = _POTENTIAL.physical(g, uh, t, mu)
     return out

@@ -418,6 +418,31 @@ class TestAuditAndFit:
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["bogus"],
+    ["fit", "--csv", "run.csv", "--column", "E1", "--t0", "abc", "--t1", "2"],
+    ["simulate", "--config"],
+], ids=["no_config", "unknown_command", "non_numeric_t0", "config_no_value"])
+def test_usage_error_exits_3_with_one_line(capsys, argv):
+    # a typo is a usage error, which a script can tell from a blow-up (2)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("ve2d")
+    assert ": error: " in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_OK
+    assert "usage: ve2d" in capsys.readouterr().out
+
+
 def assert_ends_cleanly(path, command):
     """`python -m ve2d.cli command --config path` succeeds or names a
     config error in one line, and does not end in a traceback."""

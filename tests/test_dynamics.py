@@ -482,6 +482,31 @@ class TestStep:
         assert_evolve_rejects(small_state, "t_final must be finite",
                               t_final=t_final)
 
+    def test_evolve_rejects_a_dt_that_does_not_advance_t(self, small_state):
+        # half an ulp of 16 is 1.8e-15, so t + 1e-15 == t at t = 16 and
+        # the loop would never reach t_final
+        assert_evolve_rejects(replace(small_state, t=16.0),
+                              "does not advance t", t_final=16.5, dt=1e-15)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
+    @pytest.mark.parametrize("stepper, form", [
+        (step, lambda s: s), (step_primitive, primitive_of)],
+        ids=["potential", "primitive"])
+    def test_steps_reject_bad_dt(self, small_state, stepper, form, dt):
+        # evolve's rule: not a state at t = -0.1, nor one at the same t
+        # that moved by round-off, nor a blow-up at t = nan
+        with pytest.raises(ValueError, match="dt must be positive"):
+            stepper(form(small_state), dt, CFG)
+
+    @pytest.mark.parametrize("stepper, form", [
+        (step, lambda s: s), (step_primitive, primitive_of)],
+        ids=["potential", "primitive"])
+    def test_steps_reject_a_dt_that_does_not_advance_t(self, small_state,
+                                                        stepper, form):
+        # not a state at t = 16 whose fields moved by a step of 1e-15
+        with pytest.raises(ValueError, match="does not advance t"):
+            stepper(form(replace(small_state, t=16.0)), 1e-15, CFG)
+
 
 def assert_evolve_rejects(state, match, t_final=0.1, **kwargs):
     """evolve raises ValueError before its first step; a run that would
@@ -593,13 +618,31 @@ class TestReferencePrimitive:
                 assert sp.linf_norm(d - b) > 1e-10 * scale
 
 
+@pytest.mark.parametrize("form, shapes", [
+    (dynamics._POTENTIAL, ((), (2,))),
+    (dynamics._PRIMITIVE, ((2,), (2, 2)))],
+    ids=["potential", "primitive"])
+def test_form_splits_its_stack_back(grid32, form, shapes):
+    rng = np.random.default_rng(29)
+    n = grid32.n
+    want = [rng.standard_normal(s + (n, n)) for s in shapes]
+    u = form.stack(form.state(grid32, *want))
+    got = form.split(u)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+    # the stack leads with the rows that mu lap damps (V; v1, v2)
+    assert np.array_equal(u[:form.damped].reshape(want[0].shape), want[0])
+
+
 class _DampedRows(dynamics._IFRK4):
     """The integrator that applies the heat factor to its damped rows at
     every mu, 0 included."""
 
-    def __init__(self, kernel, scratch, grid, shape, damped, mu, cfg):
-        super().__init__(kernel, scratch, grid, shape, damped, mu, cfg)
-        self.d = damped
+    def __init__(self, form, grid, shape, mu, cfg):
+        super().__init__(form, grid, shape, mu, cfg)
+        self.d = form.damped
 
 
 class TestUndampedAtZeroViscosity:
