@@ -509,12 +509,12 @@ def evolve(state: PotentialState, t_final: float,
     if dt is not None:
         _check_dt(dt, state.t)
     t, mu, g = state.t, state.mu, state.grid
-    if not t < t_final - 1e-12:
+    if not t < t_final:
         return state
     uh = sp.fft(_POTENTIAL.stack(state))
     rk = _IFRK4(_POTENTIAL, g, uh.shape, mu, cfg)
     grad_v = rk.scratch.fields[:2]       # grad V, as _rhs_hat transforms it
-    while t < t_final - 1e-12:
+    while t < t_final:
         rk.first(uh)
         if dt is None:
             if not cfg.nonlinear:        # the stage formed no gradients
@@ -527,7 +527,7 @@ def evolve(state: PotentialState, t_final: float,
             _check_dt(dt, t)
             h = dt
         h = min(h, t_final - t)
-        t = t + h
+        t = t_final if h == t_final - t else t + h
         # the old coefficients become the next step's stage argument
         uh, rk.x = _finite(rk.rest(uh, h), t), uh
         if callback is not None:

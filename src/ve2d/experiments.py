@@ -40,7 +40,7 @@ from . import diagnostics as dg
 from . import spectral as sp
 from . import svg
 from .dynamics import BlowUpError, StepperConfig, evolve
-from .families import _StreamedFamily, commutator_residuals
+from .families import _Family, commutator_residuals
 from .grid import Grid
 from .state import (InitialDataParams, PotentialState, make_initial_data,
                     write_snapshot)
@@ -468,8 +468,16 @@ def _family_checks(state: PotentialState, k_max: int, dealias: bool
     ratios.  One walk, no stored family: each residual is formed as the
     walk yields its member, which is then dropped unless a later residual
     or the ratios read it."""
-    fam = _StreamedFamily(state, k_max, dealias)
-    residuals = {idx: commutator_residuals(fam, idx) for idx in fam.walk()}
+    def keep(idx):
+        # level 0 of the U^(l,a) a later viscous term reads (order < k_max,
+        # at mu > 0) and of the U^(0,a) with |a| = 1 or 2, which
+        # nonlinearity_decay_ratios reads
+        return ((state.mu > 0 and idx.order < k_max)
+                or (idx.alpha == 0 and 1 <= idx.order <= 2))
+
+    fam = _Family(state, k_max, dealias, residual=True)
+    residuals = {idx: commutator_residuals(fam, idx)
+                 for idx in fam.walk(keep)}
     commutators = {str(idx): dict(zip(("r1", "r2", "r3"), residuals[idx]))
                    for idx in fam.indices}
     return commutators, dg.nonlinearity_decay_ratios(fam)

@@ -16,10 +16,9 @@ Jets hold rfft2 coefficients from end to end (Boyd, Chebyshev and Fourier
 Spectral Methods, 2001): d_t is a slice, d_1 and d_2 are a multiply by ik,
 and only rot~ and scale~, which multiply by x, visit physical space: one
 inverse batch of gradients per parent and one forward batch per child.
-No gradients are transformed twice where sharing them holds no batch
-longer: the root's batch is the stacks base_jet builds its levels from,
-and a d_t child's is its parent's from level 1 on whenever the parent
-holds it until then anyway.  Readers inverse-transform what they need.
+No gradients are transformed twice: the root's batch is the stacks
+base_jet builds its levels from, and a d_t child's is its parent's from
+level 1 on.  Readers inverse-transform what they need.
 
 Which levels a family builds depends on its reader.  Every sample
 functional reads level 0 of each member, so a family built for sampling
@@ -45,15 +44,16 @@ operators at or outside its outermost one, in canonical order
 walk can be read member by member by a reader of the Leibniz splittings
 too.  A member's jet holds exactly the levels its descendants read, so
 the walk reads from jet.levels how many levels its gradient batch has
-and how many of them each child takes.  DerivedFamily stores what the
-walk yields, for the public API; diagnostics.sample_state streams it and
-keeps each member's scalars alone; the audit (experiments._family_checks)
-reads it through _StreamedFamily, forms each member's
-commutator_residuals as it is yielded and keeps only the stacks and
-level-0 coefficients that later readers need.  At n = 256 (numpy 2.4.6,
-tracemalloc) the streamed sample peaks at 26.7 MiB for k_max = 2 and
-41.8 MiB for k_max = 3, where the stored lean family alone peaks at 55.8
-and 162.8 MiB; the whole audit peaks at 74.1 and 127.7 MiB.
+and how many of them each child takes.  _Family.walk holds what the
+walk yields: DerivedFamily walks to the end and keeps every jet, for the
+public API; the audit (experiments._family_checks) forms each member's
+commutator_residuals as it is yielded and keeps, by its own rule, only
+the stacks and the level-0 coefficients that later readers need.
+diagnostics.sample_state streams the walk itself and keeps each member's
+scalars alone.  At n = 256 (numpy 2.4.6, tracemalloc) the streamed
+sample peaks at 26.7 MiB for k_max = 2 and 41.8 MiB for k_max = 3, where
+the stored lean family alone peaks at 55.8 and 162.8 MiB; the whole
+audit peaks at 74.1 and 127.7 MiB.
 """
 
 from itertools import product
@@ -200,8 +200,8 @@ def apply_field(op: str, jet: Jet, grads: np.ndarray | None = None) -> Jet:
     consumes one level, so the returned jet has one level fewer for d_t
     and scale~.  grads, when given, holds those gradients
     (spectral.gradient_from_hat of the first levels of jet.hat, at least
-    as many as the result has): the rot~ and scale~ children of one parent
-    share them.
+    as many as the result has; ValueError if fewer): the rot~ and scale~
+    children of one parent share them.
     """
     g = jet.grid
     if op in ("dt", "scale") and jet.levels < 1:
@@ -215,6 +215,9 @@ def apply_field(op: str, jet: Jet, grads: np.ndarray | None = None) -> Jet:
     out = jet.levels + (op == "rot")
     if grads is None:
         grads = sp.gradient_from_hat(g, jet.hat[:out])
+    elif len(grads) < out:
+        raise ValueError(f"{op} reads the gradients of {out} levels, "
+                         f"grads holds {len(grads)}")
     G = grads[:out]
     # x1 d2 f - x2 d1 f (rot) or x1 d1 f + x2 d2 f (scale)
     rot = op == "rot"
@@ -256,9 +259,9 @@ def _children(idx: MultiIndex, k_max: int) -> list[tuple[str, MultiIndex]]:
 def _members(state: PotentialState, k_max: int = 2, dealias: bool = True,
              residual: bool = True):
     """Every member of the family of state, as (idx, jet, stack), depth
-    first over the canonical words (_children): the walk DerivedFamily
-    stores, diagnostics.sample_state streams and the audit reads member by
-    member (_StreamedFamily).
+    first over the canonical words (_children): the walk _Family.walk
+    holds (for DerivedFamily and the audit) and diagnostics.sample_state
+    streams.
 
     Each parent's children come in _CANONICAL order, so every member
     comes after every sub-index of it, all that its Leibniz splittings
@@ -270,19 +273,16 @@ def _members(state: PotentialState, k_max: int = 2, dealias: bool = True,
     k_max yields None and has no children.
 
     The root's batch is the stacks base_jet built its levels from
-    (_base_jet).  A d_t child is its
-    parent's jet one level down, so when it has children its batch is its
-    parent's from level 1 on, a view, if the parent holds its batch until
-    after that child anyway: the root and the pure rot~ words, whose rot~
-    child comes last, and the d_t children that read their parent's.
-    Every other member of order < k_max transforms its own (at k_max = 3,
-    d_t d_1 and d_t d_2: holding the batch of d_1 or d_2 for them would
-    hold three batches at once).  A parent frees its batch once its last
-    reader is built: its scale~ child, the first, its rot~ child, the
-    last, and the d_t child that reads it.  It frees its jet once its
-    last child is built, so only the members on the path from the root
-    are held at once.  A stack is a view into a batch: a reader that
-    keeps it keeps the batch.
+    (_base_jet).  A d_t child is its parent's jet one level down, so when
+    it has children its batch is its parent's from level 1 on, a view;
+    every other member of order < k_max transforms its own.  A parent
+    frees its batch once its last reader is built: its scale~ child, the
+    first, its d_t child when that has children, and its rot~ child, the
+    last.  So at most one batch per order on the path from the root is
+    alive, k_max in all.  A parent frees its jet once its last child is
+    built, so only the members on the path from the root are held at
+    once.  A stack is a view into a batch: a reader that keeps it keeps
+    the batch.
     """
     if not 0 <= k_max <= 3:
         raise ValueError(f"k_max must lie in [0, 3], got {k_max}")
@@ -300,14 +300,10 @@ def _walk(idx: MultiIndex, jet: Jet, k_max: int,
     grid until the cyclic collector runs."""
     g = jet.grid
     kids = _children(idx, k_max)
-    ops = [op for op, _ in kids]
-    # a given batch (the root's, or a view of an ancestor's) and one that
-    # waits for a rot~ child outlive the d_t child, which reads it when it
-    # has children
-    readers = {"scale", "rot"}
-    if idx.order + 1 < k_max and (G is not None or "rot" in ops):
-        readers.add("dt")
-    last_reader = next((op for op in reversed(ops) if op in readers), None)
+    # the children that read the batch: scale~, rot~, and d_t when it has
+    # children (from level 1 on)
+    readers = [op for op, kid in kids
+               if op in ("scale", "rot") or (op == "dt" and kid.order < k_max)]
     if not kids:
         G = None
     elif G is None:
@@ -321,7 +317,7 @@ def _walk(idx: MultiIndex, jet: Jet, k_max: int,
             op, Jet.from_hat(g, jet.hat[:keep], jet.t, jet.mu),
             G if op in ("rot", "scale") else None), k_max,
             G[1:] if op == "dt" and op in readers else None)
-        if op == last_reader:
+        if op == readers[-1]:
             G = None
         if kid == kids[-1][1]:
             del jet
@@ -331,8 +327,7 @@ def _walk(idx: MultiIndex, jet: Jet, k_max: int,
 class _Family:
     """Members of one walk held by index, read through jet, stack and
     fields, as commutator_residuals, nonlinearity_f and
-    diagnostics.nonlinearity_decay_ratios read them: every member
-    (DerivedFamily) or only what later readers need (_StreamedFamily).  A
+    diagnostics.nonlinearity_decay_ratios read them.  walk() fills it.  A
     kept stack is a copy of the yielded slice, so the batch behind it is
     freed."""
 
@@ -348,10 +343,26 @@ class _Family:
         # the root's product spectra, formed once (_nonlinearity_hat)
         self._root_hat = None
 
-    def _hold(self, idx: MultiIndex, jet: Jet, stack) -> None:
-        self._jets[idx] = jet
-        if stack is not None:
-            self._stacks[idx] = stack.copy()
+    def walk(self, keep=None):
+        """Hold each member as _members yields it and yield its index, so
+        commutator_residuals(fam, idx) can be called as idx is yielded:
+        every sub-index of it is held by then.  When the caller moves on,
+        the member's jet stays whole, or, given keep, only its level-0
+        coefficients (copied) where keep(idx) is true and nothing
+        elsewhere.  The stacks of the members of order < k_max all stay."""
+        for idx, jet, stack in _members(self.state, self.k_max,
+                                        self.dealias, self.residual):
+            self._jets[idx] = jet
+            if stack is not None:
+                self._stacks[idx] = stack.copy()
+            del jet, stack  # the walk frees its own after the last child
+            yield idx
+            if keep is not None:
+                jet = self._jets.pop(idx)
+                if keep(idx):
+                    self._jets[idx] = Jet.from_hat(
+                        jet.grid, jet.hat[:1].copy(), jet.t, jet.mu)
+                del jet
 
     def jet(self, idx: MultiIndex) -> Jet:
         return self._jets[idx]
@@ -379,21 +390,22 @@ class _Family:
 class DerivedFamily(_Family):
     """All U^(alpha, a) with alpha + |a| <= k_max for one base state, held.
 
-    The members are what _members yields, each jet kept as built.  The
-    sample functionals (diagnostics.sample_record, the inequality ratios)
-    read level 0 alone, so a family for them may be built with
-    residual=False; run_simulation streams the same walk and holds no
-    family.  commutator_residuals reads d_t of every member without
-    differencing and needs residual=True, the default.  The levels both
-    depths keep are equal bit for bit.  stack(idx) is the one home of a
-    member's gradients, kept for the members of order < k_max.
+    The members are what _members yields, each jet kept as built: the
+    constructor walks to the end.  The sample functionals
+    (diagnostics.sample_record, the inequality ratios) read level 0 alone,
+    so a family for them may be built with residual=False; run_simulation
+    streams the same walk and holds no family.  commutator_residuals reads
+    d_t of every member without differencing and needs residual=True, the
+    default.  The levels both depths keep are equal bit for bit.
+    stack(idx) is the one home of a member's gradients, kept for the
+    members of order < k_max.
     """
 
     def __init__(self, state: PotentialState, k_max: int = 2,
                  dealias: bool = True, *, residual: bool = True):
         super().__init__(state, k_max, dealias, residual)
-        for member in _members(state, k_max, dealias, residual):
-            self._hold(*member)
+        for _ in self.walk():
+            pass
 
     def members(self):
         """The triples _members yields, (idx, jet, stack), in index order;
@@ -403,37 +415,6 @@ class DerivedFamily(_Family):
 
     def __len__(self) -> int:
         return len(self.indices)
-
-
-class _StreamedFamily(_Family):
-    """The family of state with the residual level, read member by member:
-    walk() yields each index once its member is held, after every
-    sub-index of it, so commutator_residuals(fam, idx) can be called as
-    idx is yielded.  When the caller moves on, only what a later reader
-    needs stays: the stacks of the members of order < k_max, which the
-    splittings of later members read, and the level-0 coefficients
-    (copied) of the members U^(l,a) that a later viscous term reads
-    (order < k_max, at mu > 0) and of the U^(0,a) with |a| = 1 or 2,
-    which nonlinearity_decay_ratios reads.  Every other jet is dropped.
-    """
-
-    def __init__(self, state: PotentialState, k_max: int, dealias: bool):
-        super().__init__(state, k_max, dealias, residual=True)
-
-    def walk(self):
-        for idx, jet, stack in _members(self.state, self.k_max,
-                                        self.dealias):
-            self._hold(idx, jet, stack)
-            del jet, stack  # the walk frees its own after the last child
-            yield idx
-            if ((self.state.mu > 0 and idx.order < self.k_max)
-                    or (idx.alpha == 0 and 1 <= idx.order <= 2)):
-                jet = self._jets[idx]
-                self._jets[idx] = Jet.from_hat(
-                    jet.grid, jet.hat[:1].copy(), jet.t, jet.mu)
-                del jet
-            else:
-                del self._jets[idx]
 
 
 def derived_family(state: PotentialState, k_max: int = 2,

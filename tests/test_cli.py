@@ -90,6 +90,20 @@ class TestSimulate:
         assert (out / "run_mu0.csv").exists()
         assert (out / "final_mu0.snap").exists()
 
+    def test_lands_every_sample_of_a_short_run(self, tmp_path, capsys):
+        # sample times 1e-13 apart are each stepped to, none skipped
+        out = tmp_path / "out"
+        path = tmp_path / "run.ini"
+        path.write_text("[grid]\nn = 32\nbox_len = 16\n[run]\n"
+                        "t_final = 1e-12\nsample_interval = 1e-13\n"
+                        f"output_dir = {out}\n", encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+        assert "completed t = 1e-12 (mu = 0, 11 samples)" in (
+            capsys.readouterr().out)
+        with open(out / "run_mu0.csv", encoding="utf-8") as fh:
+            ts = [float(row["t"]) for row in csv.DictReader(fh)]
+        assert ts == pytest.approx([k * 1e-13 for k in range(11)], rel=1e-9)
+
     def test_minus_zero_viscosity_is_zero(self, tmp_path, capsys):
         # -0 is stored as 0: its files, its CSV column and its summary
         out = tmp_path / "out"

@@ -371,6 +371,11 @@ class TestSpectralEvolve:
         assert evolve(small_state, t_final, CFG) is small_state
         assert sum(transforms.values()) == 0
 
+    @pytest.mark.parametrize("dt", [None, 1e-13])
+    def test_lands_on_a_t_final_close_ahead(self, small_state, dt):
+        # a t_final less than 1e-12 past t is stepped to, not skipped
+        assert evolve(small_state, 5e-13, CFG, dt=dt).t == 5e-13
+
     @pytest.mark.parametrize("field", ["V", "H"])
     def test_blow_up_at_loop_time(self, small_state, field):
         bad = {"V": small_state.V.copy(), "H": small_state.H.copy()}
