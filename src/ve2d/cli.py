@@ -2,10 +2,10 @@
 
 Subcommands: simulate, sweep-mu, converge, audit, fit.  Exit codes:
 0 success, 2 blow-up, 3 configuration or usage error (an unknown
-subcommand, a missing or malformed option), with one line on stderr.  converge also exits 3 when
-a positive viscosity ends at distance 0 from the mu = 0 state, and fit
-when its window holds fewer than 8 samples or a time or value that is
-not positive (NaN included).
+subcommand, a missing or malformed option), with one line on stderr.
+converge also exits 3 when a positive viscosity ends at distance 0 from
+the mu = 0 state, and fit when its window holds fewer than 8 samples or
+a time or value that is not positive (NaN included).
 
 converge and audit evolve to their last states without sampling
 diagnostics, so they exit 2 only when the fields turn non-finite, and

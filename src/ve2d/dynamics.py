@@ -16,20 +16,22 @@ the rfft2 coefficients of the stack, where the integrating factor
 e^{-mu |k|^2 dt} is an elementwise multiply of the damped rows (on the
 others it is exactly 1, so they are not touched).  The stage buffers and
 the kernel's scratch are allocated once per integrator and shared by all
-its stages.  step and step_primitive are one helper, _step, over the two
-records: it makes one integrator, transforms the stack forward once,
-steps it, transforms it back once and checks that it is finite.  evolve
-reads the potential record, makes one integrator per call and keeps the
-trajectory spectral: it transforms forward once, carries the coefficients
-from step to step, checking each step's, takes dt from the gradient of V
-that the first stage transforms back anyway, and transforms back once at
-the end (and after every step for a callback).  Its buffers are freed
-when it returns, so a sample never holds them.  With the coupling and
-nonlinearity switched off, a step therefore reproduces pure heat decay to
-machine precision, for every mu, and mu = 0 degenerates to plain RK4 on
-the hyperbolic system.  A given dt must be positive, finite and advance
-t, one rule (_check_dt) for the steps and evolve.  rhs_potential and rhs_primitive
-are one physical-space helper, _rhs, over the same records.
+its stages.  With the coupling and nonlinearity switched off, a step
+therefore reproduces pure heat decay to machine precision, for every mu,
+and mu = 0 degenerates to plain RK4 on the hyperbolic system.
+
+One trajectory loop, _advance(form, ...), advances every form: it makes
+one integrator per call and keeps the trajectory spectral.  It
+transforms the stack forward once, carries the coefficients from step to
+step, checking each step's, takes the CFL dt from the field that the
+first stage transforms back anyway (grad V or v, see _Form), and
+transforms back once at the end (and after every step for a callback).
+Its buffers are freed when it returns, so a sample never holds them.
+evolve is _advance of the potential record to t_final; step and
+step_primitive are _advance of their record over one given dt, to
+t + dt.  A given dt must be positive, finite and advance t, one rule
+(_check_dt) for every call.  rhs_potential and rhs_primitive are one
+physical-space helper, _rhs, over the same records.
 
 Each stage of the potential kernel, _rhs_hat, costs 11 real-field
 transforms: the 6 gradients of (V, H1, H2) back to physical space (the
@@ -122,13 +124,19 @@ class _Scratch:
 
 @dataclass(frozen=True)
 class _Form:
-    """One form of the system, declared once for _IFRK4 and for the step
-    and right-hand-side wrappers: the coefficient kernel(grid, uh, cfg,
-    out, scratch), which writes the right-hand side without mu lap into
-    out; the sizes of the _Scratch(grid, *sizes) it works in; the number
-    of leading rows of the stack that carry mu lap; the state class; how
-    a state stacks into its physical unknowns (stack), and how a stack
-    splits back into the fields of the state, in their order (split)."""
+    """One form of the system, declared once for _IFRK4, _advance and
+    _rhs: the coefficient kernel(grid, uh, cfg, out, scratch), which
+    writes the right-hand side without mu lap into out; the sizes of the
+    _Scratch(grid, *sizes) it works in; the number of leading rows of the
+    stack that carry mu lap; the state class; how a state stacks into its
+    physical unknowns (stack), and how a stack splits back into the
+    fields of the state, in their order (split).
+
+    The kernel must leave in scratch.fields[:2] the field whose sup the
+    CFL rule of _advance reads, grad V in the potential form and v in
+    the primitive form (the same sup, since |grad_perp V| = |grad V|),
+    and, with the nonlinearity off, its coefficients in
+    scratch.coef[:2]."""
 
     kernel: Callable
     sizes: tuple
@@ -229,8 +237,7 @@ def _rhs_hat(grid: Grid, uh: np.ndarray, cfg: StepperConfig,
     div H and grad V reads the ik products of the gradients.  The
     quadratic part costs one batched inverse transform of 6 gradients and
     one batched forward transform of 5 products, all in scratch; the first
-    two fields of scratch then hold grad V, which evolve's CFL rule
-    reads."""
+    two fields of scratch then hold grad V, which the CFL rule reads."""
     n, shape = grid.n, uh.shape[-2:]
     dh = scratch.coef.reshape(3, 2, *shape)          # dh[r, l] = d_l row r
     np.multiply(grid.ik, uh[:, None], out=dh)
@@ -349,9 +356,9 @@ def rhs_primitive(state: PrimitiveState,
 
 
 def _cfl_dt(grid: Grid, cfg: StepperConfig, grad_v: np.ndarray) -> float:
-    """dt = cfl * spacing / (1 + max|v|) from the gradient of V; unit wave
-    speed, viscosity free.  |grad_perp V| = |grad V|: perp only swaps and
-    negates."""
+    """dt = cfl * spacing / (1 + max|v|) from grad_v, the gradient of V
+    or v itself; unit wave speed, viscosity free.  |grad_perp V| =
+    |grad V|: perp only swaps and negates."""
     return cfg.cfl_factor * grid.spacing / (1.0 + sp.linf_norm(grad_v))
 
 
@@ -450,76 +457,29 @@ def _check_dt(dt: float, t: float) -> None:
         raise ValueError(f"dt = {dt:g} does not advance t = {t:g}")
 
 
-def _step(form: _Form, state, dt: float, cfg: StepperConfig):
-    """The state of form after one _IFRK4 step of dt from state.t, with
-    the mu of state: transformed forward once and back once.  Raises
-    ValueError unless dt is positive, finite and advances state.t, and
-    BlowUpError if the result is not finite."""
-    _check_dt(dt, state.t)
-    uh = sp.fft(form.stack(state))
-    rk = _IFRK4(form, state.grid, uh.shape, state.mu, cfg)
-    rk.first(uh)
-    return form.physical(state.grid, rk.rest(uh, dt), state.t + dt, state.mu)
-
-
-def step(state: PotentialState, dt: float,
-         cfg: StepperConfig = StepperConfig()) -> PotentialState:
-    """One integrating-factor RK4 step of the potential system.
-
-    Raises ValueError unless dt is positive, finite and advances t, and
-    BlowUpError if the result is not finite.
-    """
-    return _step(_POTENTIAL, state, dt, cfg)
-
-
-def step_primitive(state: PrimitiveState, dt: float,
-                   cfg: StepperConfig = StepperConfig()) -> PrimitiveState:
-    """One integrating-factor RK4 step of the primitive system.
-
-    Raises ValueError unless dt is positive, finite and advances t, and
-    BlowUpError if the result is not finite.
-    """
-    return _step(_PRIMITIVE, state, dt, cfg)
-
-
-def evolve(state: PotentialState, t_final: float,
-           cfg: StepperConfig = StepperConfig(),
-           dt: float | None = None,
-           callback=None) -> PotentialState:
-    """Advance to t_final, choosing dt from the CFL rule unless given.
-
-    The trajectory stays spectral: the coefficients of (V, H1, H2) are
-    transformed forward once, carried from step to step by one _IFRK4,
-    whose buffers live for this call only, and transformed back once at
-    the end.  The CFL rule reads max|grad V| from the gradients the first
-    stage transforms back anyway (with the nonlinearity off it transforms
-    them itself), so a step costs 44 fields and a call 6 more.  Each step
-    whose coefficients are not finite raises BlowUpError, and so does a
-    physical state that is not.
-
-    callback(state) is invoked after every step, with the physical state,
-    which costs 3 inverse fields a step; the last one is the state
-    returned.  The final step is shortened to land exactly on t_final.
-    t_final must be finite, and a given dt positive, finite and large
-    enough to advance t (above half an ulp of it); ValueError if not.  A
-    state already at t_final is returned as it is.
-    """
-    if not np.isfinite(t_final):
-        raise ValueError(f"t_final must be finite, got {t_final}")
+def _advance(form: _Form, state, t_final: float, cfg: StepperConfig,
+             dt: float | None = None, callback=None):
+    """The state of form at t_final, reached by _IFRK4 steps of the given
+    dt or of the CFL dt, the last shortened to land on t_final: the one
+    trajectory loop, of which evolve, step and step_primitive are calls.
+    Its coefficients and their checks, the callback and the rules on dt
+    and t_final are evolve's, for every form."""
     if dt is not None:
         _check_dt(dt, state.t)
+    if not np.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
     t, mu, g = state.t, state.mu, state.grid
     if not t < t_final:
         return state
-    uh = sp.fft(_POTENTIAL.stack(state))
-    rk = _IFRK4(_POTENTIAL, g, uh.shape, mu, cfg)
-    grad_v = rk.scratch.fields[:2]       # grad V, as _rhs_hat transforms it
+    uh = sp.fft(form.stack(state))
+    rk = _IFRK4(form, g, uh.shape, mu, cfg)
+    speed = rk.scratch.fields[:2]        # grad V or v, see _Form
     while t < t_final:
         rk.first(uh)
         if dt is None:
-            if not cfg.nonlinear:        # the stage formed no gradients
-                sp.ifft(rk.scratch.coef[:2], out=grad_v)
-            h = _cfl_dt(g, cfg, grad_v)
+            if not cfg.nonlinear:        # the stage formed no fields
+                sp.ifft(rk.scratch.coef[:2], out=speed)
+            h = _cfl_dt(g, cfg, speed)
         else:
             # t grows, and a given dt below half an ulp of it would never
             # end the loop; a CFL dt that small means blow-up, which the
@@ -531,8 +491,52 @@ def evolve(state: PotentialState, t_final: float,
         # the old coefficients become the next step's stage argument
         uh, rk.x = _finite(rk.rest(uh, h), t), uh
         if callback is not None:
-            out = _POTENTIAL.physical(g, uh, t, mu)
+            out = form.physical(g, uh, t, mu)
             callback(out)
     if callback is None:
-        out = _POTENTIAL.physical(g, uh, t, mu)
+        out = form.physical(g, uh, t, mu)
     return out
+
+
+def step(state: PotentialState, dt: float,
+         cfg: StepperConfig = StepperConfig()) -> PotentialState:
+    """One integrating-factor RK4 step of the potential system.
+
+    Raises ValueError unless dt is positive, finite and advances t, and
+    BlowUpError if the result is not finite.
+    """
+    return _advance(_POTENTIAL, state, state.t + dt, cfg, dt)
+
+
+def step_primitive(state: PrimitiveState, dt: float,
+                   cfg: StepperConfig = StepperConfig()) -> PrimitiveState:
+    """One integrating-factor RK4 step of the primitive system.
+
+    Raises ValueError unless dt is positive, finite and advances t, and
+    BlowUpError if the result is not finite.
+    """
+    return _advance(_PRIMITIVE, state, state.t + dt, cfg, dt)
+
+
+def evolve(state: PotentialState, t_final: float,
+           cfg: StepperConfig = StepperConfig(),
+           dt: float | None = None,
+           callback=None) -> PotentialState:
+    """Advance to t_final, choosing dt from the CFL rule unless given.
+
+    The trajectory stays spectral (_advance of the potential form): the
+    coefficients of (V, H1, H2) are transformed forward once and back
+    once at the end.  The CFL rule reads max|grad V| from the gradients
+    the first stage transforms back anyway (with the nonlinearity off it
+    transforms them itself), so a step costs 44 fields and a call 6 more.
+    Each step whose coefficients are not finite raises BlowUpError, and
+    so does a physical state that is not.
+
+    callback(state) is invoked after every step, with the physical state,
+    which costs 3 inverse fields a step; the last one is the state
+    returned.  The final step is shortened to land exactly on t_final.
+    t_final must be finite, and a given dt positive, finite and large
+    enough to advance t (above half an ulp of it); ValueError if not.  A
+    state already at t_final is returned as it is.
+    """
+    return _advance(_POTENTIAL, state, t_final, cfg, dt, callback)

@@ -29,11 +29,13 @@ SNAPSHOT_VERSION = 1
 ADMISSIBILITY_TOL = 1e-8
 
 
-def _check_state(grid: Grid, mu: float, fields) -> None:
+def _check_state(grid: Grid, t: float, mu: float, fields) -> None:
     """The checks both forms make: each (array, leading shape) of fields
-    has that shape over the grid, and mu lies in [0, 1]."""
+    has that shape over the grid, t is finite, and mu lies in [0, 1]."""
     if any(a.shape != lead + (grid.n, grid.n) for a, lead in fields):
         raise ValueError("field shapes do not match the grid")
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"viscosity must lie in [0, 1], got {mu}")
 
@@ -49,7 +51,8 @@ class PotentialState:
     mu: float = 0.0
 
     def __post_init__(self):
-        _check_state(self.grid, self.mu, ((self.V, ()), (self.H, (2,))))
+        _check_state(self.grid, self.t, self.mu,
+                     ((self.V, ()), (self.H, (2,))))
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,8 @@ class PrimitiveState:
     mu: float = 0.0
 
     def __post_init__(self):
-        _check_state(self.grid, self.mu, ((self.v, (2,)), (self.G, (2, 2))))
+        _check_state(self.grid, self.t, self.mu,
+                     ((self.v, (2,)), (self.G, (2, 2))))
 
 
 @dataclass(frozen=True)
@@ -173,8 +177,10 @@ def potentials_of(prim: PrimitiveState) -> PotentialState:
     """Recover zero-mean potentials from an admissible primitive state.
 
     Requires div v = 0 and div of each G column (first index) = 0 to
-    within ADMISSIBILITY_TOL in L-inf; violations raise with the measured
-    residual so corrupted inputs fail loudly.
+    within ADMISSIBILITY_TOL in L-inf, and the means of v and of each G
+    column to within it too, since a mean is not grad_perp of a periodic
+    potential; violations raise with the measured residual so corrupted
+    inputs fail loudly.
     """
     g = prim.grid
     div_v = sp.linf_norm(sp.divergence(g, prim.v))
@@ -183,6 +189,10 @@ def potentials_of(prim: PrimitiveState) -> PotentialState:
     if worst > ADMISSIBILITY_TOL:
         raise ValueError(
             f"primitive state is not divergence-free: residual {worst:.3e}")
+    mean = max(np.max(np.abs(f.mean(axis=(-2, -1)))) for f in (prim.v, prim.G))
+    if mean > ADMISSIBILITY_TOL:
+        raise ValueError(
+            f"primitive state has a nonzero mean: largest |mean| {mean:.3e}")
     V = sp.inverse_laplacian(g, sp.perp_divergence(g, prim.v))
     H = np.stack([
         sp.inverse_laplacian(g, sp.perp_divergence(g, prim.G[:, j]))

@@ -3,9 +3,9 @@
 
 Each test emits one PASS/FAIL line; the expensive runs (viscosity sweep,
 co-evolution, mid-time state) are shared through session fixtures.  On a
-shared 2-core Xeon (numpy 2.4.6) the whole test suite took 111-256 s,
-nearly all of it in this module; its two criterion-2 runs took 101 s in
-one run.
+shared 2-core Xeon (numpy 2.4.6) the whole test suite took 96.7 s, most
+of it in this module; its two criterion-2 runs took 29.6 and 28.3 s of
+that.
 """
 
 import os

@@ -12,8 +12,8 @@ from ve2d.dynamics import (BlowUpError, StepperConfig, _products,
 from ve2d.families import base_jet
 from ve2d.grid import Grid
 from ve2d.state import (InitialDataParams, PotentialState, PrimitiveState,
-                        constraint_norms, make_initial_data, primitive_of,
-                        velocity_of)
+                        constraint_norms, deformation_of, make_initial_data,
+                        primitive_of, velocity_of)
 from spectral_ops import derivative, laplacian, leray_project, riesz_pp
 
 CFG = StepperConfig()
@@ -387,6 +387,50 @@ class TestSpectralEvolve:
             with pytest.raises(BlowUpError) as loop:
                 hand_loop(st, 1.0, CFG, dt=0.1)
         assert spectral.value.t == loop.value.t == 0.25 + 0.1
+
+
+class TestOneLoop:
+    """step, step_primitive and evolve are one trajectory loop, _advance,
+    over the form records."""
+
+    # (5.0, 0.01) and (12.3, 0.01): fl(t + dt) - t < dt, the step covers
+    # the interval its t advances by
+    @pytest.mark.parametrize("t, dt", [(0.3, 0.05), (5.0, 0.01),
+                                       (12.3, 0.01), (5.0, 0.3)])
+    def test_steps_are_one_advance_of_their_form(self, grid64, t, dt):
+        V, H = random_pair(grid64, 3)
+        st = PotentialState(grid64, 0.05 * V, 0.05 * H, t=t, mu=1e-2)
+        prim = primitive_of(st)
+        for stepper, form, s in ((step, dynamics._POTENTIAL, st),
+                                 (step_primitive, dynamics._PRIMITIVE, prim)):
+            got = stepper(s, dt, CFG)
+            ref = dynamics._advance(form, s, s.t + dt, CFG, dt)
+            assert got.t == ref.t == t + dt
+            for name in ("V", "H", "v", "G"):
+                if hasattr(got, name):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(ref, name)), name
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-2])
+    @pytest.mark.parametrize("switch", ["default", "linear"])
+    def test_primitive_form_takes_evolves_cfl_steps(self, grid64, switch,
+                                                    mu):
+        # the CFL rule reads v in the primitive form and grad V in the
+        # potential form, from the stage's fields or, with the
+        # nonlinearity off, from scratch.coef[:2]
+        cfg = SWITCHES[switch]
+        V, H = random_pair(grid64, 3)
+        st = PotentialState(grid64, 0.05 * V, 0.05 * H, mu=mu)
+        pot, prim = [], []
+        evolve(st, 0.8, cfg, callback=pot.append)
+        dynamics._advance(dynamics._PRIMITIVE, primitive_of(st), 0.8, cfg,
+                          callback=prim.append)
+        assert len(pot) >= 3
+        assert [s.t for s in prim] == [s.t for s in pot]
+        for a, b in zip(prim, pot):
+            for got, want in ((a.v, velocity_of(grid64, b.V)),
+                              (a.G, deformation_of(grid64, b.H))):
+                assert sp.linf_norm(got - want) <= 1e-13 * sp.linf_norm(want)
 
 
 @pytest.mark.parametrize("with_callback", [False, True],

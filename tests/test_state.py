@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -45,14 +46,25 @@ class TestStateValidation:
     @pytest.mark.parametrize("bad", [
         {"v": np.zeros((32, 32))}, {"v": np.zeros((2, 32, 31))},
         {"G": np.zeros((4, 32, 32))}, {"G": np.zeros((2, 2, 16, 16))},
-        {"mu": -0.1}, {"mu": 1.5}, {"mu": float("nan")}],
+        {"mu": -0.1}, {"mu": 1.5}, {"mu": float("nan")},
+        {"t": float("nan")}, {"t": float("inf")}, {"t": -float("inf")}],
         ids=["v_scalar", "v_short", "G_flat", "G_coarse", "mu_negative",
-             "mu_above_1", "mu_nan"])
+             "mu_above_1", "mu_nan", "t_nan", "t_inf", "t_minus_inf"])
     def test_primitive_state_checked(self, grid32, bad):
         fields = {"v": np.zeros((2, 32, 32)), "G": np.zeros((2, 2, 32, 32))}
         PrimitiveState(grid32, **fields, mu=0.5)
         with pytest.raises(ValueError) as exc:
             PrimitiveState(grid32, **{**fields, "mu": 0.5, **bad})
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"),
+                                   -float("inf")])
+    def test_potential_state_rejects_non_finite_t(self, grid32, t):
+        # a non-finite t never ends a trajectory loop: t + dt == t
+        V = np.zeros((grid32.n, grid32.n))
+        H = np.zeros((2, grid32.n, grid32.n))
+        with pytest.raises(ValueError, match="t must be finite") as exc:
+            PotentialState(grid32, V, H, t=t)
         assert "\n" not in str(exc.value)
 
 
@@ -149,6 +161,19 @@ class TestFormulationRoundTrip:
         with pytest.raises(ValueError):
             potentials_of(PrimitiveState(grid64, v, G, t=0.0, mu=0.0))
 
+    def test_potentials_of_rejects_a_mean(self, grid64):
+        # a constant v or G column is divergence-free but is no
+        # grad_perp of a periodic potential: it would be dropped
+        n = grid64.n
+        v = np.zeros((2, n, n))
+        v[0] = 1.0
+        G = np.zeros((2, 2, n, n))
+        G[0, 1] = 0.5
+        for v_, G_, mean in ((v, 0 * G, "1.000e+00"),
+                             (0 * v, G, "5.000e-01")):
+            with pytest.raises(ValueError, match=f"mean.* {re.escape(mean)}"):
+                potentials_of(PrimitiveState(grid64, v_, G_))
+
 
 class TestSnapshots:
     def test_round_trip_exact(self, evolved_state_viscous, tmp_path):
@@ -193,6 +218,14 @@ class TestSnapshots:
         write_snapshot(path, evolved_state_viscous)
         path.write_bytes(path.read_bytes()[:size])
         with pytest.raises(ValueError, match="truncated snapshot"):
+            read_snapshot(path)
+
+    def test_non_finite_t_rejected(self, tmp_path):
+        path = tmp_path / "state.snap"
+        path.write_bytes(SNAPSHOT_MAGIC + struct.pack(
+            "<IIddd", SNAPSHOT_VERSION, 8, 64.0, float("nan"), 0.0)
+            + bytes(3 * 8 * 8 * 8))
+        with pytest.raises(ValueError, match="t must be finite"):
             read_snapshot(path)
 
     def test_header_size_checked_before_reading(self, tmp_path):
