@@ -65,6 +65,12 @@ from .grid import Grid
 from .state import PotentialState, _constraint_of_gradients
 
 
+def _light_cone(grid: Grid, t: float) -> np.ndarray:
+    """The light cone region r >= <t>/2 of grid at time t, with the true
+    r: the points a sample's sup over the cone reads."""
+    return grid.r >= np.sqrt(1.0 + t * t) / 2.0
+
+
 class GeometryWeights:
     """Light-cone geometry at time t with one-cell origin regularization,
     built once per sample at its (grid, t)."""
@@ -81,9 +87,9 @@ class GeometryWeights:
         self.sigma_sq = self.sigma_bracket ** 2           # weight of X_k
         self.eq = np.exp(np.arctan(sigma))                # ghost weight e^q
         self.kernel = self.eq / self.sigma_sq             # kernel of G_k
-        # the light cone region r >= <t>/2, and the points away from the
-        # regularized origin, r >= spacing
-        self.mask = r_true >= np.sqrt(1.0 + t * t) / 2.0
+        # the light cone region, and the points away from the regularized
+        # origin, r >= spacing
+        self.mask = _light_cone(grid, t)
         self.interior = r_true >= grid.spacing
 
 

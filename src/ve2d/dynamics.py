@@ -12,13 +12,15 @@ back.  Adding a form is one more declaration.
 One integrator, _IFRK4 (classical RK4 with the viscous semigroup applied
 as an exact spectral integrating factor), advances every form, and takes
 the record as the one argument that names it.  The four stages run on
-the rfft2 coefficients of the stack, where the integrating factor
-e^{-mu |k|^2 dt} is an elementwise multiply of the damped rows (on the
-others it is exactly 1, so they are not touched).  The stage buffers and
-the kernel's scratch are allocated once per integrator and shared by all
-its stages.  With the coupling and nonlinearity switched off, a step
-therefore reproduces pure heat decay to machine precision, for every mu,
-and mu = 0 degenerates to plain RK4 on the hyperbolic system.
+the coefficients of the stack on a band (spectral._Band): the whole rfft2
+half spectrum, or the block the 2/3 rule keeps.  There the integrating
+factor e^{-mu |k|^2 dt} is an elementwise multiply of the damped rows (on
+the others it is exactly 1, so they are not touched).  The stage buffers
+and the kernel's scratch are allocated once per integrator, in the
+band's layout, and shared by all its stages.  With the coupling and
+nonlinearity switched off, a step therefore reproduces pure heat decay
+to machine precision, for every mu, and mu = 0 degenerates to plain RK4
+on the hyperbolic system.
 
 One trajectory loop, _advance(form, ...), advances every form: it makes
 one integrator per call and keeps the trajectory spectral.  It
@@ -33,18 +35,30 @@ t + dt.  A given dt must be positive, finite and advance t, one rule
 (_check_dt) for every call.  rhs_potential and rhs_primitive are one
 physical-space helper, _rhs, over the same records.
 
+Under the 2/3 rule with the nonlinearity on, every product is masked and
+every multiplier is diagonal, so a trajectory that starts in the kept
+block stays there exactly.  The potential form (_Form.kept) then carries
+that block alone, (2c + 1) x (c + 1) coefficients with c =
+Grid.dealias_cutoff (45% of the half spectrum at n = 256), and its start
+is masked.  Every other path (dealias or nonlinear off, the primitive
+form, rhs_potential and rhs_primitive, the jets of families) works on the
+whole half spectrum.
+
 Each stage of the potential kernel, _rhs_hat, costs 11 real-field
 transforms: the 6 gradients of (V, H1, H2) back to physical space (the
 perp-gradients are relabelled gradients), and the 5 quadratic products
 f11, f12, f22, f2_1, f2_2 forward.  The 2/3 mask is part of that forward
-transform (spectral._fft_masked): its column pass runs on the kept
-columns only, and two slices of the product spectra are zeroed.  The four
-Riesz symbols of f1 are fused into three, one per product
-(Grid.f1_riesz).  Each stage of the primitive kernel, _rhs_primitive_hat,
-costs 27: v, G and their 12 gradients back, and 9 products forward
-(v.grad v, the 3 entries of the symmetric G G^T, and (grad v) G - v.grad
-G), masked once; the pressure is removed by the Leray projection of the
-coefficients.
+transform, whose column pass runs on the kept columns only: on the whole
+spectrum (spectral._fft_masked) two slices of the product spectra are
+then zeroed, and on the kept block (spectral._fft_kept) the kept rows are
+gathered.  On the kept block the 6 inverse transforms run their column
+pass on the kept columns too, and the ik multiplies, the Riesz sum, the
+heat factor and the RK4 updates touch the block alone.  The four Riesz
+symbols of f1 are fused into three, one per product (Grid.f1_riesz).
+Each stage of the primitive kernel, _rhs_primitive_hat, costs 27: v, G
+and their 12 gradients back, and 9 products forward (v.grad v, the 3
+entries of the symmetric G G^T, and (grad v) G - v.grad G), masked once;
+the pressure is removed by the Leray projection of the coefficients.
 
 _products and _quadratic_hat are the one set of quadratic forms: the
 perp-form sources f1, f2 (and f3) summed over a Leibniz sum of
@@ -108,18 +122,22 @@ class _Scratch:
     _IFRK4 once and handed to each of its stages: the coefficients of the
     `fields` fields the kernel transforms back and those fields, the
     `products` physical products and their spectra, and `temps` real and
-    two complex temporaries.  families.base_jet and the commuted
-    equations allocate one with no fields per call of _quadratic_hat."""
+    two complex temporaries.  The coefficient buffers have the layout of
+    `band` (a spectral._Band, the whole half spectrum of grid unless
+    given), whose multipliers and transform pair the kernel and
+    _quadratic_hat read.  families.base_jet and the commuted equations
+    allocate one with no fields per call of _quadratic_hat."""
 
     def __init__(self, grid: Grid, fields: int, products: int,
-                 temps: int = 2):
-        n, m = grid.n, grid.n // 2 + 1
-        self.coef = np.empty((fields, n, m), dtype=complex)
+                 temps: int = 2, band: sp._Band | None = None):
+        self.band = band or sp._Band(grid)
+        n, shape = grid.n, self.band.k_sq.shape
+        self.coef = np.empty((fields, *shape), dtype=complex)
         self.fields = np.empty((fields, n, n))
         self.prods = np.empty((products, n, n))
-        self.spectra = np.empty((products, n, m), dtype=complex)
+        self.spectra = np.empty((products, *shape), dtype=complex)
         self.tmp = np.empty((temps, n, n))
-        self.ctmp = np.empty((2, n, m), dtype=complex)
+        self.ctmp = np.empty((2, *shape), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -130,13 +148,16 @@ class _Form:
     _Scratch(grid, *sizes) it works in; the number of leading rows of the
     stack that carry mu lap; the state class; how a state stacks into its
     physical unknowns (stack), and how a stack splits back into the
-    fields of the state, in their order (split).
+    fields of the state, in their order (split); and whether _advance
+    carries only the block the 2/3 rule keeps (kept), under dealias and
+    nonlinear.
 
     The kernel must leave in scratch.fields[:2] the field whose sup the
     CFL rule of _advance reads, grad V in the potential form and v in
     the primitive form (the same sup, since |grad_perp V| = |grad V|),
     and, with the nonlinearity off, its coefficients in
-    scratch.coef[:2]."""
+    scratch.coef[:2].  A kept form's kernel reads every multiplier and
+    transform from scratch.band, so that one body runs on either band."""
 
     kernel: Callable
     sizes: tuple
@@ -144,11 +165,13 @@ class _Form:
     state: type
     stack: Callable
     split: Callable
+    kept: bool
 
-    def physical(self, grid: Grid, uh: np.ndarray, t: float, mu: float):
-        """The state at t of the coefficients uh of the stack.  Raises
-        BlowUpError if it is not finite."""
-        return self.state(grid, *self.split(_finite(sp.ifft(uh), t)), t, mu)
+    def physical(self, band: sp._Band, uh: np.ndarray, t: float, mu: float):
+        """The state at t of the coefficients uh of the stack on band.
+        Raises BlowUpError if it is not finite."""
+        return self.state(band.grid,
+                          *self.split(_finite(band.ifft(uh), t)), t, mu)
 
 
 def _product_rows(Da, Db, f3: bool):
@@ -218,36 +241,39 @@ def _products(pairs, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 def _quadratic_hat(grid: Grid, pairs, dealias: bool, scratch: _Scratch
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(f1, ph) of a Leibniz sum as rfft2 coefficients: one batched forward
-    transform of the summed products, the 2/3 mask (linear, so applied
-    once to the sums) and the fused Riesz symbols of f1.  ph holds the
-    masked spectra in the rows of _products: ph[3:5] is f2 and ph[5]
-    f3.  Both are written into scratch, whose product rows are the one
-    statement of whether f3 is formed: 5 rows leave it out, 6 form it."""
-    ph = sp._fft_masked(grid, _products(pairs, scratch.prods, scratch.tmp),
-                        dealias, scratch.spectra)
-    return np.einsum("rxy,rxy->xy", grid.f1_riesz, ph[:3],
+    """(f1, ph) of a Leibniz sum on grid as coefficients of scratch.band:
+    one batched forward transform of the summed products, the 2/3 mask
+    (linear, so applied once to the sums) and the fused Riesz symbols of
+    f1.  ph holds the masked spectra in the rows of _products: ph[3:5] is
+    f2 and ph[5] f3.  Both are written into scratch, whose product rows
+    are the one statement of whether f3 is formed: 5 rows leave it out,
+    6 form it."""
+    band = scratch.band
+    ph = band.fft_masked(_products(pairs, scratch.prods, scratch.tmp),
+                         dealias, scratch.spectra)
+    return np.einsum("rxy,rxy->xy", band.f1_riesz, ph[:3],
                      out=scratch.ctmp[0]), ph
 
 
 def _rhs_hat(grid: Grid, uh: np.ndarray, cfg: StepperConfig,
              out: np.ndarray, scratch: _Scratch) -> np.ndarray:
     """(dV, dH1, dH2) of the potential form without mu lap V, from the
-    rfft2 coefficients of the stack (V, H1, H2) into out.  The coupling
-    div H and grad V reads the ik products of the gradients.  The
-    quadratic part costs one batched inverse transform of 6 gradients and
-    one batched forward transform of 5 products, all in scratch; the first
-    two fields of scratch then hold grad V, which the CFL rule reads."""
-    n, shape = grid.n, uh.shape[-2:]
+    coefficients on scratch.band of the stack (V, H1, H2) into out.  The
+    coupling div H and grad V reads the ik products of the gradients.
+    The quadratic part costs one batched inverse transform of 6 gradients
+    and one batched forward transform of 5 products, all in scratch; the
+    first two fields of scratch then hold grad V, which the CFL rule
+    reads."""
+    band, n, shape = scratch.band, grid.n, uh.shape[-2:]
     dh = scratch.coef.reshape(3, 2, *shape)          # dh[r, l] = d_l row r
-    np.multiply(grid.ik, uh[:, None], out=dh)
+    np.multiply(band.ik, uh[:, None], out=dh)
     if cfg.coupling:
         np.add(dh[1, 0], dh[2, 1], out=out[0])       # div H
         out[1:] = dh[0]                              # grad V
     else:
         out[...] = 0.0
     if cfg.nonlinear:
-        D = sp.ifft(dh, out=scratch.fields.reshape(3, 2, n, n))
+        D = band.ifft(dh, out=scratch.fields.reshape(3, 2, n, n))
         f1h, ph = _quadratic_hat(grid, [(1, D, D)], cfg.dealias, scratch)
         out[0] += f1h
         out[1:] += ph[3:]
@@ -304,12 +330,14 @@ def _rhs_primitive_hat(grid: Grid, uh: np.ndarray, cfg: StepperConfig,
 # the potential form: 6 gradients and 5 products in scratch
 _POTENTIAL = _Form(_rhs_hat, (6, 5), 1, PotentialState,
                    lambda s: np.concatenate((s.V[None], s.H)),
-                   lambda u: (u[0], u[1:]))
+                   lambda u: (u[0], u[1:]), True)
 # the primitive form: v, G and their 12 gradients, 9 products and the 4
-# terms v.grad G in scratch
+# terms v.grad G in scratch; on the whole spectrum, since its kernel
+# reads the Grid's multipliers (the Leray projection among them)
 _PRIMITIVE = _Form(_rhs_primitive_hat, (18, 9, 4), 2, PrimitiveState,
                    lambda s: np.concatenate((s.v, *s.G)),
-                   lambda u: (u[:2], u[2:].reshape(2, 2, *u.shape[1:])))
+                   lambda u: (u[:2], u[2:].reshape(2, 2, *u.shape[1:])),
+                   False)
 
 
 def _rhs(form: _Form, state, cfg: StepperConfig, include_viscosity: bool):
@@ -375,28 +403,29 @@ def _finite(u: np.ndarray, t: float) -> np.ndarray:
 
 
 class _IFRK4:
-    """Integrating-factor RK4 on rfft2 coefficients of a form's stack:
-    steps of u' = mu lap u + form.kernel(u), with mu lap on the first
-    form.damped rows only; at mu = 0 on none, since the factor is then
-    exactly 1.
+    """Integrating-factor RK4 on the coefficients of a form's stack on a
+    band (a spectral._Band): steps of u' = mu lap u + form.kernel(u), with
+    mu lap on the first form.damped rows only; at mu = 0 on none, since
+    the factor is then exactly 1.
 
     The form (a _Form) is the one argument that names the system: its
     kernel writes the rest of the right-hand side of the coefficients uh
     into out, so the heat semigroup is an exact elementwise multiply, and
     its sizes give the _Scratch the kernel works in.  The stage buffers
-    and the scratch are allocated once per integrator and shared by every
-    stage of every step.  A step is two calls, so that a caller can read
-    what the first stage left in `scratch` before it fixes dt: first(uh)
-    forms k1 = kernel(uh), which does not depend on dt, and rest(uh, dt)
-    the other three stages and the new coefficients, written into the
-    stage argument buffer `x` and returned.  The caller checks them.
+    and the scratch are allocated once per integrator, in the band's
+    layout, and shared by every stage of every step.  A step is two
+    calls, so that a caller can read what the first stage left in
+    `scratch` before it fixes dt: first(uh) forms k1 = kernel(uh), which
+    does not depend on dt, and rest(uh, dt) the other three stages and
+    the new coefficients, written into the stage argument buffer `x` and
+    returned.  The caller checks them.
     """
 
-    def __init__(self, form: _Form, grid: Grid, shape, mu: float,
+    def __init__(self, form: _Form, band: sp._Band, shape, mu: float,
                  cfg: StepperConfig):
         self.kernel, self.grid, self.d, self.mu, self.cfg = (
-            form.kernel, grid, form.damped if mu else 0, mu, cfg)
-        self.scratch = _Scratch(grid, *form.sizes)
+            form.kernel, band.grid, form.damped if mu else 0, mu, cfg)
+        self.scratch = _Scratch(band.grid, *form.sizes, band=band)
         self.k = np.empty((4,) + shape, dtype=complex)   # k1 .. k4
         self.x = np.empty(shape, dtype=complex)          # a stage's argument
 
@@ -416,7 +445,7 @@ class _IFRK4:
         # 31.6 ms a step at n = 256, mu = 1e-2, slower in 43 of 60 rounds,
         # on a 2-core Xeon).  With no damped row, every [:d] pass below is
         # empty and the factor is not formed
-        E = np.exp(-self.mu * g.k_sq * (dt / 2.0)) if d else 1.0
+        E = np.exp(-self.mu * s.band.k_sq * (dt / 2.0)) if d else 1.0
         E2 = E * E
         Eu, E2u = E * uh[:d], E2 * uh[:d]
         # E (uh + dt/2 k1)
@@ -471,14 +500,17 @@ def _advance(form: _Form, state, t_final: float, cfg: StepperConfig,
     t, mu, g = state.t, state.mu, state.grid
     if not t < t_final:
         return state
-    uh = sp.fft(form.stack(state))
-    rk = _IFRK4(form, g, uh.shape, mu, cfg)
+    # a kept form under the 2/3 rule with the nonlinearity on carries the
+    # kept block alone, from the masked start (the module docstring)
+    band = sp._Band(g, form.kept and cfg.dealias and cfg.nonlinear)
+    uh = band.fft_masked(form.stack(state), band.kept)
+    rk = _IFRK4(form, band, uh.shape, mu, cfg)
     speed = rk.scratch.fields[:2]        # grad V or v, see _Form
     while t < t_final:
         rk.first(uh)
         if dt is None:
             if not cfg.nonlinear:        # the stage formed no fields
-                sp.ifft(rk.scratch.coef[:2], out=speed)
+                band.ifft(rk.scratch.coef[:2], out=speed)
             h = _cfl_dt(g, cfg, speed)
         else:
             # t grows, and a given dt below half an ulp of it would never
@@ -491,16 +523,18 @@ def _advance(form: _Form, state, t_final: float, cfg: StepperConfig,
         # the old coefficients become the next step's stage argument
         uh, rk.x = _finite(rk.rest(uh, h), t), uh
         if callback is not None:
-            out = form.physical(g, uh, t, mu)
+            out = form.physical(band, uh, t, mu)
             callback(out)
     if callback is None:
-        out = form.physical(g, uh, t, mu)
+        out = form.physical(band, uh, t, mu)
     return out
 
 
 def step(state: PotentialState, dt: float,
          cfg: StepperConfig = StepperConfig()) -> PotentialState:
-    """One integrating-factor RK4 step of the potential system.
+    """One integrating-factor RK4 step of the potential system: evolve
+    over one given dt, so under the 2/3 rule with the nonlinearity on its
+    start is truncated to the modes the rule keeps.
 
     Raises ValueError unless dt is positive, finite and advances t, and
     BlowUpError if the result is not finite.
@@ -526,9 +560,13 @@ def evolve(state: PotentialState, t_final: float,
 
     The trajectory stays spectral (_advance of the potential form): the
     coefficients of (V, H1, H2) are transformed forward once and back
-    once at the end.  The CFL rule reads max|grad V| from the gradients
-    the first stage transforms back anyway (with the nonlinearity off it
-    transforms them itself), so a step costs 44 fields and a call 6 more.
+    once at the end.  Under the 2/3 rule (cfg.dealias) with the
+    nonlinearity on, the trajectory is the Galerkin truncation to the
+    modes the rule keeps: the coefficients outside that block are dropped
+    at the start, and only the block is stored and stepped.  The CFL rule
+    reads max|grad V| from the gradients the first stage transforms back
+    anyway (with the nonlinearity off it transforms them itself), so a
+    step costs 44 fields and a call 6 more.
     Each step whose coefficients are not finite raises BlowUpError, and
     so does a physical state that is not.
 

@@ -98,6 +98,9 @@ class RunConfig:
                 and self.stepper.cfl_factor != StepperConfig.cfl_factor):
             raise ConfigError("cfl_factor is not read when dt is set: "
                               "give one of them")
+        if self.initial.seed != 0 and self.initial.profile != "spectral":
+            raise ConfigError("seed is read only by profile = spectral, "
+                              f"not by {self.initial.profile}")
         if not self.mu_list:
             raise ConfigError("mu needs at least one value")
         # + 0.0 turns -0 into 0, in the value and in its name
@@ -141,6 +144,11 @@ class RunConfig:
                 and parser.has_option("stepper", "cfl_factor")):
             raise ConfigError("[stepper] sets both dt and cfl_factor; "
                               "cfl_factor is not read when dt is set")
+        profile = parser.get("initial", "profile",
+                             fallback=InitialDataParams.profile)
+        if parser.has_option("initial", "seed") and profile != "spectral":
+            raise ConfigError(f"[initial] sets seed with profile = {profile}; "
+                              "seed is read only by profile = spectral")
 
         def fields(target):
             """The fields of target that the file gives, parsed."""
@@ -226,16 +234,15 @@ class RunResult:
         return ts, vs
 
 
-def _trajectory(cfg: RunConfig, mu: float):
+def _trajectory(cfg: RunConfig, mu: float, grid: Grid):
     """Yield the state at each sample time k * sample_interval, t = 0
-    included.
+    included, on grid, the Grid of cfg.
 
     Each evolve lands exactly on its sample time, so the steps taken do not
     depend on what the caller does with the states.  Overflow on the way to
     a non-finite field is silenced: the step's finite check reports it as a
     BlowUpError.
     """
-    grid = Grid(cfg.n, cfg.box_len)
     state = make_initial_data(grid, replace(cfg.initial, mu=mu))
     for k in range(cfg._samples + 1):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -246,7 +253,7 @@ def _trajectory(cfg: RunConfig, mu: float):
 
 def _final_state(cfg: RunConfig, mu: float) -> PotentialState:
     """The state at t_final, reached through the steps of a sampled run."""
-    for state in _trajectory(cfg, mu):
+    for state in _trajectory(cfg, mu, Grid(cfg.n, cfg.box_len)):
         pass
     return state
 
@@ -257,11 +264,11 @@ def _energy_column(k_max: int) -> str:
     return "E1" if k_max >= 1 else "E0"
 
 
-def _check_light_cone(cfg: RunConfig) -> None:
-    """Reject a box in which a sample would find no point of the light
-    cone: the mask shrinks as t grows, so t_final is the worst case."""
-    grid = Grid(cfg.n, cfg.box_len)
-    if not np.any(dg.GeometryWeights(grid, cfg.t_final).mask):
+def _check_light_cone(cfg: RunConfig, grid: Grid) -> None:
+    """Reject a box, grid of cfg, in which a sample would find no point of
+    the light cone: the cone shrinks as t grows, so t_final is the worst
+    case."""
+    if not np.any(dg._light_cone(grid, cfg.t_final)):
         raise ConfigError(f"box_len = {cfg.box_len:g} holds no point of "
                           "the light cone r >= <t>/2 at t_final = "
                           f"{cfg.t_final:g}")
@@ -277,14 +284,15 @@ def run_simulation(cfg: RunConfig, mu: float | None = None) -> RunResult:
     """
     if mu is None:
         mu = cfg.mu_list[0]
-    _check_light_cone(cfg)
+    grid = Grid(cfg.n, cfg.box_len)
+    _check_light_cone(cfg, grid)
     out = _output_dir(cfg)
     energy = _energy_column(cfg.k_max)  # the blow-up ceiling reads it
     ceiling = None
     records = []
     blowup_t = None
     try:
-        for state in _trajectory(cfg, mu):
+        for state in _trajectory(cfg, mu, grid):
             # the sample streams the family and holds none of it past
             # the call, so a sample and a step never hold memory at once
             rec = dg.sample_state(state, cfg.k_max, cfg.stepper.dealias)
@@ -391,7 +399,7 @@ def sweep_viscosity(cfg: RunConfig) -> dict:
     run_mu{name}.csv per viscosity and sweep_summary.json, the report
     without its runs.
     """
-    _check_light_cone(cfg)
+    _check_light_cone(cfg, Grid(cfg.n, cfg.box_len))
     out = _output_dir(cfg)
     results = _map_viscosities(run_simulation, cfg, cfg.mu_list)
     report = {"mu": list(cfg.mu_list), "runs": results, "per_mu": {}}

@@ -15,7 +15,17 @@ a caller that keeps buffers (the stepper's stages) transforms into them.
 An operator on a stack of fields calls the pair once for the whole stack.
 The nonlocal inverse Laplacian adopts the zero-mean convention: the k=0
 coefficient of the output is set to zero.
+
+A caller whose fields stay inside the block the 2/3 rule keeps (the
+potential trajectory) stores that block alone, with the pair
+_fft_kept/_ifft_kept pruned to it both ways: the forward column pass
+runs on the kept columns and the kept rows are gathered, and the
+inverse scatters the block into a zero-filled buffer and runs its column
+pass on the kept columns only.  _Band gives the block and the whole half
+spectrum one interface, the multipliers a kernel reads and the pair.
 """
+
+from functools import partial
 
 import numpy as np
 
@@ -126,6 +136,85 @@ def _fft_masked(grid: Grid, f: np.ndarray, dealias: bool,
     fh[..., c + 1:grid.n - c, :] = 0.0
     fh[..., c + 1:] = 0.0
     return fh
+
+
+def _fft_kept(grid: Grid, f: np.ndarray, dealias: bool,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """The kept block of _fft_masked(grid, f, True), bit for bit: the
+    (2c + 1, c + 1) coefficients of m1 = 0..c, -c..-1 (in that order) and
+    m2 = 0..c, c = Grid.dealias_cutoff, into out when given.  Field by
+    field, the rfft row pass goes into one (n, n//2+1) buffer that the
+    call reuses, the fft column pass runs on its c + 1 kept columns, and
+    the kept rows are gathered from it.  The block holds only what the
+    2/3 rule keeps, so dealias must be set."""
+    if not dealias:
+        raise ValueError("the kept block holds the 2/3-rule modes only")
+    n, c = grid.n, grid.dealias_cutoff
+    if out is None:
+        out = np.empty(f.shape[:-2] + (2 * c + 1, c + 1), dtype=complex)
+    rows = np.empty((n, n // 2 + 1), dtype=complex)
+    kept = rows[:, :c + 1]
+    for i in np.ndindex(f.shape[:-2]):
+        np.fft.rfft(f[i], axis=-1, out=rows)
+        np.fft.fft(kept, axis=-2, out=kept)
+        out[i][:c + 1] = kept[:c + 1]
+        out[i][c + 1:] = kept[n - c:]
+    return out
+
+
+def _ifft_kept(grid: Grid, fh: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Real fields from kept-block coefficients (the layout of _fft_kept),
+    into out as in ifft; bit for bit ifft of the half spectrum that holds
+    fh in its kept block and zeros elsewhere.  Field by field, the block
+    is scattered into a zero-filled (n, c + 1) buffer, whose ifft column
+    pass goes into the kept columns of a zero-filled (n, n//2+1) buffer,
+    and the irfft row pass runs from that into out; the other columns
+    stay zero, so their column pass is not made."""
+    n, c = grid.n, grid.dealias_cutoff
+    if out is None:
+        out = np.empty(fh.shape[:-2] + (n, n))
+    block = np.zeros((n, c + 1), dtype=complex)
+    columns = np.zeros((n, n // 2 + 1), dtype=complex)
+    for i in np.ndindex(fh.shape[:-2]):
+        block[:c + 1] = fh[i][:c + 1]
+        block[n - c:] = fh[i][c + 1:]
+        np.fft.ifft(block, axis=-2, out=columns[:, :c + 1])
+        np.fft.irfft(columns, n, axis=-1, out=out[i])
+    return out
+
+
+class _Band:
+    """The coefficients a spectral kernel works on, with the multipliers
+    it reads (ik, k_sq, f1_riesz, in the band's layout) and the transform
+    pair: fft_masked(f, dealias, out=None) forward, with the 2/3 rule
+    when dealias is set, and ifft(fh, out=None) back.
+
+    _Band(grid) is the whole rfft2 half spectrum: its multipliers are the
+    Grid's own arrays, and its pair is _fft_masked and ifft.
+    _Band(grid, kept=True) is the block the 2/3 rule keeps (Grid.
+    dealias_cutoff, c): the (2c + 1, c + 1) coefficients of _fft_kept,
+    45% of the half spectrum at n = 256, with the multipliers gathered
+    from the Grid's and the pair _fft_kept and _ifft_kept.  Products of
+    kept fields masked by the rule are kept fields again, and every
+    multiplier is diagonal, so on coefficients that vanish outside the
+    block a kernel of products and multipliers run on the block gives,
+    bit for bit, the block of its whole-spectrum result, which vanishes
+    outside it too."""
+
+    def __init__(self, grid: Grid, kept: bool = False):
+        self.grid, self.kept = grid, kept
+        arrays = grid.ik, grid.k_sq, grid.f1_riesz
+        if kept:
+            c = grid.dealias_cutoff
+            rows = np.r_[:c + 1, grid.n - c:grid.n]
+            arrays = [a[..., rows, :c + 1] for a in arrays]
+            self.fft_masked = partial(_fft_kept, grid)
+            self.ifft = partial(_ifft_kept, grid)
+        else:
+            self.fft_masked = partial(_fft_masked, grid)
+            self.ifft = ifft
+        self.ik, self.k_sq, self.f1_riesz = arrays
 
 
 def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:

@@ -186,6 +186,21 @@ class TestSimulate:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
 
+    def test_seed_without_spectral_profile_exits_3_with_one_line(
+            self, tmp_path, capsys):
+        # the bump reads no seed: the run would ignore it without a word
+        path = tmp_path / "run.ini"
+        path.write_text("[grid]\nn = 32\nbox_len = 16\n"
+                        "[initial]\nprofile = gaussian-bump\nseed = 5\n"
+                        "[run]\nt_final = 0.5\nsample_interval = 0.5\n"
+                        "k_max = 1\n", encoding="utf-8")
+        assert cli.main(["simulate", "--config",
+                         str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "seed" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below"])
     @pytest.mark.parametrize("command", ["simulate", "audit"])
     def test_uncreatable_output_dir_exits_3_with_one_line(

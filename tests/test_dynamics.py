@@ -433,6 +433,77 @@ class TestOneLoop:
                 assert sp.linf_norm(got - want) <= 1e-13 * sp.linf_norm(want)
 
 
+def whole_spectrum_loop(state, t_final, cfg, dt=None):
+    """The states after each step of _advance's loop of the potential form
+    on the whole half spectrum, started from the masked coefficients of
+    state: the reference for the kept block."""
+    g, form = state.grid, dynamics._POTENTIAL
+    band = sp._Band(g)
+    uh = sp._fft_masked(g, form.stack(state), True)
+    rk = dynamics._IFRK4(form, band, uh.shape, state.mu, cfg)
+    t, states = state.t, []
+    while t < t_final:
+        rk.first(uh)
+        h = dt or dynamics._cfl_dt(g, cfg, rk.scratch.fields[:2])
+        h = min(h, t_final - t)
+        t = t_final if h == t_final - t else t + h
+        uh = rk.rest(uh, h).copy()
+        states.append(form.physical(band, uh, t, state.mu))
+    return states
+
+
+class TestKeptBlock:
+    """Under the 2/3 rule with the nonlinearity on, the potential
+    trajectory carries only the block the rule keeps: bit for bit the
+    whole-spectrum loop from the masked start."""
+
+    @pytest.mark.parametrize("dt", [None, 0.07], ids=["cfl", "given_dt"])
+    @pytest.mark.parametrize("mu", [0.0, 1e-2])
+    @pytest.mark.parametrize("switch", ["default", "no_coupling"])
+    def test_is_the_whole_spectrum_loop_from_the_masked_start(
+            self, grid64, switch, mu, dt):
+        cfg = SWITCHES[switch]
+        # modes up to 30 of 32: the start has coefficients off the block
+        V, H = (np.stack([sp.random_band_limited(grid64, s, max_mode=30)
+                          for s in seeds]) for seeds in ((3,), (4, 5)))
+        st = PotentialState(grid64, 0.05 * V[0], 0.05 * H, mu=mu)
+        got = []
+        evolve(st, 0.4, cfg, dt, callback=got.append)
+        ref = whole_spectrum_loop(st, 0.4, cfg, dt)
+        assert len(got) == len(ref) >= 3
+        for a, b in zip(got, ref):
+            assert a.t == b.t
+            assert np.array_equal(a.V, b.V)
+            assert np.array_equal(a.H, b.H)
+
+    @pytest.mark.parametrize("stepper, switch, kept", [
+        (step, "default", True), (step, "no_dealias", False),
+        (step, "linear", False), (step_primitive, "default", False)],
+        ids=["default", "no_dealias", "linear", "primitive"])
+    def test_stage_buffers(self, small_state, monkeypatch, stepper, switch,
+                           kept):
+        made = []
+
+        class Spy(dynamics._IFRK4):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(dynamics, "_IFRK4", Spy)
+        st = small_state if stepper is step else primitive_of(small_state)
+        stepper(st, 0.01, SWITCHES[switch])
+        g = small_state.grid
+        c = g.dealias_cutoff
+        shape = (2 * c + 1, c + 1) if kept else g.k_sq.shape
+        (rk,) = made
+        rows = len(dynamics._POTENTIAL.stack(small_state)
+                   if stepper is step else dynamics._PRIMITIVE.stack(st))
+        assert rk.k.shape == (4, rows) + shape
+        assert rk.x.shape == (rows,) + shape
+        assert rk.scratch.coef.shape[1:] == shape
+        assert rk.scratch.band.kept is kept
+
+
 @pytest.mark.parametrize("with_callback", [False, True],
                          ids=["plain", "callback"])
 def test_evolve_transform_budget(grid32, transforms, with_callback):

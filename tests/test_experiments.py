@@ -80,6 +80,26 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="mu_list"):
             RunConfig(initial=InitialDataParams(mu=0.5))
 
+    @pytest.mark.parametrize("profile", ["gaussian-bump", "ring"])
+    def test_seed_without_spectral_profile_rejected(self, profile):
+        # the bump and the ring read no seed
+        RunConfig(initial=InitialDataParams(profile="spectral", seed=5))
+        RunConfig(initial=InitialDataParams(profile=profile))
+        with pytest.raises(ConfigError, match="profile = spectral"):
+            RunConfig(initial=InitialDataParams(profile=profile, seed=5))
+
+    @pytest.mark.parametrize("text", [
+        "seed = 0\n", "profile = ring\nseed = 0\n",
+        "profile = gaussian-bump\nseed = 3\n"])
+    def test_ini_seed_without_spectral_profile_rejected(self, tmp_path,
+                                                         text):
+        # a seed the file gives is refused unless the profile reads it,
+        # 0 included
+        path = tmp_path / "run.ini"
+        path.write_text("[initial]\n" + text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="profile = spectral"):
+            RunConfig.from_ini(path)
+
 
 # a legal value other than the default for every INI key but scheme, which
 # has one legal value (tests/test_cli.py checks that any other exits 3)
@@ -110,7 +130,7 @@ class TestIniParsing:
             "box_len = 32.0\n"
             "[initial]\n"
             "amplitude = 0.02\n"
-            "profile = ring\n"
+            "profile = spectral\n"
             "seed = 7\n"
             "[run]\n"
             "mu = 0 0.01 0.1\n"
@@ -123,7 +143,7 @@ class TestIniParsing:
             encoding="utf-8")
         cfg = RunConfig.from_ini(path)
         assert cfg.n == 64
-        assert cfg.initial.profile == "ring"
+        assert cfg.initial.profile == "spectral"
         assert cfg.initial.seed == 7
         assert cfg.mu_list == (0.0, 0.01, 0.1)
         assert cfg.stepper.cfl_factor == 0.2
@@ -155,10 +175,13 @@ class TestIniParsing:
         (section, key) for section, keys in INI_KEYS.items() for key in keys
         if key != "scheme"))
     def test_no_key_silently_ignored(self, tmp_path, section, key):
+        # only the spectral profile reads a seed, so both files set it
+        head = "[initial]\nprofile = spectral\n" if key == "seed" else ""
         default = tmp_path / "default.ini"
-        default.write_text("", encoding="utf-8")
+        default.write_text(head, encoding="utf-8")
         path = tmp_path / "run.ini"
-        path.write_text(f"[{section}]\n{key} = {NON_DEFAULT[section, key]}\n",
+        path.write_text((head or f"[{section}]\n")
+                        + f"{key} = {NON_DEFAULT[section, key]}\n",
                         encoding="utf-8")
         assert RunConfig.from_ini(path) != RunConfig.from_ini(default)
 

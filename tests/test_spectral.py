@@ -98,6 +98,57 @@ class TestTransformPair:
                 assert out is None or got is out
                 assert np.array_equal(a, before)
 
+class TestKeptBand:
+    """The block the 2/3 rule keeps and the whole half spectrum are two
+    instances of one band: the multipliers a kernel reads and a
+    transform pair."""
+
+    @pytest.mark.parametrize("n", [8, 32, 48, 64, 256])
+    def test_kept_pair_is_the_whole_pair_on_the_block(self, n):
+        g = Grid(n, 16.0)
+        c = g.dealias_cutoff
+        rows = np.r_[:c + 1, n - c:n]
+        band = sp._Band(g, kept=True)
+        f = np.random.default_rng(n).standard_normal((2, 3, n, n))
+        masked = sp._fft_masked(g, f, True)
+        back = sp.ifft(masked)          # masked holds zeros off the block
+        for out in (None, np.full((2, 3, 2 * c + 1, c + 1), np.nan,
+                                  dtype=complex)):
+            fh = band.fft_masked(f, True, out)
+            assert out is None or fh is out
+            assert np.array_equal(fh, masked[..., rows, :c + 1])
+        for out in (None, np.full_like(f, np.nan)):
+            got = band.ifft(fh, out)
+            assert out is None or got is out
+            assert np.array_equal(got, back)
+        for name in ("ik", "k_sq", "f1_riesz"):
+            assert np.array_equal(getattr(band, name),
+                                  getattr(g, name)[..., rows, :c + 1])
+
+    def test_whole_band_is_the_grid_and_the_pair(self, grid32):
+        band = sp._Band(grid32)
+        for name in ("ik", "k_sq", "f1_riesz"):
+            assert getattr(band, name) is getattr(grid32, name)
+        assert band.ifft is sp.ifft
+        assert band.fft_masked.func is sp._fft_masked
+        assert band.fft_masked.args == (grid32,)
+
+    def test_kept_block_holds_masked_modes_only(self, grid32):
+        f = np.zeros((grid32.n, grid32.n))
+        with pytest.raises(ValueError, match="2/3-rule modes only"):
+            sp._Band(grid32, kept=True).fft_masked(f, False)
+
+    def test_kept_column_passes_pruned(self, grid32, transforms):
+        # at n = 32 the block is m2 <= 10: each field's column pass runs
+        # on 11 of the 17 columns, both ways
+        band = sp._Band(grid32, kept=True)
+        f = np.random.default_rng(4).standard_normal((3, grid32.n, grid32.n))
+        fh = band.fft_masked(f, True)
+        band.ifft(fh)
+        assert transforms == {"rfft": 3, "irfft": 3}
+        assert transforms.columns == {"fft": 33, "ifft": 33}
+
+
 class TestDerivatives:
     def test_derivative_matches_analytic(self):
         g = GRID
